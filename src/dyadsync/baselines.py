@@ -213,25 +213,28 @@ def train_linear_hinge(features: list, labels, epochs: int = 300, lr: float = 0.
     return LinearClassifier(w, b, mean, std, digest.hexdigest()[:16])
 
 
+def linear_scores(clf: LinearClassifier, features: list) -> np.ndarray:
+    """(samples, classes) affine scores of the standardized feature vectors."""
+    x = _feature_matrix(features)
+    if x.shape[1] != clf.weights.shape[1]:
+        raise ContractError(
+            f"feature dim {x.shape[1]} does not match classifier dim {clf.weights.shape[1]}"
+        )
+    return (x - clf.mean) / clf.std @ clf.weights.T + clf.bias
+
+
 def hinge_objective(clf: LinearClassifier, features: list, labels, reg: float = 1e-3) -> float:
     """The value train_linear_hinge descends: mean hinge + L2 penalty."""
-    x = (_feature_matrix(features) - clf.mean) / clf.std
+    scores = linear_scores(clf, features)
     y = np.asarray(labels)
     signs = np.where(y[None, :] == np.arange(len(clf.bias))[:, None], 1.0, -1.0)
-    scores = x @ clf.weights.T + clf.bias
     hinge = np.maximum(0.0, 1.0 - signs.T * scores).sum(axis=1).mean()
     return float(hinge + reg * (clf.weights**2).sum())
 
 
 def predict_linear(clf: LinearClassifier, features: BaselineFeatures) -> int:
     """Argmax of affine scores; ties break to the lowest class index."""
-    v = features.vector
-    if v.shape[0] != clf.weights.shape[1]:
-        raise ContractError(
-            f"feature dim {v.shape[0]} does not match classifier dim {clf.weights.shape[1]}"
-        )
-    scores = clf.weights @ ((v - clf.mean) / clf.std) + clf.bias
-    return int(scores.argmax())  # argmax returns the first (lowest) maximizer
+    return int(linear_scores(clf, [features])[0].argmax())
 
 
 # ---------------------------------------------------------------------------

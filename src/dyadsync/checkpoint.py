@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .csm_branch import CsmConfig, CsmModel
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .sttf import ModelConfig, SttfModel
 
 _KINDS = {"sttf": (SttfModel, ModelConfig), "csm": (CsmModel, CsmConfig)}
@@ -65,7 +65,11 @@ def load_model(path):
     if header["kind"] not in _KINDS:
         raise DataError(f"{path}: unknown model kind {header['kind']!r}")
     model_cls, config_cls = _KINDS[header["kind"]]
-    model = model_cls(config_cls.from_dict(header["config"]), seed=header["seed"])
+    try:
+        config = config_cls.from_dict(header["config"])
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad model config in header: {exc}") from None
+    model = model_cls(config, seed=header["seed"])
 
     manifest_names = [entry["name"] for entry in header["manifest"]]
     if manifest_names != model.params.names():

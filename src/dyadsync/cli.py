@@ -22,11 +22,13 @@ from . import __version__
 from .baselines import (
     FEATURE_METHODS,
     extract_features,
+    linear_scores,
     save_classifier,
     save_features,
     train_linear_hinge,
 )
 from .checkpoint import load_model, model_kind, save_model
+from .config import load_config
 from .csm_branch import CsmConfig, CsmModel
 from .errors import ConfigError, ContractError, DataError, DyadsyncError
 from .evaluate import (
@@ -69,6 +71,7 @@ from .training import (
     load_train_config,
     mse_loss,
     save_history,
+    targets_from_sequences,
 )
 
 SEED_ENV = "DYADSYNC_SEED"
@@ -173,24 +176,10 @@ def cmd_csm(args) -> int:
     return 0
 
 
-def _class_labels(sequences) -> list:
-    labels = []
-    for seq in sequences:
-        if seq.label_class is None:
-            raise DataError(f"{seq.source_id}: class label required")
-        labels.append(CLASS_NAMES.index(seq.label_class))
-    return labels
-
-
-def _linear_margins(clf, features) -> np.ndarray:
-    x = np.stack([f.vector for f in features])
-    return (x - clf.mean) / clf.std @ clf.weights.T + clf.bias
-
-
 def cmd_baseline(args) -> int:
     train_seqs = load_dataset(args.data, target_f=args.frames)
     feats = [extract_features(seq, args.method) for seq in train_seqs]
-    labels = _class_labels(train_seqs)
+    labels = targets_from_sequences(train_seqs, "cross_entropy")
     clf = train_linear_hinge(feats, labels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,11 +189,12 @@ def cmd_baseline(args) -> int:
     if args.test:
         test_seqs = load_dataset(args.test, target_f=args.frames)
         test_feats = [extract_features(seq, args.method) for seq in test_seqs]
-        margins = _linear_margins(clf, test_feats)
+        margins = linear_scores(clf, test_feats)
         preds = [BranchPrediction(args.method, seq.source_id, logits=row)
                  for seq, row in zip(test_seqs, margins)]
         save_predictions(preds, out_dir / "predictions.csv")
-        cm = confusion_normalized(_class_labels(test_seqs), predicted_classes(preds))
+        cm = confusion_normalized(targets_from_sequences(test_seqs, "cross_entropy"),
+                                  predicted_classes(preds))
         report = compute_metrics(cm)
         save_metrics(report, cm, out_dir / "metrics.json")
         print(format_report(report, cm))
@@ -212,15 +202,9 @@ def cmd_baseline(args) -> int:
 
 
 def _build_model(branch: str, model_config_path, seed: int):
-    if model_config_path:
-        doc = json.loads(Path(model_config_path).read_text())
-    else:
-        doc = {}
-    if branch == "tfn":
-        cfg = ModelConfig.from_dict(doc) if doc else ModelConfig()
-        return SttfModel(cfg, seed=seed)
-    cfg = CsmConfig.from_dict(doc) if doc else CsmConfig()
-    return CsmModel(cfg, seed=seed)
+    model_cls, config_cls = (SttfModel, ModelConfig) if branch == "tfn" else (CsmModel, CsmConfig)
+    cfg = load_config(model_config_path, config_cls) if model_config_path else config_cls()
+    return model_cls(cfg, seed=seed)
 
 
 def cmd_train(args) -> int:

@@ -9,11 +9,13 @@ through one hidden layer to 3 class logits (or a scalar score).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import config_from_dict
 from .errors import ConfigError, DimensionError
 from .similarity import compute_csm, normalize_minmax, resize_nearest
 from .tensor import ParamStore, Tensor
@@ -39,16 +41,9 @@ class CsmConfig:
         return 3 if self.head_kind == "classify" else 1
 
     def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "hidden": self.hidden,
-            "dropout": self.dropout,
-            "head_kind": self.head_kind,
-        }
+        return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "CsmConfig":
-        return CsmConfig(**d)
+    from_dict = classmethod(config_from_dict)
 
 
 class CsmModel:

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ContractError, DataError, ParseError
 from .pose_io import CLASS_NAMES
 
@@ -67,12 +68,6 @@ class MetricsReport:
     mse: Optional[float] = None
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    z = v - v.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def fuse_predictions(preds: list) -> list:
     """Average aligned branch predictions into one per-sample prediction.
 
@@ -98,17 +93,13 @@ def fuse_predictions(preds: list) -> list:
         raise ContractError("cannot fuse a mix of logits and score predictions")
     (is_logits,) = modes
 
-    fused = []
     stacks = list(branches.values())
-    for i, source_id in enumerate(ids):
-        if is_logits:
-            probs = np.mean([_softmax(np.asarray(rows[i].logits, dtype=np.float64))
-                             for rows in stacks], axis=0)
-            fused.append(BranchPrediction("fused", source_id, logits=probs))
-        else:
-            score = float(np.mean([rows[i].score for rows in stacks]))
-            fused.append(BranchPrediction("fused", source_id, score=score))
-    return fused
+    if is_logits:
+        logits = np.array([[p.logits for p in rows] for rows in stacks], dtype=np.float64)
+        probs = T.softmax_rows(logits).data.mean(axis=0)  # (branches, samples, 3) -> (samples, 3)
+        return [BranchPrediction("fused", sid, logits=row) for sid, row in zip(ids, probs)]
+    return [BranchPrediction("fused", sid, score=float(np.mean([rows[i].score for rows in stacks])))
+            for i, sid in enumerate(ids)]
 
 
 def bin_score(score: float, bins: ScoreBinning = ScoreBinning()) -> int:

@@ -10,7 +10,8 @@ which yields a :class:`SkeletonSequence`: an ``(f, 2, J, 2)`` float64
 array of [0,1]-normalized coordinates, 81 frames by default, ready for
 the attention model and the similarity computations.  Frames where
 either person is undetected are discarded; out-of-frame joints are
-clamped into the image and tallied.
+clamped into the image and tallied.  A non-finite coordinate or a
+confidence outside [0, 1] is refused at parse time.
 """
 
 from __future__ import annotations
@@ -76,22 +77,31 @@ class SkeletonSequence:
         return self.frames[:, which]
 
 
-def _parse_person(entry, frame_index: int) -> tuple:
+# per-column bounds of a keypoint row: finite x and y, confidence in [0, 1];
+# NaN fails every comparison, so one test also rejects non-finite values
+_FLOAT_MAX = np.finfo(np.float64).max
+_KEYPOINT_LOW = np.array([-_FLOAT_MAX, -_FLOAT_MAX, 0.0])
+_KEYPOINT_HIGH = np.array([_FLOAT_MAX, _FLOAT_MAX, 1.0])
+
+
+def _parse_person(entry, where: str) -> tuple:
     try:
         pid = entry["id"]
         kp = entry["keypoints"]
     except (TypeError, KeyError) as exc:
-        raise ParseError(f"frame {frame_index}: person record missing {exc}") from None
+        raise ParseError(f"{where}: person record missing {exc}") from None
     if pid not in (0, 1):
-        raise ParseError(f"frame {frame_index}: person id must be 0 or 1, got {pid!r}")
-    joints = np.asarray(kp, dtype=np.float64)
+        raise ParseError(f"{where}: person id must be 0 or 1, got {pid!r}")
+    try:
+        joints = np.asarray(kp, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: keypoints are not a numeric array") from None
     if joints.shape != (NUM_JOINTS, 3):
         raise ParseError(
-            f"frame {frame_index}: expected {NUM_JOINTS}x3 keypoints, got shape {joints.shape}"
+            f"{where}: expected {NUM_JOINTS}x3 keypoints, got shape {joints.shape}"
         )
-    conf = joints[:, 2]
-    if np.any(conf < 0.0) or np.any(conf > 1.0):
-        raise ParseError(f"frame {frame_index}: confidence outside [0, 1]")
+    if not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all():
+        raise ParseError(f"{where}: non-finite coordinate or confidence outside [0, 1]")
     return pid, PersonPose(joints, True)
 
 
@@ -128,15 +138,16 @@ def load_keypoint_file(path) -> list:
             persons = record["persons"]
         except (TypeError, KeyError, ValueError):
             raise ParseError(f"{path}: malformed frame record {record!r}") from None
+        where = f"{path}: frame {frame_index}"
         if len(persons) > 2:
             raise AmbiguityError(
-                f"frame {frame_index}: {len(persons)} persons present; dyad selection is upstream"
+                f"{where}: {len(persons)} persons present; dyad selection is upstream"
             )
         poses = {}
         for entry in persons:
-            pid, pose = _parse_person(entry, frame_index)
+            pid, pose = _parse_person(entry, where)
             if pid in poses:
-                raise ParseError(f"frame {frame_index}: duplicate person id {pid}")
+                raise ParseError(f"{where}: duplicate person id {pid}")
             poses[pid] = pose
         frames.append(
             DyadicFrame(

@@ -18,6 +18,7 @@ embeddings, the attention weights, and the MLP outputs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .config import config_from_dict
 from .errors import ConfigError, DimensionError, ParameterError
 from .pose_io import SkeletonSequence
 from .tensor import ParamStore, Tensor
@@ -84,19 +86,9 @@ class ModelConfig:
         return 3 if self.head_kind == "classify" else 1
 
     def to_dict(self) -> dict:
-        return {
-            "f": self.f,
-            "num_joints": self.num_joints,
-            "d_joint": self.d_joint,
-            "layers": self.layers,
-            "heads": self.heads,
-            "dropout": self.dropout,
-            "head_kind": self.head_kind,
-        }
+        return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
+    from_dict = classmethod(config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -123,13 +115,9 @@ class AttentionMaps:
 
     def normalized(self) -> "AttentionMaps":
         def per_map(stack):
-            out = np.empty_like(stack)
-            for l in range(stack.shape[0]):
-                for h in range(stack.shape[1]):
-                    m = stack[l, h]
-                    lo, hi = m.min(), m.max()
-                    out[l, h] = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
-            return out
+            lo = stack.min(axis=(-2, -1), keepdims=True)
+            span = stack.max(axis=(-2, -1), keepdims=True) - lo
+            return np.divide(stack - lo, span, out=np.zeros_like(stack), where=span > 0)
 
         return AttentionMaps(per_map(self.spatial), per_map(self.temporal))
 
@@ -254,7 +242,8 @@ class SttfModel:
         out = T.dropout_apply(out, cfg.dropout, training, rng)
         return x + out
 
-    def _spatial_stack(self, frames: np.ndarray, tape, training, rng, capture):
+    def _spatial_stack(self, frames: np.ndarray, tape=None, training=False, rng=None,
+                       capture: Optional[list] = None):
         """(B, f, 2, J, 2) pose batch -> (B, f, c_spa) frame vectors."""
         cfg = self.config
         if frames.ndim != 5 or frames.shape[2:] != (2, cfg.num_joints, 2):
@@ -272,7 +261,8 @@ class SttfModel:
         x = x.reshape(batch, cfg.f, cfg.c_spa)
         return x + p["frame.pos"]
 
-    def _temporal_stack(self, z, tape, training, rng, capture):
+    def _temporal_stack(self, z, tape=None, training=False, rng=None,
+                        capture: Optional[list] = None):
         """(B, f, c_temp) -> (B, f, c_temp) after the frame-attention stack."""
         cfg = self.config
         if z.shape[-2:] != (cfg.f, cfg.c_temp):
@@ -284,7 +274,7 @@ class SttfModel:
             y = self._layer(y, p, f"temporal.{l}", cfg.heads, training, rng, capture)
         return y
 
-    def _head(self, y, tape):
+    def _head(self, y, tape=None):
         """(B, f, c_temp) -> (B, out_dim) via mean-pool + linear."""
         p = self.params.tracked(tape)
         pooled = y.mean(axis=-2)
@@ -331,35 +321,6 @@ def expected_param_count(cfg: ModelConfig) -> int:
         + c * cfg.out_dim
         + cfg.out_dim
     )
-
-
-# -- single-sequence surfaces ------------------------------------------------
-
-
-def spatial_forward(seq: SkeletonSequence, model: SttfModel, training: bool = False,
-                    tape=None, rng=None, capture: Optional[list] = None):
-    """One sequence through the joint-token stack: (f, c_spa) frame vectors."""
-    z = model._spatial_stack(seq.frames[None], tape, training, rng, capture)
-    return z.reshape(model.config.f, model.config.c_spa)
-
-
-def temporal_forward(z, model: SttfModel, training: bool = False,
-                     tape=None, rng=None, capture: Optional[list] = None):
-    """(f, c_temp) frame vectors through the frame-attention stack."""
-    z = T._wrap(z)
-    if z.data.ndim != 2:
-        raise DimensionError(f"expected a 2-d (f, c_temp) input, got {z.shape}")
-    cfg = model.config
-    out = model._temporal_stack(z.reshape(1, *z.shape), tape, training, rng, capture)
-    return out.reshape(cfg.f, cfg.c_temp)
-
-
-def predict_head(y, model: SttfModel, tape=None):
-    """Pool (f, c_temp) features and map to 3 logits or a scalar score."""
-    y = T._wrap(y)
-    cfg = model.config
-    out = model._head(y.reshape(1, *y.shape), tape)
-    return out.reshape((3,)) if cfg.head_kind == "classify" else out.reshape(())
 
 
 def export_attention(model: SttfModel, seq: SkeletonSequence) -> AttentionMaps:

@@ -133,6 +133,17 @@ class Tape:
         arr = np.asarray(data, dtype=np.float64)
         return Tensor(arr, self, self.record((), None))
 
+    def named_leaf(self, name: str, data) -> Tensor:
+        """The leaf registered under ``name``, recorded on first use."""
+        nid = self._leaves.get(name)
+        if nid is None:
+            nid = self._leaves[name] = self.record((), None)
+        return Tensor(data, self, nid)
+
+    def leaf_id(self, name: str) -> Optional[int]:
+        """Node id of the leaf named ``name``, or None if never registered."""
+        return self._leaves.get(name)
+
     def backward(self, output: Tensor) -> list:
         """Gradients of ``output`` w.r.t. every node, indexed by node id.
 
@@ -231,12 +242,7 @@ class ParamStore:
             return dict(self._values)
         out = {}
         for name, value in self._values.items():
-            if name in tape._leaves:
-                out[name] = Tensor(value.data, tape, tape._leaves[name])
-            else:
-                t = tape.leaf(value.data)
-                tape._leaves[name] = t.node_id
-                out[name] = t
+            out[name] = tape.named_leaf(name, value.data)
         return out
 
     def copy_values(self) -> dict:
@@ -572,7 +578,7 @@ def gradient_of(loss: Tensor, params: ParamStore) -> dict:
     grads = loss.tape.backward(loss)
     out = {}
     for name, value in params.items():
-        nid = loss.tape._leaves.get(name)
+        nid = loss.tape.leaf_id(name)
         g = grads[nid] if nid is not None else None
         out[name] = Tensor(g if g is not None else np.zeros_like(value.data))
     return out

@@ -12,7 +12,7 @@ their own named stream, so equal seeds give bit-identical histories.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DataError
+from .config import config_from_dict, load_config
+from .errors import ConfigError, ContractError, DataError, NumericalError
 from .pose_io import CLASS_NAMES
 from .rng import stream
 from .tensor import ParamStore, Tape, Tensor
@@ -51,25 +52,11 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(TrainConfig)}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown training config keys: {sorted(extra)}")
-        return TrainConfig(**d)
+    from_dict = classmethod(config_from_dict)
 
 
 def load_train_config(path) -> TrainConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"training config not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: training config must be a JSON object")
-    return TrainConfig.from_dict(doc)
+    return load_config(path, TrainConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +232,13 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
                 loss = cross_entropy_loss(out, targets[idx])
             else:
                 loss = mse_loss(out, targets[idx])
+            step_loss = loss.item()
+            if not math.isfinite(step_loss):
+                raise NumericalError(f"training diverged at epoch {epoch}, "
+                                     f"step {start // cfg.batch_size}: loss is {step_loss}")
             grads = T.gradient_of(loss, model.params)
             adam_step(model.params, grads, state, lr)
-            total += loss.item() * len(idx)
+            total += step_loss * len(idx)
         train_loss = total / len(order)
         val_metric = eval_metric(model, inputs[val_idx], targets[val_idx],
                                  cfg.loss_kind, cfg.batch_size)

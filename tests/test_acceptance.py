@@ -30,7 +30,7 @@ from dyadsync.pose_io import (
     preprocess,
 )
 from dyadsync.similarity import compute_csm
-from dyadsync.sttf import ModelConfig, SttfModel, spatial_forward, temporal_forward
+from dyadsync.sttf import ModelConfig, SttfModel
 from dyadsync.synthgen import SynthConfig, generate_sequences
 from dyadsync.tensor import ParamStore, Tensor, check_gradients, linear_apply
 from dyadsync.training import (
@@ -132,15 +132,15 @@ def test_criterion_02_attention_invariants():
         tokens = cfg.tokens_spatial
         perm = rng.permutation(tokens)
         permuted = seq.frames.reshape(cfg.f, tokens, 2)[:, perm].reshape(seq.frames.shape)
-        base = spatial_forward(seq, model).data.reshape(cfg.f, tokens, cfg.d_joint)
-        moved = spatial_forward(SkeletonSequence(frames=permuted), model).data.reshape(
+        base = model._spatial_stack(seq.frames[None]).data.reshape(cfg.f, tokens, cfg.d_joint)
+        moved = model._spatial_stack(permuted[None]).data.reshape(
             cfg.f, tokens, cfg.d_joint)
         worst_equiv = max(worst_equiv, float(np.abs(moved - base[:, perm]).max()))
 
         z = rng.normal(size=(cfg.f, cfg.c_temp))
         fperm = rng.permutation(cfg.f)
-        tbase = temporal_forward(Tensor(z), model).data
-        tmoved = temporal_forward(Tensor(z[fperm]), model).data
+        tbase = model._temporal_stack(Tensor(z[None])).data[0]
+        tmoved = model._temporal_stack(Tensor(z[fperm][None])).data[0]
         worst_equiv = max(worst_equiv, float(np.abs(tmoved - tbase[fperm]).max()))
 
     ok = worst_row < row_tol and worst_equiv < equiv_tol

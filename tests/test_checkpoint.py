@@ -101,3 +101,20 @@ def test_rejects_unknown_kind(tmp_path):
     path.write_bytes(struct.pack("<Q", len(header)) + header)
     with pytest.raises(DataError):
         load_model(path)
+
+
+@pytest.mark.parametrize("config", [
+    {"side": 8, "width": 3},  # unknown key
+    {"side": "8"},  # wrong type
+    [8, 5],  # not an object
+    {"side": 0},  # fails the config's own validation
+])
+def test_bad_header_config_is_data_error(tmp_path, config):
+    import json
+    import struct
+
+    header = json.dumps({"kind": "csm", "seed": 0, "config": config, "manifest": []}).encode()
+    path = tmp_path / "badcfg.bin"
+    path.write_bytes(struct.pack("<Q", len(header)) + header)
+    with pytest.raises(DataError, match="badcfg.bin"):
+        load_model(path)

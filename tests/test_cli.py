@@ -291,6 +291,68 @@ def test_corrupt_train_config_is_config_error(tmp_path):
                "--config", str(bad)) == 2
 
 
+@pytest.mark.parametrize("column", [0, 2], ids=["x", "confidence"])
+def test_non_finite_keypoint_is_data_error(tmp_path, capsys, column):
+    manifest = make_dataset(tmp_path, per_class=1)
+    clip = load_manifest(manifest)[1].path
+    doc = json.loads(clip.read_text())
+    doc["frames"][0]["persons"][0]["keypoints"][3][column] = float("nan")
+    clip.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("csm", "--data", str(manifest), "--out", str(tmp_path / "mats")) == 3
+    assert clip.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("branch,content", [
+    ("tfn", None),  # missing file
+    ("tfn", "{not json"),
+    ("tfn", "[4, 1]"),
+    ("tfn", '{"d_joint": 4, "width": 9}'),
+    ("tfn", '{"d_joint": "4"}'),
+    ("tfn", '{"layers": 1.5}'),
+    ("csm", '{"side": 8, "width": 9}'),
+    ("csm", '{"dropout": NaN}'),
+], ids=["missing", "invalid-json", "not-object", "unknown-key", "wrong-type",
+        "float-for-int", "csm-unknown-key", "csm-nan"])
+def test_bad_model_config_is_config_error(tmp_path, capsys, branch, content):
+    manifest = make_dataset(tmp_path, per_class=1)
+    mc = tmp_path / "mc.json"
+    if content is not None:
+        mc.write_text(content)
+    capsys.readouterr()
+    assert run("train", "--data", str(manifest), "--out", str(tmp_path / "x"),
+               "--branch", branch, "--model-config", str(mc)) == 2
+    assert "mc.json" in capsys.readouterr().err
+
+
+def test_bad_checkpoint_config_is_data_error(tmp_path, capsys):
+    import struct
+
+    manifest = make_dataset(tmp_path, per_class=1)
+    header = json.dumps({"kind": "sttf", "seed": 0, "config": {"heads": "two"},
+                         "manifest": []}).encode()
+    ckpt = tmp_path / "bad.bin"
+    ckpt.write_bytes(struct.pack("<Q", len(header)) + header)
+    capsys.readouterr()
+    assert run("eval", "--ckpt", str(ckpt), "--data", str(manifest),
+               "--out", str(tmp_path / "x")) == 3
+    assert "bad.bin" in capsys.readouterr().err
+
+
+def test_diverging_train_writes_no_checkpoint(tmp_path, capsys):
+    manifest = make_dataset(tmp_path, per_class=2)
+    tc, mc = write_tiny_configs(tmp_path)
+    tc.write_text(json.dumps({"epochs": 3, "batch_size": 8, "lr0": 1e300}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = run("train", "--data", str(manifest), "--out", str(out),
+                   "--config", str(tc), "--model-config", str(mc))
+    assert code == 4
+    assert "loss is nan" in capsys.readouterr().err
+    assert not (out / "model.bin").exists()
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         run("synth", "--out", "x", "--per-class", "1", "--warp", "9")

@@ -75,6 +75,15 @@ def test_duplicated_branch_fusion_is_identity():
         assert np.array_equal(x.logits, y.logits)
 
 
+@pytest.mark.parametrize("branches", [1, 2, 3])
+def test_fusion_matches_per_sample_loop(branches):
+    raw = np.random.default_rng(4).normal(scale=5.0, size=(branches, 7, 3))
+    preds = [logit_pred(f"b{b}", f"s{i}", raw[b, i]) for b in range(branches) for i in range(7)]
+    for i, out in enumerate(fuse_predictions(preds)):
+        assert np.array_equal(out.logits, np.mean([softmax(raw[b, i]) for b in range(branches)],
+                                                  axis=0))
+
+
 def test_score_fusion_averages():
     preds = [BranchPrediction("a", "s0", score=4.0), BranchPrediction("b", "s0", score=6.0)]
     (fused,) = fuse_predictions(preds)

@@ -111,6 +111,14 @@ def test_load_malformed_records_name_the_frame(tmp_path):
     with pytest.raises(ParseError, match="frame 9"):
         load_keypoint_file(p)
 
+    bad_type = {
+        "image_size": [320, 240],
+        "frames": [{"index": 5, "persons": [{"id": 0, "keypoints": [["x", 2, 0.5]] * 17}]}],
+    }
+    p.write_text(json.dumps(bad_type))
+    with pytest.raises(ParseError, match="frame 5"):
+        load_keypoint_file(p)
+
 
 def test_load_rejects_duplicate_ids_and_bad_json(tmp_path):
     doc = {

@@ -10,16 +10,14 @@ from dyadsync.errors import ConfigError, DimensionError, ParameterError
 from dyadsync.pose_io import SkeletonSequence
 from dyadsync.rng import stream
 from dyadsync.sttf import (
+    AttentionMaps,
     MhsaParams,
     ModelConfig,
     SttfModel,
     expected_param_count,
     export_attention,
     mhsa,
-    predict_head,
     scaled_dot_product_attention,
-    spatial_forward,
-    temporal_forward,
 )
 from dyadsync.tensor import Tensor
 
@@ -195,7 +193,7 @@ def test_reference_config_count_and_shape():
     model = SttfModel(cfg, seed=0)
     assert model.param_count() == 14_327_731
     seq = SkeletonSequence(frames=np.random.default_rng(1).uniform(0, 1, (81, 2, 17, 2)))
-    z = spatial_forward(seq, model)
+    z = model._spatial_stack(seq.frames[None]).data[0]
     assert z.shape == (81, 544)
 
 
@@ -218,10 +216,9 @@ def test_spatial_permutation_equivariance_with_zero_positions():
     perm = rng.permutation(cfg.tokens_spatial)
     permuted = seq.frames.reshape(cfg.f, cfg.tokens_spatial, 2)[:, perm].reshape(seq.frames.shape)
 
-    base = spatial_forward(seq, model).data.reshape(cfg.f, cfg.tokens_spatial, cfg.d_joint)
-    moved = spatial_forward(SkeletonSequence(frames=permuted), model).data.reshape(
-        cfg.f, cfg.tokens_spatial, cfg.d_joint
-    )
+    shape = (cfg.f, cfg.tokens_spatial, cfg.d_joint)
+    base = model._spatial_stack(seq.frames[None]).data.reshape(shape)
+    moved = model._spatial_stack(permuted[None]).data.reshape(shape)
     assert np.max(np.abs(moved - base[:, perm])) < 1e-12
 
 
@@ -231,16 +228,16 @@ def test_spatial_identical_frames_give_identical_rows():
     zero_positions(model, ["frame.pos"])  # isolate the per-frame content term
     pose = np.random.default_rng(29).uniform(0, 1, size=(2, cfg.num_joints, 2))
     frames = np.tile(pose, (cfg.f, 1, 1, 1))
-    z = spatial_forward(SkeletonSequence(frames=frames), model).data
+    z = model._spatial_stack(frames[None]).data[0]
     assert np.max(np.abs(z - z[0])) < 1e-12
 
 
 def test_spatial_rejects_wrong_frame_count():
     cfg = small_config()
     model = SttfModel(cfg, seed=0)
-    bad = SkeletonSequence(frames=np.zeros((cfg.f + 1, 2, cfg.num_joints, 2)))
+    bad = np.zeros((1, cfg.f + 1, 2, cfg.num_joints, 2))
     with pytest.raises(ConfigError):
-        spatial_forward(bad, model)
+        model._spatial_stack(bad)
 
 
 def test_temporal_shape_and_row_permutation_equivariance():
@@ -250,8 +247,8 @@ def test_temporal_shape_and_row_permutation_equivariance():
     zero_positions(model, ["temporal.pos"])
     z = rng.normal(size=(cfg.f, cfg.c_temp))
     perm = rng.permutation(cfg.f)
-    base = temporal_forward(Tensor(z), model).data
-    moved = temporal_forward(Tensor(z[perm]), model).data
+    base = model._temporal_stack(Tensor(z[None])).data[0]
+    moved = model._temporal_stack(Tensor(z[perm][None])).data[0]
     assert base.shape == (cfg.f, cfg.c_temp)
     assert np.max(np.abs(moved - base[perm])) < 1e-12
 
@@ -260,30 +257,30 @@ def test_temporal_empty_stack_is_position_add():
     cfg = small_config(layers=0, dropout=0.0)
     model = SttfModel(cfg, seed=6)
     z = np.random.default_rng(31).normal(size=(cfg.f, cfg.c_temp))
-    out = temporal_forward(Tensor(z), model).data
+    out = model._temporal_stack(Tensor(z[None])).data[0]
     assert np.array_equal(out, z + model.params["temporal.pos"].data)
 
 
 def test_temporal_rejects_bad_shapes():
     model = SttfModel(small_config(), seed=0)
     with pytest.raises(DimensionError):
-        temporal_forward(Tensor(np.zeros((3, 7))), model)
+        model._temporal_stack(Tensor(np.zeros((3, 7))))
 
 
-def test_predict_head_pooling_and_bias():
+def test_head_pooling_and_bias():
     cfg = small_config(dropout=0.0)
     model = SttfModel(cfg, seed=7)
     bias = np.array([0.5, -1.0, 2.0])
     model.params.replace("head.w", np.zeros((cfg.c_temp, 3)))
     model.params.replace("head.b", bias)
     y = np.random.default_rng(32).normal(size=(cfg.f, cfg.c_temp))
-    assert np.array_equal(predict_head(Tensor(y), model).data, bias)
+    assert np.array_equal(model._head(Tensor(y[None])).data[0], bias)
 
     # constant rows: pooling returns the row itself
     model2 = SttfModel(cfg, seed=8)
     row = np.random.default_rng(33).normal(size=cfg.c_temp)
     const = np.tile(row, (cfg.f, 1))
-    logits = predict_head(Tensor(const), model2).data
+    logits = model2._head(Tensor(const[None])).data[0]
     direct = row @ model2.params["head.w"].data + model2.params["head.b"].data
     assert np.max(np.abs(logits - direct)) < 1e-12
 
@@ -292,8 +289,8 @@ def test_regress_head_returns_scalar():
     cfg = small_config(head_kind="regress", dropout=0.0)
     model = SttfModel(cfg, seed=9)
     y = np.random.default_rng(34).normal(size=(cfg.f, cfg.c_temp))
-    out = predict_head(Tensor(y), model)
-    assert out.shape == ()
+    out = model._head(Tensor(y[None]))
+    assert out.shape == (1, 1)
 
 
 def test_full_model_gradients_micro_config():
@@ -352,3 +349,18 @@ def test_export_attention_normalization_and_person_blocks():
     J = cfg.num_joints
     block = maps.spatial[0, 0, :J, J:]  # person a attending to person b
     assert block.shape == (J, J)
+
+
+def test_normalized_matches_per_map_loop():
+    rng = np.random.default_rng(39)
+    spatial = rng.uniform(size=(2, 3, 4, 4))
+    spatial[1, 2] = 0.25  # a constant map normalizes to zeros
+    maps = AttentionMaps(spatial, rng.uniform(size=(2, 3, 5, 5)))
+    normed = maps.normalized()
+    for raw, out in ((maps.spatial, normed.spatial), (maps.temporal, normed.temporal)):
+        for l in range(raw.shape[0]):
+            for h in range(raw.shape[1]):
+                m = raw[l, h]
+                lo, hi = m.min(), m.max()
+                want = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
+                assert np.array_equal(out[l, h], want)

@@ -8,7 +8,7 @@ import pytest
 
 from dyadsync import tensor as T
 from dyadsync.csm_branch import CsmConfig, CsmModel, expected_param_count
-from dyadsync.errors import ConfigError, ContractError, DataError
+from dyadsync.errors import ConfigError, ContractError, DataError, NumericalError
 from dyadsync.pose_io import SkeletonSequence
 from dyadsync.tensor import ParamStore, Tape, Tensor
 from dyadsync.training import (
@@ -274,6 +274,15 @@ def test_fit_validates_inputs():
     reg = CsmModel(CsmConfig(side=4, hidden=4, head_kind="regress"), seed=0)
     with pytest.raises(ConfigError):
         fit(reg, (np.zeros((2, 4, 4)), np.array([0, 1])), TrainConfig(epochs=1))
+
+
+def test_fit_stops_on_non_finite_loss():
+    rng = np.random.default_rng(52)
+    images, labels = toy_image_set(rng)
+    images[:, 0, 0] = np.nan  # every batch carries a NaN pixel
+    model = CsmModel(CsmConfig(side=8, hidden=8, dropout=0.0), seed=4)
+    with pytest.raises(NumericalError, match="epoch 0, step 0: loss is nan"):
+        fit(model, (images, labels), TrainConfig(epochs=2, batch_size=4, seed=0))
 
 
 def test_fit_dropout_override_applies():
