@@ -44,43 +44,66 @@ class LinearClassifier:
 # ---------------------------------------------------------------------------
 
 
-def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
+def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Classic DTW with Euclidean frame cost, no window.
 
     D(i,j) = cost(i,j) + min(D(i-1,j), D(i,j-1), D(i-1,j-1)), answer at
-    D(n-1,m-1).  Inputs are (n, d) and (m, d) sequences of frame vectors.
+    D(n-1,m-1).  Inputs are (n, d) and (m, d) sequences of frame vectors
+    ((n,) and (m,) count as d = 1) and the answer is a float.  A batch of
+    k pairs is given as (k, n, d) and (k, m, d) arrays and gives a (k,)
+    array of distances.
+
+    The table is filled one anti-diagonal i + j = t at a time: its cells
+    depend only on diagonals t-1 and t-2, so each diagonal is a few numpy
+    calls over all k pairs.  Every cell gets the same add and mins as in
+    a cell-by-cell loop, so finite inputs give bit-identical distances.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    batched = a.ndim == 3
+    if a.ndim > 3 or a.shape[:-2] != b.shape[:-2]:
+        raise DataError(f"expected (n, d) and (m, d) or (k, n, d) and (k, m, d) inputs, "
+                        f"got shapes {a.shape} and {b.shape}")
     if a.ndim == 1:
         a = a[:, None]
     if b.ndim == 1:
         b = b[:, None]
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    if not batched:
+        a, b = a[None], b[None]
+    k, n, m = a.shape[0], a.shape[1], b.shape[1]
+    if n == 0 or m == 0:
         raise DataError("dtw_distance needs nonempty sequences")
-    if a.shape[1] != b.shape[1]:
-        raise DataError(f"frame dims differ: {a.shape[1]} vs {b.shape[1]}")
-    cost = np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2))
-    n, m = cost.shape
-    dp = np.empty((n, m))
-    dp[0, 0] = cost[0, 0]
-    for j in range(1, m):
-        dp[0, j] = cost[0, j] + dp[0, j - 1]
-    for i in range(1, n):
-        dp[i, 0] = cost[i, 0] + dp[i - 1, 0]
-        for j in range(1, m):
-            dp[i, j] = cost[i, j] + min(dp[i - 1, j], dp[i, j - 1], dp[i - 1, j - 1])
-    return float(dp[n - 1, m - 1])
+    if a.shape[2] != b.shape[2]:
+        raise DataError(f"frame dims differ: {a.shape[2]} vs {b.shape[2]}")
+    # D padded with a row and a column of +inf before index 0 and D(-1,-1) = 0;
+    # the costs fill the interior and each diagonal adds its min onto them
+    dp = np.full((k, n + 1, m + 1), np.inf)
+    dp[:, 0, 0] = 0.0
+    np.sqrt(((a[:, :, None] - b[:, None]) ** 2).sum(axis=-1), out=dp[:, 1:, 1:])
+    # flattened, cell (i, j) sits at (i+1)(m+1) + j+1: a diagonal is a slice of
+    # step m, and its up, left and up-left neighbours are that slice shifted
+    # back by m+1, 1 and m+2
+    dp = dp.reshape(k, (n + 1) * (m + 1))
+    best = np.empty((k, min(n, m)))
+    for t in range(n + m - 1):
+        lo, hi = max(0, t - m + 1), min(n - 1, t)  # rows i of the diagonal's cells
+        start = (lo + 1) * (m + 1) + t - lo + 1
+        stop = start + (hi - lo) * m + 1
+        low = best[:, :hi - lo + 1]
+        np.minimum(dp[:, start - m - 1:stop - m - 1:m], dp[:, start - 1:stop - 1:m], out=low)
+        np.minimum(low, dp[:, start - m - 2:stop - m - 2:m], out=low)
+        cells = dp[:, start:stop:m]
+        np.add(cells, low, out=cells)
+    return dp[:, -1].copy() if batched else float(dp[0, -1])
 
 
 def dtw_features(seq: SkeletonSequence) -> BaselineFeatures:
     """Whole-pose DTW distance plus per-joint DTW distances (J+1 dims)."""
     a, b = seq.person(0), seq.person(1)
-    f, num_joints = a.shape[0], a.shape[1]
-    values = [dtw_distance(a.reshape(f, -1), b.reshape(f, -1))]
-    for k in range(num_joints):
-        values.append(dtw_distance(a[:, k], b[:, k]))
-    return BaselineFeatures("dtw", np.array(values), seq.source_id)
+    f = a.shape[0]
+    whole = dtw_distance(a.reshape(f, -1), b.reshape(f, -1))
+    joints = dtw_distance(a.transpose(1, 0, 2), b.transpose(1, 0, 2))
+    return BaselineFeatures("dtw", np.concatenate([[whole], joints]), seq.source_id)
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +134,20 @@ def correlation_features(seq: SkeletonSequence) -> BaselineFeatures:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_runs(r: np.ndarray):
-    """Lengths of consecutive-1 runs along every diagonal of a 0/1 matrix."""
+def _diagonal_runs(r: np.ndarray) -> np.ndarray:
+    """Lengths of consecutive-1 runs along every diagonal of a 0/1 matrix.
+
+    Row i is shifted left by i, so diagonal j - i becomes a column; one
+    zero row below keeps runs on neighbouring diagonals apart.  Laid out
+    diagonal-major, the runs start where the diff is +1 and end where it
+    is -1.
+    """
     n, m = r.shape
-    for offset in range(-(n - 1), m):
-        diag = np.diagonal(r, offset=offset)
-        run = 0
-        for v in diag:
-            if v:
-                run += 1
-            else:
-                if run:
-                    yield run
-                run = 0
-        if run:
-            yield run
+    rows = np.arange(n)[:, None]
+    sheared = np.zeros((n + 1, n + m - 1), dtype=np.int8)
+    sheared[rows, np.arange(m) - rows + n - 1] = r
+    steps = np.diff(sheared.T.ravel(), prepend=0)
+    return np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
 
 
 def cross_recurrence_features(csm: SimilarityMatrix, eps: float = None) -> BaselineFeatures:
@@ -143,10 +165,10 @@ def cross_recurrence_features(csm: SimilarityMatrix, eps: float = None) -> Basel
         raise ParameterError(f"eps must be positive, got {eps}")
     r = distances <= eps
     rr = float(r.mean())
-    runs = list(_diagonal_runs(r))
+    runs = _diagonal_runs(r)
     recurrent = r.sum()
-    det = float(sum(l for l in runs if l >= 2) / recurrent) if recurrent else 0.0
-    lmax = max(runs, default=0) / csm.values.shape[0]
+    det = float(runs[runs >= 2].sum() / recurrent) if recurrent else 0.0
+    lmax = int(runs.max(initial=0)) / csm.values.shape[0]
     return BaselineFeatures("crossrec", np.array([rr, det, lmax]))
 
 

@@ -45,6 +45,12 @@ def save_model(model, path) -> None:
             fh.write(np.ascontiguousarray(value.data, dtype="<f8").tobytes())
 
 
+def _is_manifest_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(dim) is int for dim in entry["shape"]))
+
+
 def load_model(path):
     path = Path(path)
     if not path.exists():
@@ -59,23 +65,30 @@ def load_model(path):
         header = json.loads(raw[8:8 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: bad checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: checkpoint header must be a JSON object")
     for key in ("kind", "seed", "config", "manifest"):
         if key not in header:
             raise ParseError(f"{path}: header missing {key!r}")
-    if header["kind"] not in _KINDS:
+    if not isinstance(header["kind"], str) or header["kind"] not in _KINDS:
         raise DataError(f"{path}: unknown model kind {header['kind']!r}")
     model_cls, config_cls = _KINDS[header["kind"]]
     try:
         config = config_cls.from_dict(header["config"])
     except ConfigError as exc:
         raise DataError(f"{path}: bad model config in header: {exc}") from None
-    model = model_cls(config, seed=header["seed"])
+    seed, manifest = header["seed"], header["manifest"]
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"{path}: seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(manifest, list) or not all(map(_is_manifest_entry, manifest)):
+        raise DataError(f"{path}: manifest must be a list of {{'name', 'shape'}} entries")
+    model = model_cls(config, seed=seed)
 
-    manifest_names = [entry["name"] for entry in header["manifest"]]
+    manifest_names = [entry["name"] for entry in manifest]
     if manifest_names != model.params.names():
         raise DataError(f"{path}: manifest does not match the model's parameters")
     offset = 8 + header_len
-    for entry in header["manifest"]:
+    for entry in manifest:
         shape = tuple(entry["shape"])
         expected = model.params[entry["name"]].shape
         if shape != expected:

@@ -130,6 +130,8 @@ def load_keypoint_file(path) -> list:
         image_size = (int(width), int(height))
     except (KeyError, TypeError, ValueError):
         raise ParseError(f"{path}: missing or malformed 'image_size'") from None
+    if min(image_size) <= 0:
+        raise ParseError(f"{path}: non-positive image_size {image_size}")
 
     frames = []
     for record in doc["frames"]:
@@ -151,8 +153,8 @@ def load_keypoint_file(path) -> list:
             poses[pid] = pose
         frames.append(
             DyadicFrame(
-                person_a=poses.get(0, PersonPose.undetected()),
-                person_b=poses.get(1, PersonPose.undetected()),
+                person_a=poses[0] if 0 in poses else PersonPose.undetected(),
+                person_b=poses[1] if 1 in poses else PersonPose.undetected(),
                 frame_index=frame_index,
                 image_size=image_size,
             )
@@ -304,7 +306,10 @@ def load_manifest(path) -> list:
             raise ParseError(f"{path}: entry {i} has unknown class {cls!r}")
         score = rec.get("label_score")
         if score is not None:
-            score = float(score)
+            try:
+                score = float(score)
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: entry {i} score {score!r} is not a number") from None
             if not SCORE_RANGE[0] <= score <= SCORE_RANGE[1]:
                 raise ParseError(f"{path}: entry {i} score {score} outside {SCORE_RANGE}")
         entry_path = Path(rec["path"])

@@ -1,11 +1,14 @@
 """Baselines: DTW vs path enumeration, correlation conventions, recurrence counts,
-and the linear hinge classifier's contract."""
+and the linear hinge classifier's contract.  The cell-by-cell DTW loop and the
+per-element diagonal run walk are kept here as bit-exact references for the
+vectorized code."""
 
 import numpy as np
 import pytest
 
 from dyadsync.baselines import (
     BaselineFeatures,
+    _diagonal_runs,
     correlation_features,
     cross_recurrence_features,
     dtw_distance,
@@ -50,6 +53,53 @@ def pairwise_cost(a, b):
     return np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2))
 
 
+def loop_dtw_distance(a, b):
+    """Reference: the cell-by-cell DTW double loop."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    if b.ndim == 1:
+        b = b[:, None]
+    cost = np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2))
+    n, m = cost.shape
+    dp = np.empty((n, m))
+    dp[0, 0] = cost[0, 0]
+    for j in range(1, m):
+        dp[0, j] = cost[0, j] + dp[0, j - 1]
+    for i in range(1, n):
+        dp[i, 0] = cost[i, 0] + dp[i - 1, 0]
+        for j in range(1, m):
+            dp[i, j] = cost[i, j] + min(dp[i - 1, j], dp[i, j - 1], dp[i - 1, j - 1])
+    return float(dp[n - 1, m - 1])
+
+
+def loop_diagonal_runs(r):
+    """Reference: walk every diagonal element, yielding consecutive-1 run lengths."""
+    n, m = r.shape
+    for offset in range(-(n - 1), m):
+        diag = np.diagonal(r, offset=offset)
+        run = 0
+        for v in diag:
+            if v:
+                run += 1
+            else:
+                if run:
+                    yield run
+                run = 0
+        if run:
+            yield run
+
+
+def loop_crossrec_vector(r):
+    """Reference RR, DET and LMAX of a 0/1 matrix from the per-element run walk."""
+    runs = list(loop_diagonal_runs(r))
+    recurrent = r.sum()
+    det = float(sum(l for l in runs if l >= 2) / recurrent) if recurrent else 0.0
+    lmax = max(runs, default=0) / r.shape[0]
+    return np.array([float(r.mean()), det, lmax])
+
+
 # ---------------------------------------------------------------------------
 # dtw
 # ---------------------------------------------------------------------------
@@ -90,6 +140,57 @@ def test_dtw_rejects_empty_and_mismatched():
         dtw_distance(np.zeros((0, 2)), np.zeros((3, 2)))
     with pytest.raises(DataError):
         dtw_distance(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def test_dtw_wavefront_matches_loop_bitwise():
+    rng = np.random.default_rng(76)
+    shapes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1)]
+    shapes += [tuple(rng.integers(1, 13, size=2)) for _ in range(120)]
+    for n, m in shapes:
+        for d in (1, 2, 3, int(rng.integers(4, 41))):
+            a = rng.normal(size=(n, d))
+            b = rng.normal(size=(m, d))
+            got = dtw_distance(a, b)
+            assert type(got) is float
+            assert got == loop_dtw_distance(a, b), (n, m, d)
+    a, b = rng.normal(size=7), rng.normal(size=4)  # 1-D inputs count as d = 1
+    assert dtw_distance(a, b) == loop_dtw_distance(a, b)
+
+
+def test_dtw_batched_matches_per_pair_loop():
+    rng = np.random.default_rng(77)
+    for n, m, d, k in [(1, 1, 1, 1), (1, 6, 2, 3), (6, 1, 2, 3), (5, 8, 2, 17),
+                       (8, 5, 34, 2), (11, 11, 3, 4)]:
+        a = rng.normal(size=(k, n, d))
+        b = rng.normal(size=(k, m, d))
+        got = dtw_distance(a, b)
+        assert got.shape == (k,)
+        want = np.array([loop_dtw_distance(a[i], b[i]) for i in range(k)])
+        assert got.tobytes() == want.tobytes(), (n, m, d, k)
+
+
+def test_dtw_features_matches_per_joint_assembly():
+    rng = np.random.default_rng(78)
+    for f in (1, 2, 15, 81):
+        seq = SkeletonSequence(frames=rng.uniform(0, 1, (f, 2, 17, 2)))
+        a, b = seq.person(0), seq.person(1)
+        values = [loop_dtw_distance(a.reshape(f, -1), b.reshape(f, -1))]
+        values += [loop_dtw_distance(a[:, k], b[:, k]) for k in range(17)]
+        assert dtw_features(seq).vector.tobytes() == np.array(values).tobytes(), f
+
+
+def test_dtw_batched_rejects_empty_and_mismatched():
+    with pytest.raises(DataError, match="nonempty"):
+        dtw_distance(np.zeros((4, 0, 2)), np.zeros((4, 3, 2)))
+    with pytest.raises(DataError, match="nonempty"):
+        dtw_distance(np.zeros((4, 3, 2)), np.zeros((4, 0, 2)))
+    with pytest.raises(DataError, match="frame dims"):
+        dtw_distance(np.zeros((4, 2, 2)), np.zeros((4, 2, 3)))
+    with pytest.raises(DataError):  # batch sizes differ
+        dtw_distance(np.zeros((4, 2, 2)), np.zeros((3, 2, 2)))
+    with pytest.raises(DataError):  # one batched side, one single
+        dtw_distance(np.zeros((4, 2, 2)), np.zeros((2, 2)))
+    assert dtw_distance(np.zeros((0, 2, 2)), np.zeros((0, 3, 2))).shape == (0,)
 
 
 def test_dtw_features_shape():
@@ -196,6 +297,24 @@ def test_crossrec_det_counts_lines_not_singletons():
     assert rr == 3 / 16
     assert det == 2 / 3
     assert lmax == 2 / 4
+
+
+def test_crossrec_matches_run_loop_oracle():
+    rng = np.random.default_rng(79)
+    matrices = [np.zeros((6, 6), bool), np.ones((6, 6), bool), np.ones((4, 9), bool),
+                np.zeros((1, 7), bool), np.ones((1, 7), bool), np.eye(5, dtype=bool),
+                np.ones((1, 1), bool), np.zeros((1, 1), bool)]
+    for _ in range(150):
+        n, m = rng.integers(1, 14, size=2)
+        matrices.append(rng.uniform(size=(n, m)) < rng.uniform())
+    matrices.append(rng.uniform(size=(1, 12)) < 0.5)
+    matrices.append(rng.uniform(size=(12, 1)) < 0.5)
+    for r in matrices:
+        assert _diagonal_runs(r).tolist() == list(loop_diagonal_runs(r)), r.shape
+        # recurrent entries sit at distance 0.1, the others at 1.0
+        csm = SimilarityMatrix(np.where(r, -0.1, -1.0), "cross")
+        got = cross_recurrence_features(csm, eps=0.5).vector
+        assert got.tobytes() == loop_crossrec_vector(r).tobytes(), r.shape
 
 
 def test_crossrec_eps_validation_and_default():

@@ -118,3 +118,44 @@ def test_bad_header_config_is_data_error(tmp_path, config):
     path.write_bytes(struct.pack("<Q", len(header)) + header)
     with pytest.raises(DataError, match="badcfg.bin"):
         load_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(seed="x"),  # SeedSequence would reject it inside the model constructor
+    lambda h: h.update(seed=-1),
+    lambda h: h.update(seed=1.5),
+    lambda h: h.update(manifest="w1"),  # not a list
+    lambda h: h.update(manifest=["w1"]),  # entry not an object
+    lambda h: h["manifest"][0].pop("name"),
+    lambda h: h["manifest"][0].pop("shape"),
+    lambda h: h["manifest"][0].update(shape=40),  # not a list
+    lambda h: h["manifest"][0].update(  # floats that compare equal to the right shape
+        shape=[float(dim) for dim in h["manifest"][0]["shape"]]),
+    lambda h: h.update(kind=["csm"]),  # unhashable kind
+], ids=["seed-string", "seed-negative", "seed-float", "manifest-string", "entry-string",
+        "entry-no-name", "entry-no-shape", "shape-int", "shape-floats", "kind-list"])
+def test_bad_header_fields_are_data_errors(tmp_path, edit):
+    import json
+    import struct
+
+    path = tmp_path / "badhdr.bin"
+    save_model(CsmModel(CsmConfig(side=8, hidden=5), seed=0), path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw)
+    header = json.loads(raw[8:8 + length])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + length:])
+    with pytest.raises(DataError, match="badhdr.bin"):
+        load_model(path)
+
+
+def test_header_that_is_not_an_object_is_parse_error(tmp_path):
+    import json
+    import struct
+
+    blob = json.dumps(["kind", "seed", "config", "manifest"]).encode()
+    path = tmp_path / "list.bin"
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(ParseError, match="list.bin"):
+        load_model(path)

@@ -303,6 +303,30 @@ def test_non_finite_keypoint_is_data_error(tmp_path, capsys, column):
     assert clip.name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("score", ["high", [7.5], {"value": 7.5}],
+                         ids=["string", "list", "object"])
+def test_bad_manifest_score_is_data_error(tmp_path, capsys, score):
+    manifest = make_dataset(tmp_path, per_class=1)
+    entries = json.loads(manifest.read_text())
+    entries[1]["label_score"] = score
+    manifest.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run("csm", "--data", str(manifest), "--out", str(tmp_path / "mats")) == 3
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "entry 1" in err
+
+
+def test_non_positive_image_size_names_the_clip(tmp_path, capsys):
+    manifest = make_dataset(tmp_path, per_class=1)
+    clip = load_manifest(manifest)[2].path
+    doc = json.loads(clip.read_text())
+    doc["image_size"] = [0, 240]
+    clip.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("csm", "--data", str(manifest), "--out", str(tmp_path / "mats")) == 3
+    assert clip.name in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("branch,content", [
     ("tfn", None),  # missing file
     ("tfn", "{not json"),

@@ -120,6 +120,24 @@ def test_load_malformed_records_name_the_frame(tmp_path):
         load_keypoint_file(p)
 
 
+def test_load_builds_placeholders_only_for_missing_persons(tmp_path, monkeypatch):
+    p = write_clip(tmp_path / "clip.json", [(0, [0, 1]), (1, [1]), (2, [])])
+    built = []
+    real = PersonPose.undetected
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(PersonPose, "undetected", staticmethod(counting))
+    frames = load_keypoint_file(p)
+    assert len(built) == 3  # one in frame 1, two in frame 2
+    assert frames[0].valid
+    assert not frames[1].person_a.detected and frames[1].person_b.detected
+    assert not frames[2].person_a.detected and not frames[2].person_b.detected
+    assert np.array_equal(frames[2].person_b.joints, np.zeros((17, 3)))
+
+
 def test_load_rejects_duplicate_ids_and_bad_json(tmp_path):
     doc = {
         "image_size": [320, 240],
