@@ -81,14 +81,18 @@ log = logging.getLogger("dyadsync")
 def _resolve_seed(flag_value, fallback: int = 0) -> int:
     """Explicit --seed wins, then the environment variable, then fallback."""
     if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        seed, source = flag_value, "--seed"
+    else:
+        raw = os.environ.get(SEED_ENV)
+        if raw is None:
+            return fallback
+        try:
+            seed, source = int(raw), SEED_ENV
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _map_ordered(fn, tasks: list, workers: int) -> list:

@@ -301,12 +301,16 @@ def load_manifest(path) -> list:
     for i, rec in enumerate(doc):
         if not isinstance(rec, dict) or "path" not in rec:
             raise ParseError(f"{path}: entry {i} must be an object with a 'path'")
+        if not isinstance(rec["path"], str):
+            raise ParseError(f"{path}: entry {i} path {rec['path']!r} is not a string")
         cls = rec.get("label_class")
         if cls is not None and cls not in CLASS_NAMES:
             raise ParseError(f"{path}: entry {i} has unknown class {cls!r}")
         score = rec.get("label_score")
         if score is not None:
             try:
+                if isinstance(score, bool):  # float() would read JSON true as 1.0
+                    raise TypeError
                 score = float(score)
             except (TypeError, ValueError):
                 raise ParseError(f"{path}: entry {i} score {score!r} is not a number") from None

@@ -137,8 +137,7 @@ def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, training=False, r
         raise DimensionError(f"V {v.shape} does not align with K {k.shape}")
     d = q.shape[-1]
     axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
-    scores = T.matmul(q, T.transpose(k, axes)) * (1.0 / math.sqrt(d))
-    weights = T.softmax_rows(scores)
+    weights = T.softmax_rows(T.matmul(q, T.transpose(k, axes)), 1.0 / math.sqrt(d))
     applied = T.dropout_apply(weights, attn_dropout, training, rng)
     return T.matmul(applied, v), weights
 

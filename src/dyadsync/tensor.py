@@ -148,8 +148,10 @@ class Tape:
         """Gradients of ``output`` w.r.t. every node, indexed by node id.
 
         ``output`` is seeded with a gradient of ones (a plain 1.0 for the
-        scalar losses this package differentiates).  Nodes unreachable
-        from ``output`` keep gradient ``None``.
+        scalar losses this package differentiates).  Only leaves keep
+        their gradients: an interior node's gradient is dropped as soon as
+        its backward has run, so it reads ``None``, as does every node
+        unreachable from ``output``.
         """
         if output.tape is not self:
             raise ContractError("output tensor does not belong to this tape")
@@ -162,6 +164,7 @@ class Tape:
             fn = self._backwards[nid]
             if fn is None:
                 continue
+            grads[nid] = None
             for pid, pgrad in zip(self._parents[nid], fn(grad)):
                 if pid is None or pgrad is None:
                     continue
@@ -449,18 +452,26 @@ def linear_apply(x, weight, bias) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
-def softmax_rows(x) -> Tensor:
-    """Softmax along the last axis, computed with per-row max subtraction."""
+def softmax_rows(x, scale: float = 1.0) -> Tensor:
+    """Softmax of ``x * scale`` along the last axis, with per-row max subtraction.
+
+    The product is the only fresh array: the max-subtract, ``exp`` and
+    divide run in place in it.  Folding the scale in gives the same bits
+    as multiplying first and taking the softmax of the product.
+    """
     x = _wrap(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = x.data * scale
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
     if x.tape is None:
         return Tensor(out)
 
     def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) * out,)
+        gx = g - (g * out).sum(axis=-1, keepdims=True)
+        gx *= out
+        gx *= scale
+        return (gx,)
 
     return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
 
@@ -489,11 +500,18 @@ def gelu(x) -> Tensor:
     """Smooth gated nonlinearity, tanh form: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
     x = _wrap(x)
     v = x.data
-    inner = _GELU_C * (v + _GELU_A * v**3)
-    t = np.tanh(inner)
-    out = 0.5 * v * (1.0 + t)
+    t = v * v  # one scratch array: c*(a*v*v*v + v), then its tanh
+    t *= v
+    t *= _GELU_A
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * v
     if x.tape is None:
+        t += 1.0
+        out *= t
         return Tensor(out)
+    out *= 1.0 + t
 
     def backward(g):
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * v**2)

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ConfigError(f"unknown loss_kind {self.loss_kind!r}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

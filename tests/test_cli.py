@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,49 @@ def test_seed_env_var_matches_flag(tmp_path, monkeypatch):
 def test_bad_seed_env_var_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("DYADSYNC_SEED", "twelve")
     assert run("synth", "--out", str(tmp_path / "x"), "--per-class", "1") == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_negative_seed_is_config_error_naming_its_source(tmp_path, monkeypatch, capsys,
+                                                         source):
+    if source == "config":
+        manifest = make_dataset(tmp_path, per_class=1)
+        cfg = tmp_path / "neg_seed.json"
+        cfg.write_text(json.dumps({"epochs": 1, "seed": -1}))
+        argv = ["train", "--data", str(manifest), "--out", str(tmp_path / "run"),
+                "--config", str(cfg)]
+        named = "neg_seed.json"
+    else:
+        argv = ["synth", "--out", str(tmp_path / "x"), "--per-class", "1"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+            named = "--seed"
+        else:
+            monkeypatch.setenv("DYADSYNC_SEED", "-3")
+            named = "DYADSYNC_SEED"
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "non-negative" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import subprocess
+    import sys
+
+    import dyadsync
+
+    src = str(Path(dyadsync.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "raw"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadsync", "synth", "--out", str(out), "--per-class", "1",
+         "--frames", "20", "--seed", "4"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(out / "manifest.json")
+    assert len(load_manifest(out / "manifest.json")) == 3
 
 
 # ---------------------------------------------------------------------------

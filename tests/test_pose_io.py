@@ -327,3 +327,12 @@ def test_manifest_validation(tmp_path):
         load_manifest(m)
     with pytest.raises(DataError):
         load_manifest(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("entry", [{"path": 5}, {"path": "x", "label_score": True}],
+                         ids=["non-string-path", "boolean-score"])
+def test_manifest_entry_types_name_the_entry(tmp_path, entry):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps([{"path": "ok.json"}, entry]))
+    with pytest.raises(ParseError, match=r"m\.json: entry 1 "):
+        load_manifest(m)

@@ -119,6 +119,92 @@ def test_gelu_reference_values():
     assert y[3] > 2.99
 
 
+GELU_C, GELU_A = math.sqrt(2.0 / math.pi), 0.044715
+
+
+def pow_gelu(v):
+    """The tanh-form GELU with the cube taken by ``v**3`` (libm pow)."""
+    return 0.5 * v * (1.0 + np.tanh(GELU_C * (v + GELU_A * v**3)))
+
+
+def test_gelu_matches_pow_form_within_rounding():
+    # only the cube's last-bit rounding differs from v**3; near the
+    # negative tail 1 + tanh cancels, so bound the absolute gap, not ulps
+    v = np.random.default_rng(44).normal(scale=4.0, size=(64, 34, 16))
+    gap = np.abs(T.gelu(T.Tensor(v)).data - pow_gelu(v))
+    assert np.all(gap <= 2 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(v)))
+
+
+def test_gelu_in_place_matches_unfused_expression():
+    rng = np.random.default_rng(45)
+    v = rng.normal(scale=4.0, size=(6, 34, 16))
+    g = rng.normal(size=v.shape)
+    t = np.tanh(GELU_C * (v + GELU_A * (v * v * v)))
+    want_out = 0.5 * v * (1.0 + t)
+    d_inner = GELU_C * (1.0 + 3.0 * GELU_A * v**2)
+    want_grad = g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner)
+
+    assert T.gelu(T.Tensor(v)).data.tobytes() == want_out.tobytes()
+    tape = T.Tape()
+    xt = tape.leaf(v)
+    out = T.gelu(xt)
+    grads = tape.backward((out * T.Tensor(g)).sum())
+    assert out.data.tobytes() == want_out.tobytes()
+    assert grads[xt.node_id].tobytes() == want_grad.tobytes()
+
+
+def unfused_softmax_rows(x):
+    """Softmax as written before the scale was folded in: three temporaries."""
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def unfused_softmax_node(x):
+    """The pre-fusion softmax tape op, recorded through the public Tape API."""
+    out = unfused_softmax_rows(x.data)
+
+    def backward(g):
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        return ((g - inner) * out,)
+
+    return T.Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+
+
+def test_softmax_rows_matches_unfused_formula():
+    x = np.random.default_rng(46).normal(size=(3, 4, 9, 9)) * 20
+    for arr in (x, x.transpose(0, 1, 3, 2)):  # contiguous and strided rows
+        assert T.softmax_rows(T.Tensor(arr)).data.tobytes() == \
+            unfused_softmax_rows(arr).tobytes()
+        for scale in (1.0, 1.0 / math.sqrt(6), 1.0 / math.sqrt(12)):
+            separate = T.multiply(T.Tensor(arr), scale).data
+            assert T.softmax_rows(T.Tensor(arr), scale).data.tobytes() == \
+                unfused_softmax_rows(separate).tobytes()
+
+
+def test_scaled_softmax_gradients_match_multiply_then_softmax():
+    rng = np.random.default_rng(47)
+    q, k = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(2, 3, 7, 6))
+    w = rng.normal(size=(2, 3, 7, 7))
+    scale = 1.0 / math.sqrt(6)
+
+    def run(fused):
+        tape = T.Tape()
+        qt, kt = tape.leaf(q), tape.leaf(k)
+        scores = T.matmul(qt, T.transpose(kt, (0, 1, 3, 2)))
+        if fused:
+            probs = T.softmax_rows(scores, scale)
+        else:
+            probs = unfused_softmax_node(T.multiply(scores, scale))
+        grads = tape.backward((probs * T.Tensor(w)).sum())
+        return probs.data, grads[qt.node_id], grads[kt.node_id], len(tape)
+
+    fused, chain = run(True), run(False)
+    for got, want in zip(fused[:3], chain[:3]):
+        assert got.tobytes() == want.tobytes()
+    assert fused[3] == chain[3] - 1  # the scale no longer costs a node
+
+
 def test_broadcast_add_and_mul_values():
     a = np.arange(6.0).reshape(2, 3)
     b = np.array([10.0, 20.0, 30.0])
@@ -265,6 +351,17 @@ def test_gradient_accumulates_across_reuse():
     loss = (xt * xt + xt).sum()
     grads = tape.backward(loss)
     assert np.allclose(grads[xt.node_id], 2 * x + 1)
+
+
+def test_backward_keeps_only_leaf_gradients():
+    x = np.array([[0.5, -1.0, 2.0]])
+    tape = T.Tape()
+    xt, wt = tape.leaf(x), tape.leaf(2 * x)
+    hidden = T.gelu(xt * wt)
+    loss = hidden.sum()
+    grads = tape.backward(loss)
+    assert grads[xt.node_id] is not None and grads[wt.node_id] is not None
+    assert all(grads[n] is None for n in (hidden.node_id - 1, hidden.node_id, loss.node_id))
 
 
 # ---------------------------------------------------------------------------
