@@ -9,12 +9,14 @@ rebuilt from the same seed and config saves to identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .config import config_from_dict
 from .csm_branch import CsmConfig, CsmModel
 from .errors import ConfigError, DataError, ParseError
 from .sttf import ModelConfig, SttfModel
@@ -33,7 +35,7 @@ def save_model(model, path) -> None:
     header = {
         "kind": model_kind(model),
         "seed": model.seed,
-        "config": model.config.to_dict(),
+        "config": dataclasses.asdict(model.config),
         "manifest": [{"name": name, "shape": list(value.shape)}
                      for name, value in model.params.items()],
     }
@@ -74,7 +76,7 @@ def load_model(path):
         raise DataError(f"{path}: unknown model kind {header['kind']!r}")
     model_cls, config_cls = _KINDS[header["kind"]]
     try:
-        config = config_cls.from_dict(header["config"])
+        config = config_from_dict(config_cls, header["config"])
     except ConfigError as exc:
         raise DataError(f"{path}: bad model config in header: {exc}") from None
     seed, manifest = header["seed"], header["manifest"]

@@ -66,9 +66,9 @@ from .synthgen import SynthConfig, generate_dataset, sequence_to_document
 from .tensor import ParamStore, Tensor, check_gradients, linear_apply, reduce_mean
 from .training import (
     TrainConfig,
+    _batched_logits,
     cross_entropy_loss,
     fit,
-    load_train_config,
     mse_loss,
     save_history,
     targets_from_sequences,
@@ -171,7 +171,7 @@ def cmd_csm(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     savers = {"bin": save_binary, "csv": save_csv, "pgm": save_pgm}
     for source_id, matrix in results:
-        if args.size:
+        if args.size is not None:
             matrix = resize_nearest(matrix, args.size)
         if args.normalize:
             matrix = normalize_minmax(matrix)
@@ -211,20 +211,24 @@ def _build_model(branch: str, model_config_path, seed: int):
     return model_cls(cfg, seed=seed)
 
 
+def _model_frames(model) -> int:
+    """Frames per clip a model was built for: the transformer's f, else TARGET_FRAMES."""
+    return model.config.f if model_kind(model) == "sttf" else TARGET_FRAMES
+
+
 def cmd_train(args) -> int:
-    train_cfg = load_train_config(args.config) if args.config else TrainConfig()
+    train_cfg = load_config(args.config, TrainConfig) if args.config else TrainConfig()
     seed = _resolve_seed(args.seed, fallback=train_cfg.seed)
     train_cfg = dataclasses.replace(train_cfg, seed=seed)
     model = _build_model(args.branch, args.model_config, seed)
-    target_f = model.config.f if args.branch == "tfn" else TARGET_FRAMES
-    sequences = load_dataset(args.data, target_f=target_f)
+    sequences = load_dataset(args.data, target_f=_model_frames(model))
     history = fit(model, sequences, train_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.bin")
     save_history(history, out_dir / "history.csv")
-    best = max(h["val_metric"] for h in history) if train_cfg.loss_kind == "cross_entropy" \
-        else min(h["val_metric"] for h in history)
+    best = (max if model.config.head_kind == "classify" else min)(
+        h["val_metric"] for h in history)
     log.info("trained %s for %d epochs; best val metric %.4f", args.branch,
              len(history), best)
     print(out_dir / "model.bin")
@@ -235,19 +239,19 @@ def cmd_eval(args) -> int:
     if not args.ckpt and not args.external:
         raise ConfigError("eval needs at least one --ckpt or --external source")
     models = [load_model(p) for p in args.ckpt or []]
-    target_f = TARGET_FRAMES
-    for model in models:
-        if model_kind(model) == "sttf":
-            target_f = model.config.f
-    sequences = load_dataset(args.data, target_f=target_f)
+    frames = [_model_frames(model) for model in models]
+    # one load per distinct frame count; ids and labels do not depend on it
+    datasets = {f: load_dataset(args.data, target_f=f)
+                for f in dict.fromkeys(frames or [TARGET_FRAMES])}
+    sequences = next(iter(datasets.values()))
 
     predictions = []
     seen: dict = {}
-    for model in models:
+    for model, f in zip(models, frames):
         kind = {"sttf": "tfn", "csm": "csm"}[model_kind(model)]
         seen[kind] = seen.get(kind, 0) + 1
         name = kind if seen[kind] == 1 else f"{kind}{seen[kind]}"
-        out = model.predict_batch(model.prepare_inputs(sequences))
+        out = _batched_logits(model, model.prepare_inputs(datasets[f]))
         for seq, row in zip(sequences, out):
             if out.shape[1] == 1:
                 predictions.append(BranchPrediction(name, seq.source_id, score=float(row[0])))

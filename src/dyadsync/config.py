@@ -15,7 +15,7 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def config_from_dict(cls, doc):
-    """Build the config dataclass ``cls`` (bound as its ``from_dict``) from a JSON object."""
+    """Build the config dataclass ``cls`` from a JSON object."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -41,6 +41,6 @@ def load_config(path, cls):
     except ValueError as exc:  # bad JSON or a file that is not UTF-8 text
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     try:
-        return cls.from_dict(doc)
+        return config_from_dict(cls, doc)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -9,13 +9,11 @@ through one hidden layer to 3 class logits (or a scalar score).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .config import config_from_dict
 from .errors import ConfigError, DimensionError
 from .similarity import compute_csm, normalize_minmax, resize_nearest
 from .tensor import ParamStore, Tensor
@@ -39,11 +37,6 @@ class CsmConfig:
     @property
     def out_dim(self) -> int:
         return 3 if self.head_kind == "classify" else 1
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    from_dict = classmethod(config_from_dict)
 
 
 class CsmModel:

@@ -308,14 +308,11 @@ def load_manifest(path) -> list:
             raise ParseError(f"{path}: entry {i} has unknown class {cls!r}")
         score = rec.get("label_score")
         if score is not None:
-            try:
-                if isinstance(score, bool):  # float() would read JSON true as 1.0
-                    raise TypeError
-                score = float(score)
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: entry {i} score {score!r} is not a number") from None
+            if type(score) not in (int, float):  # JSON numbers only: no bool, no string
+                raise ParseError(f"{path}: entry {i} score {score!r} is not a number")
             if not SCORE_RANGE[0] <= score <= SCORE_RANGE[1]:
                 raise ParseError(f"{path}: entry {i} score {score} outside {SCORE_RANGE}")
+            score = float(score)
         entry_path = Path(rec["path"])
         if not entry_path.is_absolute():
             entry_path = path.parent / entry_path

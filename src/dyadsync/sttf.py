@@ -18,7 +18,6 @@ embeddings, the attention weights, and the MLP outputs.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .config import config_from_dict
 from .errors import ConfigError, DimensionError, ParameterError
 from .pose_io import SkeletonSequence
 from .tensor import ParamStore, Tensor
@@ -84,11 +82,6 @@ class ModelConfig:
     @property
     def out_dim(self) -> int:
         return 3 if self.head_kind == "classify" else 1
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    from_dict = classmethod(config_from_dict)
 
 
 @dataclass(frozen=True)

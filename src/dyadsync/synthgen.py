@@ -51,7 +51,6 @@ SCORE_BINS = {"Sync": (8.36, 10.0), "ModSync": (7.16, 8.36), "Unsync": (0.0, 7.1
 @dataclass(frozen=True)
 class SynthConfig:
     f: int = 148
-    num_joints: int = NUM_JOINTS
     lag: int = 10
     amp_mismatch: float = 1.15
     jitter: float = 0.004
@@ -59,20 +58,20 @@ class SynthConfig:
     image_size: tuple = (320, 240)
 
     def __post_init__(self):
-        if self.jitter < 0:
-            raise ParameterError(f"jitter must be >= 0, got {self.jitter}")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise ParameterError(f"jitter must be finite and >= 0, got {self.jitter}")
+        if not math.isfinite(self.amp_mismatch):
+            raise ParameterError(f"amp_mismatch must be finite, got {self.amp_mismatch}")
         if not 0 <= self.lag < self.f:
             raise ParameterError(f"lag must lie in [0, f), got {self.lag}")
-        if self.num_joints != ANCHOR.shape[0]:
-            raise ParameterError(f"generator provides exactly {ANCHOR.shape[0]} joints")
 
 
-def _draw_motion(rng, num_joints):
+def _draw_motion(rng):
     """Per-joint, per-coordinate sinusoid parameters."""
     return {
-        "freq": rng.uniform(0.5, 3.0, size=(num_joints, 2)),
-        "phase": rng.uniform(0.0, 2.0 * math.pi, size=(num_joints, 2)),
-        "amp": rng.uniform(0.03, 0.12, size=(num_joints, 2)),
+        "freq": rng.uniform(0.5, 3.0, size=(NUM_JOINTS, 2)),
+        "phase": rng.uniform(0.0, 2.0 * math.pi, size=(NUM_JOINTS, 2)),
+        "amp": rng.uniform(0.03, 0.12, size=(NUM_JOINTS, 2)),
     }
 
 
@@ -88,7 +87,7 @@ def generate_dyad_sequence(cfg: SynthConfig, klass: str, index: int = 0) -> Skel
     if klass not in CLASS_NAMES:
         raise ParameterError(f"unknown class {klass!r}; expected one of {CLASS_NAMES}")
     rng = stream(cfg.seed, f"synth/{klass}/{index}")
-    motion = _draw_motion(rng, cfg.num_joints)
+    motion = _draw_motion(rng)
     t = np.arange(cfg.f)
     person_a = _evaluate(motion, t, cfg.f)
     if klass == "Sync":
@@ -96,7 +95,7 @@ def generate_dyad_sequence(cfg: SynthConfig, klass: str, index: int = 0) -> Skel
     elif klass == "ModSync":
         person_b = _evaluate(motion, t - cfg.lag, cfg.f, amp_scale=cfg.amp_mismatch)
     else:
-        person_b = _evaluate(_draw_motion(rng, cfg.num_joints), t, cfg.f)
+        person_b = _evaluate(_draw_motion(rng), t, cfg.f)
     if cfg.jitter > 0:
         person_b = person_b + rng.normal(scale=cfg.jitter, size=person_b.shape)
     frames = np.clip(np.stack([person_a, person_b], axis=1), 0.0, 1.0)

@@ -2,16 +2,15 @@
 
 ``fit`` drives any model exposing the small training protocol used
 across this package: a ``params`` ParamStore, a ``config`` dataclass
-with ``dropout``/``head_kind`` fields, ``forward(inputs, tape,
-training, rng)`` returning an (B, out) tensor, and ``prepare_inputs``
-mapping SkeletonSequences to its input array.  Runs are deterministic in
+whose ``head_kind`` picks the loss, ``forward(inputs, tape, training,
+rng)`` returning an (B, out) tensor, and ``prepare_inputs`` mapping
+SkeletonSequences to its input array.  Runs are deterministic in
 the seed: shuffling, the validation split, and dropout each draw from
 their own named stream, so equal seeds give bit-identical histories.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .config import config_from_dict, load_config
 from .errors import ConfigError, ContractError, DataError, NumericalError
 from .pose_io import CLASS_NAMES
 from .rng import stream
@@ -33,9 +31,7 @@ class TrainConfig:
     batch_size: int = 64
     lr0: float = 1e-3
     decay: float = 0.98
-    dropout: float = None  # None -> keep the model's own rate
     seed: int = 0
-    loss_kind: str = "cross_entropy"  # or "mse"
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -44,21 +40,8 @@ class TrainConfig:
             raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
         if not 0.0 < self.decay <= 1.0:
             raise ConfigError(f"decay must lie in (0, 1], got {self.decay}")
-        if self.loss_kind not in ("cross_entropy", "mse"):
-            raise ConfigError(f"unknown loss_kind {self.loss_kind!r}")
-        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    from_dict = classmethod(config_from_dict)
-
-
-def load_train_config(path) -> TrainConfig:
-    return load_config(path, TrainConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +146,8 @@ def targets_from_sequences(sequences, loss_kind: str) -> np.ndarray:
     return out
 
 
-def _batched_logits(model, inputs: np.ndarray, batch_size: int) -> np.ndarray:
+def _batched_logits(model, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """Eval-mode forward in chunks, so peak memory follows a chunk, not the inputs."""
     chunks = [
         model.forward(inputs[start : start + batch_size]).data
         for start in range(0, len(inputs), batch_size)
@@ -185,9 +169,14 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
 
     ``dataset`` is either a list of labeled SkeletonSequences (converted
     through ``model.prepare_inputs``) or a ready ``(inputs, targets)``
-    pair.  A seeded 10% validation split drives best-checkpoint
-    retention; the model ends holding its best-validation parameters.
+    pair.  A ``"classify"`` head trains on cross-entropy and keeps the
+    highest validation accuracy; a ``"regress"`` head trains on MSE and
+    keeps the lowest validation MSE.  A seeded 10% validation split drives
+    best-checkpoint retention; the model ends holding its best-validation
+    parameters.
     """
+    classify = model.config.head_kind == "classify"
+    loss_kind = "cross_entropy" if classify else "mse"
     if isinstance(dataset, tuple):
         inputs, targets = dataset
         targets = np.asarray(targets)
@@ -195,20 +184,12 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
         if not dataset:
             raise DataError("empty dataset")
         inputs = model.prepare_inputs(dataset)
-        targets = targets_from_sequences(dataset, cfg.loss_kind)
+        targets = targets_from_sequences(dataset, loss_kind)
     n = len(inputs)
     if n == 0:
         raise DataError("empty dataset")
     if len(targets) != n:
         raise ContractError(f"{n} inputs vs {len(targets)} targets")
-
-    classify = cfg.loss_kind == "cross_entropy"
-    if classify != (model.config.head_kind == "classify"):
-        raise ConfigError(
-            f"loss {cfg.loss_kind!r} does not match model head {model.config.head_kind!r}"
-        )
-    if cfg.dropout is not None and cfg.dropout != model.config.dropout:
-        model.config = dataclasses.replace(model.config, dropout=cfg.dropout)
 
     n_val = max(1, round(0.1 * n)) if n >= 2 else 0
     split = stream(cfg.seed, "split").permutation(n)
@@ -243,7 +224,7 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
             total += step_loss * len(idx)
         train_loss = total / len(order)
         val_metric = eval_metric(model, inputs[val_idx], targets[val_idx],
-                                 cfg.loss_kind, cfg.batch_size)
+                                 loss_kind, cfg.batch_size)
         improved = (
             best_metric is None
             or (classify and val_metric > best_metric)

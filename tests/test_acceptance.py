@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from dyadsync.baselines import cross_recurrence_features, dtw_distance
 from dyadsync.cli import main as cli_main
@@ -286,6 +287,7 @@ def to_standard_frames(sequences):
             for s in sequences]
 
 
+@pytest.mark.slow
 def test_criterion_06_synthetic_end_to_end():
     start = time.monotonic()
     synth = SynthConfig(lag=35, amp_mismatch=1.5, seed=0)

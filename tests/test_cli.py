@@ -5,9 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dyadsync.checkpoint import save_model
 from dyadsync.cli import build_parser, main
+from dyadsync.csm_branch import CsmConfig, CsmModel
 from dyadsync.pose_io import load_dataset, load_manifest
 from dyadsync.similarity import load_binary
+from dyadsync.sttf import ModelConfig, SttfModel
 
 
 def run(*argv):
@@ -108,6 +111,15 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert len(load_manifest(out / "manifest.json")) == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--jitter", "nan"), ("--amp-mismatch", "inf")])
+def test_synth_non_finite_noise_is_config_error(tmp_path, capsys, flag, value):
+    capsys.readouterr()
+    assert run("synth", "--out", str(tmp_path / "raw"), "--per-class", "1",
+               "--frames", "20", "--lag", "2", flag, value) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "raw").exists()
+
+
 # ---------------------------------------------------------------------------
 # preprocess / csm
 # ---------------------------------------------------------------------------
@@ -166,6 +178,13 @@ def test_csm_pgm_and_self_kinds(tmp_path):
     assert files[0].read_bytes().startswith(b"P5\n81 81\n255\n")
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_csm_non_positive_size_is_config_error(tmp_path, size):
+    manifest = make_dataset(tmp_path, per_class=1)
+    assert run("csm", "--data", str(manifest), "--out", str(tmp_path / "mats"),
+               "--size", size) == 2
+
+
 # ---------------------------------------------------------------------------
 # baseline / train / eval
 # ---------------------------------------------------------------------------
@@ -183,10 +202,9 @@ def test_baseline_end_to_end(tmp_path):
     assert metrics["accuracy"] > 50.0  # resubstitution on separable data
 
 
-def write_tiny_configs(tmp_path, loss="cross_entropy", head="classify"):
+def write_tiny_configs(tmp_path, head="classify"):
     tc = tmp_path / "tc.json"
-    tc.write_text(json.dumps({"epochs": 3, "batch_size": 8, "lr0": 0.01,
-                              "seed": 1, "loss_kind": loss}))
+    tc.write_text(json.dumps({"epochs": 3, "batch_size": 8, "lr0": 0.01, "seed": 1}))
     mc = tmp_path / "mc.json"
     mc.write_text(json.dumps({"f": 12, "num_joints": 17, "d_joint": 2,
                               "layers": 1, "heads": 1, "dropout": 0.1,
@@ -217,11 +235,17 @@ def test_train_twice_same_seed_identical_artifacts(tmp_path):
     assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
 
 
-def test_train_loss_head_mismatch_is_config_error(tmp_path):
-    manifest = make_dataset(tmp_path, per_class=2)
-    tc, mc = write_tiny_configs(tmp_path, loss="mse", head="classify")
+@pytest.mark.parametrize("key, value", [("loss_kind", "mse"), ("dropout", 0.1)])
+def test_train_config_with_model_setting_is_config_error(tmp_path, capsys, key, value):
+    # the task and the dropout belong to --model-config, not to --config
+    manifest = make_dataset(tmp_path, per_class=1)
+    tc, mc = write_tiny_configs(tmp_path)
+    tc.write_text(json.dumps({"epochs": 1, key: value}))
+    capsys.readouterr()
     assert run("train", "--data", str(manifest), "--out", str(tmp_path / "x"),
                "--config", str(tc), "--model-config", str(mc)) == 2
+    err = capsys.readouterr().err
+    assert "tc.json" in err and key in err
 
 
 def test_eval_fuses_checkpoints(tmp_path):
@@ -281,7 +305,7 @@ def test_eval_without_sources_is_config_error(tmp_path):
 
 def test_eval_regression_reports_mse(tmp_path):
     manifest = make_dataset(tmp_path, per_class=2)
-    tc, mc = write_tiny_configs(tmp_path, loss="mse", head="regress")
+    tc, mc = write_tiny_configs(tmp_path, head="regress")
     run_dir = tmp_path / "run"
     assert run("train", "--data", str(manifest), "--out", str(run_dir),
                "--config", str(tc), "--model-config", str(mc)) == 0
@@ -292,6 +316,59 @@ def test_eval_regression_reports_mse(tmp_path):
     assert "mse" in metrics
     lines = (out / "predictions.csv").read_text().splitlines()
     assert lines[0] == "source_id,branch,score"
+
+
+def save_untrained(tmp_path, name, model):
+    path = tmp_path / f"{name}.bin"
+    save_model(model, path)
+    return str(path)
+
+
+def branch_rows(out, branch):
+    """source_id -> value columns of one branch's rows in predictions.csv."""
+    rows = [line.split(",") for line in (out / "predictions.csv").read_text().splitlines()]
+    return {row[0]: row[2:] for row in rows[1:] if row[1] == branch}
+
+
+def test_eval_feeds_csm_its_own_frames_beside_a_transformer(tmp_path):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    csm = save_untrained(tmp_path, "csm", CsmModel(CsmConfig(), seed=1))
+    tfn = save_untrained(tmp_path, "tfn", SttfModel(
+        ModelConfig(f=12, d_joint=2, layers=1, heads=1), seed=1))
+    alone, mixed = tmp_path / "alone", tmp_path / "mixed"
+    assert run("eval", "--ckpt", csm, "--data", str(manifest), "--out", str(alone)) == 0
+    assert run("eval", "--ckpt", tfn, "--ckpt", csm, "--data", str(manifest),
+               "--out", str(mixed)) == 0
+    assert branch_rows(mixed, "csm") == branch_rows(alone, "csm")
+
+
+def test_eval_transformers_with_different_frame_counts(tmp_path):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    ckpts = [save_untrained(tmp_path, f"tfn{f}", SttfModel(
+        ModelConfig(f=f, d_joint=2, layers=1, heads=1), seed=f)) for f in (12, 20)]
+    both = tmp_path / "both"
+    assert run("eval", "--ckpt", ckpts[0], "--ckpt", ckpts[1], "--data", str(manifest),
+               "--out", str(both)) == 0
+    for ckpt, branch in zip(ckpts, ("tfn", "tfn2")):
+        alone = tmp_path / Path(ckpt).stem
+        assert run("eval", "--ckpt", ckpt, "--data", str(manifest), "--out", str(alone)) == 0
+        assert branch_rows(both, branch) == branch_rows(alone, "tfn")
+
+
+def test_eval_runs_each_model_in_chunks_of_64(tmp_path, monkeypatch):
+    manifest = make_dataset(tmp_path, per_class=22, frames=20)  # 66 clips
+    ckpts = [save_untrained(tmp_path, "tfn", SttfModel(
+                 ModelConfig(f=12, d_joint=2, layers=1, heads=1), seed=1)),
+             save_untrained(tmp_path, "csm", CsmModel(CsmConfig(), seed=1))]
+    sizes = []
+    for cls in (SttfModel, CsmModel):
+        def spy(self, inputs, *args, _forward=cls.forward, **kwargs):
+            sizes.append((type(self).__name__, len(inputs)))
+            return _forward(self, inputs, *args, **kwargs)
+        monkeypatch.setattr(cls, "forward", spy)
+    assert run("eval", "--ckpt", ckpts[0], "--ckpt", ckpts[1], "--data", str(manifest),
+               "--out", str(tmp_path / "eval")) == 0
+    assert sizes == [("SttfModel", 64), ("SttfModel", 2), ("CsmModel", 64), ("CsmModel", 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,9 @@ def test_manifest_validation(tmp_path):
         load_manifest(tmp_path / "absent.json")
 
 
-@pytest.mark.parametrize("entry", [{"path": 5}, {"path": "x", "label_score": True}],
-                         ids=["non-string-path", "boolean-score"])
+@pytest.mark.parametrize("entry", [{"path": 5}, {"path": "x", "label_score": True},
+                                   {"path": "x", "label_score": "7.5"}],
+                         ids=["non-string-path", "boolean-score", "string-score"])
 def test_manifest_entry_types_name_the_entry(tmp_path, entry):
     m = tmp_path / "m.json"
     m.write_text(json.dumps([{"path": "ok.json"}, entry]))

@@ -1,5 +1,6 @@
 """Losses against closed forms, Adam against a hand-rolled oracle, fit loop behavior."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from dyadsync import tensor as T
+from dyadsync.config import load_config
 from dyadsync.csm_branch import CsmConfig, CsmModel, expected_param_count
 from dyadsync.errors import ConfigError, ContractError, DataError, NumericalError
 from dyadsync.pose_io import SkeletonSequence
@@ -18,7 +20,6 @@ from dyadsync.training import (
     cross_entropy_loss,
     eval_metric,
     fit,
-    load_train_config,
     lr_at_epoch,
     mse_loss,
     save_history,
@@ -259,7 +260,7 @@ def test_fit_regression_mode():
     images = rng.uniform(0, 1, size=(10, 4, 4))
     scores = images.mean(axis=(1, 2)) * 10
     model = CsmModel(CsmConfig(side=4, hidden=8, dropout=0.0, head_kind="regress"), seed=8)
-    cfg = TrainConfig(epochs=40, batch_size=5, lr0=5e-3, seed=2, loss_kind="mse")
+    cfg = TrainConfig(epochs=40, batch_size=5, lr0=5e-3, seed=2)
     history = fit(model, (images, scores), cfg)
     assert history[-1]["train_loss"] < history[0]["train_loss"]
     assert eval_metric(model, images, scores, "mse") < 30.0
@@ -269,11 +270,6 @@ def test_fit_validates_inputs():
     model = CsmModel(CsmConfig(side=4, hidden=4), seed=0)
     with pytest.raises(DataError):
         fit(model, [], TrainConfig(epochs=1))
-    with pytest.raises(ConfigError):
-        fit(model, (np.zeros((2, 4, 4)), np.zeros(2)), TrainConfig(epochs=1, loss_kind="mse"))
-    reg = CsmModel(CsmConfig(side=4, hidden=4, head_kind="regress"), seed=0)
-    with pytest.raises(ConfigError):
-        fit(reg, (np.zeros((2, 4, 4)), np.array([0, 1])), TrainConfig(epochs=1))
 
 
 def test_fit_stops_on_non_finite_loss():
@@ -283,14 +279,6 @@ def test_fit_stops_on_non_finite_loss():
     model = CsmModel(CsmConfig(side=8, hidden=8, dropout=0.0), seed=4)
     with pytest.raises(NumericalError, match="epoch 0, step 0: loss is nan"):
         fit(model, (images, labels), TrainConfig(epochs=2, batch_size=4, seed=0))
-
-
-def test_fit_dropout_override_applies():
-    rng = np.random.default_rng(50)
-    images, labels = toy_image_set(rng)
-    model = CsmModel(CsmConfig(side=8, hidden=8, dropout=0.5), seed=1)
-    fit(model, (images, labels), TrainConfig(epochs=1, batch_size=4, dropout=0.1, seed=0))
-    assert model.config.dropout == 0.1
 
 
 def test_frozen_loss_invariant_to_batch_partition():
@@ -321,18 +309,18 @@ def test_targets_from_sequences():
 
 
 def test_train_config_json_roundtrip(tmp_path):
-    cfg = TrainConfig(epochs=10, batch_size=8, lr0=5e-4, seed=11, loss_kind="mse")
+    cfg = TrainConfig(epochs=10, batch_size=8, lr0=5e-4, seed=11)
     p = tmp_path / "train.json"
-    p.write_text(json.dumps(cfg.to_dict()))
-    assert load_train_config(p) == cfg
+    p.write_text(json.dumps(dataclasses.asdict(cfg)))
+    assert load_config(p, TrainConfig) == cfg
     p.write_text(json.dumps({"epochs": 5, "mystery": 1}))
     with pytest.raises(ConfigError):
-        load_train_config(p)
+        load_config(p, TrainConfig)
     p.write_text("[1,2]")
     with pytest.raises(ConfigError):
-        load_train_config(p)
+        load_config(p, TrainConfig)
     with pytest.raises(ConfigError):
-        load_train_config(tmp_path / "none.json")
+        load_config(tmp_path / "none.json", TrainConfig)
 
 
 def test_train_config_validation():
@@ -342,7 +330,5 @@ def test_train_config_validation():
         TrainConfig(decay=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(decay=1.5)
-    with pytest.raises(ConfigError):
-        TrainConfig(loss_kind="hinge")
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
