@@ -43,14 +43,7 @@ from .evaluate import (
     save_metrics,
     save_predictions,
 )
-from .pose_io import (
-    CLASS_NAMES,
-    TARGET_FRAMES,
-    load_dataset,
-    load_keypoint_file,
-    load_manifest,
-    preprocess,
-)
+from .pose_io import CLASS_NAMES, TARGET_FRAMES, load_dataset, load_entry, load_manifest
 from .similarity import (
     SimilarityMatrix,
     compute_csm,
@@ -108,23 +101,19 @@ def _map_ordered(fn, tasks: list, workers: int) -> list:
 
 
 def _load_entry(task):
-    path, label_class, label_score, target_f = task
-    frames = load_keypoint_file(path)
-    return preprocess(frames, target_f=target_f, source_id=Path(path).stem,
-                      label_class=label_class, label_score=label_score)
+    return load_entry(*task)
 
 
 def _matrix_entry(task):
-    path, label_class, label_score, target_f, kind = task
-    seq = _load_entry((path, label_class, label_score, target_f))
+    entry, target_f, kind = task
+    seq = load_entry(entry, target_f)
     if kind == "cross":
         return seq.source_id, compute_csm(seq)
     return seq.source_id, compute_ssm(seq.person(int(kind[-1])))
 
 
 def _entry_tasks(manifest_path, target_f: int, extra=()) -> list:
-    return [(str(e.path), e.label_class, e.label_score, target_f, *extra)
-            for e in load_manifest(manifest_path)]
+    return [(entry, target_f, *extra) for entry in load_manifest(manifest_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +228,12 @@ def cmd_eval(args) -> int:
     if not args.ckpt and not args.external:
         raise ConfigError("eval needs at least one --ckpt or --external source")
     models = [load_model(p) for p in args.ckpt or []]
+    external = load_predictions(args.external) if args.external else []
+    heads = {model.config.head_kind: path for path, model in zip(args.ckpt or [], models)}
+    heads.update({"classify" if p.score is None else "regress": args.external for p in external})
+    if len(heads) > 1:
+        raise ConfigError(f"regression source {heads['regress']} cannot be fused with "
+                          f"classification source {heads['classify']}")
     frames = [_model_frames(model) for model in models]
     # one load per distinct frame count; ids and labels do not depend on it
     datasets = {f: load_dataset(args.data, target_f=f)
@@ -257,8 +252,7 @@ def cmd_eval(args) -> int:
                 predictions.append(BranchPrediction(name, seq.source_id, score=float(row[0])))
             else:
                 predictions.append(BranchPrediction(name, seq.source_id, logits=row))
-    if args.external:
-        predictions.extend(load_predictions(args.external))
+    predictions.extend(external)
 
     fused = fuse_predictions(predictions)
     regress = fused[0].score is not None

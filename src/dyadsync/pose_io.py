@@ -3,22 +3,24 @@
 A recording arrives as one JSON document per clip holding per-frame
 keypoints for up to two people (COCO-17 joint order).  The pipeline is:
 
-    load_keypoint_file -> filter_valid_frames -> resample_uniform
-        -> normalize_coords
+    load_keypoint_file -> preprocess (filter -> resample -> normalize)
 
-which yields a :class:`SkeletonSequence`: an ``(f, 2, J, 2)`` float64
-array of [0,1]-normalized coordinates, 81 frames by default, ready for
-the attention model and the similarity computations.  Frames where
-either person is undetected are discarded; out-of-frame joints are
-clamped into the image and tallied.  A non-finite coordinate or a
-confidence outside [0, 1] is refused at parse time.
+:func:`load_keypoint_file` parses a clip into a :class:`KeypointClip`,
+one ``(n, 2, J, 3)`` array of pixel x, y and confidence with an
+``(n, 2)`` detection mask.  :func:`preprocess` turns that into a
+:class:`SkeletonSequence`: an ``(f, 2, J, 2)`` float64 array of
+[0,1]-normalized coordinates, 81 frames by default, ready for the
+attention model and the similarity computations.  Frames where either
+person is undetected are discarded; out-of-frame joints are clamped into
+the image and tallied.  A non-finite coordinate or a confidence outside
+[0, 1] is refused at parse time.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -35,27 +37,17 @@ SCORE_RANGE = (0.0, 10.0)
 
 
 @dataclass(frozen=True)
-class PersonPose:
-    """One person's joints in a frame: (J, 3) array of x, y, confidence."""
+class KeypointClip:
+    """One parsed clip, frames sorted by index.
 
-    joints: np.ndarray
-    detected: bool
+    ``keypoints`` is (n, 2, J, 3): x and y in pixels and a confidence, per
+    frame and person (0 = a, 1 = b).  A person missing from a frame stays
+    zeros there and is False in the (n, 2) ``detected`` mask.
+    """
 
-    @staticmethod
-    def undetected() -> "PersonPose":
-        return PersonPose(np.zeros((NUM_JOINTS, 3)), False)
-
-
-@dataclass(frozen=True)
-class DyadicFrame:
-    person_a: PersonPose
-    person_b: PersonPose
-    frame_index: int
-    image_size: tuple  # (width, height) in pixels
-
-    @property
-    def valid(self) -> bool:
-        return self.person_a.detected and self.person_b.detected
+    keypoints: np.ndarray
+    detected: np.ndarray
+    image_size: Optional[tuple]  # (width, height) in pixels; None for an empty file
 
 
 @dataclass
@@ -84,7 +76,8 @@ _KEYPOINT_LOW = np.array([-_FLOAT_MAX, -_FLOAT_MAX, 0.0])
 _KEYPOINT_HIGH = np.array([_FLOAT_MAX, _FLOAT_MAX, 1.0])
 
 
-def _parse_person(entry, where: str) -> tuple:
+def _parse_person(entry, where: str, keypoints: np.ndarray, detected: np.ndarray) -> None:
+    """Check one person record and write it into one frame's (2, J, 3) and (2,) rows."""
     try:
         pid = entry["id"]
         kp = entry["keypoints"]
@@ -102,28 +95,33 @@ def _parse_person(entry, where: str) -> tuple:
         )
     if not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all():
         raise ParseError(f"{where}: non-finite coordinate or confidence outside [0, 1]")
-    return pid, PersonPose(joints, True)
+    slot = int(pid)  # a JSON true or 1.0 names person 1, as it always has
+    if detected[slot]:
+        raise ParseError(f"{where}: duplicate person id {pid}")
+    keypoints[slot] = joints
+    detected[slot] = True
 
 
-def load_keypoint_file(path) -> list:
-    """Parse one clip's keypoint JSON into DyadicFrames, sorted by index.
+def load_keypoint_file(path) -> KeypointClip:
+    """Parse one clip's keypoint JSON into a KeypointClip, sorted by index.
 
-    Persons are assigned by their ``id`` field (0 -> person_a,
-    1 -> person_b); a missing person becomes an undetected placeholder.
-    More than two persons in a frame is refused outright — selecting the
-    dyad out of a crowd is the tracker's job, not ours.
+    Persons are placed by their ``id`` field (0 -> person a, 1 -> person
+    b); a missing person stays zeros and undetected.  More than two
+    persons in a frame is refused outright — selecting the dyad out of a
+    crowd is the tracker's job, not ours.  An empty file is a clip of no
+    frames.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"keypoint file not found: {path}")
     text = path.read_text()
     if not text.strip():
-        return []
+        return KeypointClip(np.zeros((0, 2, NUM_JOINTS, 3)), np.zeros((0, 2), dtype=bool), None)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict) or "frames" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise ParseError(f"{path}: expected an object with a 'frames' list")
     try:
         width, height = doc["image_size"]
@@ -133,142 +131,81 @@ def load_keypoint_file(path) -> list:
     if min(image_size) <= 0:
         raise ParseError(f"{path}: non-positive image_size {image_size}")
 
-    frames = []
-    for record in doc["frames"]:
+    records = doc["frames"]
+    keypoints = np.zeros((len(records), 2, NUM_JOINTS, 3))
+    detected = np.zeros((len(records), 2), dtype=bool)
+    indices = []
+    for t, record in enumerate(records):
         try:
             frame_index = int(record["index"])
             persons = record["persons"]
+            count = len(persons)
         except (TypeError, KeyError, ValueError):
             raise ParseError(f"{path}: malformed frame record {record!r}") from None
         where = f"{path}: frame {frame_index}"
-        if len(persons) > 2:
+        if count > 2:
             raise AmbiguityError(
-                f"{where}: {len(persons)} persons present; dyad selection is upstream"
+                f"{where}: {count} persons present; dyad selection is upstream"
             )
-        poses = {}
         for entry in persons:
-            pid, pose = _parse_person(entry, where)
-            if pid in poses:
-                raise ParseError(f"{where}: duplicate person id {pid}")
-            poses[pid] = pose
-        frames.append(
-            DyadicFrame(
-                person_a=poses[0] if 0 in poses else PersonPose.undetected(),
-                person_b=poses[1] if 1 in poses else PersonPose.undetected(),
-                frame_index=frame_index,
-                image_size=image_size,
-            )
-        )
-    frames.sort(key=lambda f: f.frame_index)
-    return frames
+            _parse_person(entry, where, keypoints[t], detected[t])
+        indices.append(frame_index)
+    order = np.argsort(indices, kind="stable")
+    return KeypointClip(keypoints[order], detected[order], image_size)
 
 
-def filter_valid_frames(frames: list) -> list:
-    """Keep only frames where both persons are detected, order preserved."""
-    return [f for f in frames if f.valid]
+def resample_indices(n: int, target_f: int) -> np.ndarray:
+    """Source frame of each of ``target_f`` uniformly spaced output frames.
 
-
-def resample_uniform(frames: list, target_f: int = TARGET_FRAMES) -> list:
-    """Select ``target_f`` frames at uniformly spaced (rounded) indices.
-
-    Index i of the output maps to source index round(i*(n-1)/(target_f-1)),
-    endpoints included; shorter inputs are upsampled by duplication.
-    Rounding is round-half-to-even, matching numpy.
+    Output i maps to source index round(i*(n-1)/(target_f-1)), endpoints
+    included; shorter inputs are upsampled by duplication.  Rounding is
+    round-half-to-even, matching numpy.
     """
     if target_f < 1:
         raise ParameterError(f"target_f must be >= 1, got {target_f}")
-    if not frames:
+    if n < 1:
         raise DataError("no valid frames to resample")
-    n = len(frames)
     if target_f == 1:
-        return [frames[0]]
-    positions = np.arange(target_f) * (n - 1) / (target_f - 1)
-    indices = np.rint(positions).astype(int)
-    return [frames[i] for i in indices]
-
-
-def normalize_coords(
-    frames: list,
-    source_id: str = "",
-    label_class: Optional[str] = None,
-    label_score: Optional[float] = None,
-) -> SkeletonSequence:
-    """Divide pixel coordinates by image width/height into [0, 1].
-
-    Joints outside the image are clamped to the border; each such joint
-    bumps the sequence's ``clamped`` tally (and triggers one summary log
-    line).  Frames must already be filtered: an undetected person here
-    means the caller skipped :func:`filter_valid_frames`.
-    """
-    if not frames:
-        raise DataError("no frames to normalize")
-    out = np.empty((len(frames), 2, NUM_JOINTS, 2))
-    clamped = 0
-    for t, frame in enumerate(frames):
-        width, height = frame.image_size
-        if width <= 0 or height <= 0:
-            raise DataError(f"frame {frame.frame_index}: non-positive image size {frame.image_size}")
-        for p, pose in enumerate((frame.person_a, frame.person_b)):
-            if not pose.detected:
-                raise DataError(
-                    f"frame {frame.frame_index}: undetected person {p}; filter frames first"
-                )
-            xy = pose.joints[:, :2] / np.array([width, height], dtype=np.float64)
-            outside = np.any((xy < 0.0) | (xy > 1.0), axis=1)
-            clamped += int(outside.sum())
-            out[t, p] = np.clip(xy, 0.0, 1.0)
-    if clamped:
-        logger.warning("%s: clamped %d out-of-frame joints", source_id or "<sequence>", clamped)
-    return SkeletonSequence(
-        frames=out,
-        source_id=source_id,
-        label_class=label_class,
-        label_score=label_score,
-        clamped=clamped,
-    )
+        return np.zeros(1, dtype=int)
+    return np.rint(np.arange(target_f) * (n - 1) / (target_f - 1)).astype(int)
 
 
 def preprocess(
-    frames: list,
+    clip: KeypointClip,
     target_f: int = TARGET_FRAMES,
     source_id: str = "",
     label_class: Optional[str] = None,
     label_score: Optional[float] = None,
 ) -> SkeletonSequence:
-    """filter -> resample -> normalize, the full ingest pipeline."""
+    """filter -> resample -> normalize, the full ingest pipeline.
+
+    Keeps the frames where both persons are detected, takes ``target_f``
+    of them at :func:`resample_indices` and divides x and y by the image
+    width and height.  Joints outside the image are clamped to the
+    border; each such joint of each output frame bumps the sequence's
+    ``clamped`` tally (and triggers one summary log line).
+    """
     if label_class is not None and label_class not in CLASS_NAMES:
         raise ParameterError(f"unknown class label {label_class!r}; expected one of {CLASS_NAMES}")
     if label_score is not None and not SCORE_RANGE[0] <= label_score <= SCORE_RANGE[1]:
         raise ParameterError(f"score {label_score} outside {SCORE_RANGE}")
-    valid = filter_valid_frames(frames)
-    if not valid:
+    valid = clip.keypoints[clip.detected.all(axis=1)]
+    if not len(valid):
         raise DataError("no valid frames")
-    sampled = resample_uniform(valid, target_f)
-    return normalize_coords(
-        sampled, source_id=source_id, label_class=label_class, label_score=label_score
+    if min(clip.image_size) <= 0:
+        raise DataError(f"non-positive image size {clip.image_size}")
+    sampled = valid[resample_indices(len(valid), target_f), :, :, :2]
+    xy = sampled / np.array(clip.image_size, dtype=np.float64)
+    clamped = int(((xy < 0.0) | (xy > 1.0)).any(axis=-1).sum())
+    if clamped:
+        logger.warning("%s: clamped %d out-of-frame joints", source_id or "<sequence>", clamped)
+    return SkeletonSequence(
+        frames=np.clip(xy, 0.0, 1.0),
+        source_id=source_id,
+        label_class=label_class,
+        label_score=label_score,
+        clamped=clamped,
     )
-
-
-def frames_from_sequence(seq: SkeletonSequence) -> list:
-    """Adapter: re-wrap a normalized sequence as unit-image DyadicFrames.
-
-    With image_size (1, 1) the normalization step divides by one, so
-    running :func:`preprocess` over the result reproduces ``seq.frames``
-    bit for bit (pipeline idempotence).
-    """
-    frames = []
-    for t in range(seq.num_frames):
-        joints_a = np.concatenate([seq.frames[t, 0], np.ones((NUM_JOINTS, 1))], axis=1)
-        joints_b = np.concatenate([seq.frames[t, 1], np.ones((NUM_JOINTS, 1))], axis=1)
-        frames.append(
-            DyadicFrame(
-                person_a=PersonPose(joints_a, True),
-                person_b=PersonPose(joints_b, True),
-                frame_index=t,
-                image_size=(1, 1),
-            )
-        )
-    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +257,16 @@ def load_manifest(path) -> list:
     return entries
 
 
+def load_entry(entry: ManifestEntry, target_f: int = TARGET_FRAMES) -> SkeletonSequence:
+    """Load and preprocess one manifest clip; a data error names its file."""
+    clip = load_keypoint_file(entry.path)
+    try:
+        return preprocess(clip, target_f, source_id=entry.path.stem,
+                          label_class=entry.label_class, label_score=entry.label_score)
+    except DataError as exc:
+        raise DataError(f"{entry.path}: {exc}") from None
+
+
 def load_dataset(manifest_path, target_f: int = TARGET_FRAMES) -> list:
     """Load and preprocess every clip referenced by a manifest."""
-    sequences = []
-    for entry in load_manifest(manifest_path):
-        frames = load_keypoint_file(entry.path)
-        sequences.append(
-            preprocess(
-                frames,
-                target_f=target_f,
-                source_id=entry.path.stem,
-                label_class=entry.label_class,
-                label_score=entry.label_score,
-            )
-        )
-    return sequences
+    return [load_entry(entry, target_f) for entry in load_manifest(manifest_path)]

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -109,15 +110,20 @@ def generate_dyad_sequence(cfg: SynthConfig, klass: str, index: int = 0) -> Skel
     )
 
 
-def generate_sequences(cfg: SynthConfig, n_per_class: int, start_index: int = 0) -> list:
-    """In-memory batch: n_per_class sequences of each class, class-major order."""
+def generate_sequences(cfg: SynthConfig, n_per_class: int, start_index: int = 0) -> Iterator:
+    """n_per_class sequences of each class, class-major order.
+
+    ``n_per_class`` is checked at the call; each sequence is generated as
+    the iterator reaches it, so a caller that writes them out one by one
+    never holds the whole set.
+    """
     if n_per_class < 1:
         raise ParameterError(f"n_per_class must be >= 1, got {n_per_class}")
-    return [
+    return (
         generate_dyad_sequence(cfg, klass, index)
         for klass in CLASS_NAMES
         for index in range(start_index, start_index + n_per_class)
-    ]
+    )
 
 
 def sequence_to_document(seq: SkeletonSequence, image_size) -> dict:
@@ -145,20 +151,17 @@ def generate_dataset(cfg: SynthConfig, n_per_class: int, out_dir) -> Path:
     uniformly from the class's bin, so the same files serve
     classification and regression runs.
     """
-    if n_per_class < 1:
-        raise ParameterError(f"n_per_class must be >= 1, got {n_per_class}")
+    sequences = generate_sequences(cfg, n_per_class)  # refuses a bad count before mkdir
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for klass in CLASS_NAMES:
-        for index in range(n_per_class):
-            seq = generate_dyad_sequence(cfg, klass, index)
-            name = f"{seq.source_id}.json"
-            doc = sequence_to_document(seq, cfg.image_size)
-            (out_dir / name).write_text(json.dumps(doc, separators=(",", ":")))
-            entries.append(
-                {"path": name, "label_class": klass, "label_score": seq.label_score}
-            )
+    for seq in sequences:
+        name = f"{seq.source_id}.json"
+        doc = sequence_to_document(seq, cfg.image_size)
+        (out_dir / name).write_text(json.dumps(doc, separators=(",", ":")))
+        entries.append(
+            {"path": name, "label_class": seq.label_class, "label_score": seq.label_score}
+        )
     manifest = out_dir / "manifest.json"
     manifest.write_text(json.dumps(entries, indent=2) + "\n")
     return manifest

@@ -34,8 +34,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs must be >= 1 and batch_size >= 1")
         if self.lr0 < 0:
             raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
         if not 0.0 < self.decay <= 1.0:

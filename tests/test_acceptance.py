@@ -23,13 +23,7 @@ from dyadsync.evaluate import (
     fuse_predictions,
     predicted_classes,
 )
-from dyadsync.pose_io import (
-    DyadicFrame,
-    PersonPose,
-    SkeletonSequence,
-    frames_from_sequence,
-    preprocess,
-)
+from dyadsync.pose_io import KeypointClip, SkeletonSequence, preprocess
 from dyadsync.similarity import compute_csm
 from dyadsync.sttf import ModelConfig, SttfModel
 from dyadsync.synthgen import SynthConfig, generate_sequences
@@ -241,24 +235,31 @@ def test_criterion_04_dtw_oracle():
 # ---------------------------------------------------------------------------
 
 
+def unit_image_clip(seq):
+    """A normalized sequence as a clip of a 1x1 image, which preprocess
+    divides by one."""
+    f = seq.num_frames
+    keypoints = np.concatenate([seq.frames, np.ones((f, 2, 17, 1))], axis=-1)
+    return KeypointClip(keypoints, np.ones((f, 2), dtype=bool), (1, 1))
+
+
 def test_criterion_05_preprocessing():
     rng = np.random.default_rng(3)
     checks = []
     pose = rng.uniform(50, 400, size=(2, 17, 2))
-    frames = []
+    keypoints = np.zeros((130, 2, 17, 3))
+    detected = np.ones((130, 2), dtype=bool)
     for t in range(130):
         if t % 7 == 3:  # person b missing: frame must be dropped
-            stray = np.concatenate([rng.uniform(0, 500, (17, 2)),
-                                    np.ones((17, 1))], axis=1)
-            a, b = PersonPose(stray, True), PersonPose.undetected()
+            keypoints[t, 0] = np.concatenate([rng.uniform(0, 500, (17, 2)),
+                                              np.ones((17, 1))], axis=1)
+            detected[t, 1] = False
         else:
             jitter = rng.normal(scale=2.0, size=(2, 17, 2))
-            kp = np.concatenate([pose + jitter, np.ones((2, 17, 1))], axis=2)
-            a, b = PersonPose(kp[0], True), PersonPose(kp[1], True)
-        frames.append(DyadicFrame(person_a=a, person_b=b, frame_index=t,
-                                  image_size=(640, 480)))
+            keypoints[t] = np.concatenate([pose + jitter, np.ones((2, 17, 1))], axis=2)
+    clip = KeypointClip(keypoints, detected, (640, 480))
 
-    seq = preprocess(frames, source_id="clip", label_class="Sync")
+    seq = preprocess(clip, source_id="clip", label_class="Sync")
     checks.append(("81 frames", seq.frames.shape == (81, 2, 17, 2)))
     checks.append(("coords in [0,1]",
                    bool(seq.frames.min() >= 0.0 and seq.frames.max() <= 1.0)))
@@ -268,7 +269,7 @@ def test_criterion_05_preprocessing():
     deviation = np.abs(seq.frames - scaled).max()
     checks.append(("invalid frames dropped", bool(deviation < 0.02)))
 
-    again = preprocess(frames_from_sequence(seq), source_id="clip", label_class="Sync")
+    again = preprocess(unit_image_clip(seq), source_id="clip", label_class="Sync")
     checks.append(("idempotent", bool(np.array_equal(seq.frames, again.frames))))
 
     ok = all(flag for _, flag in checks)
@@ -282,7 +283,7 @@ def test_criterion_05_preprocessing():
 
 
 def to_standard_frames(sequences):
-    return [preprocess(frames_from_sequence(s), 81, source_id=s.source_id,
+    return [preprocess(unit_image_clip(s), 81, source_id=s.source_id,
                        label_class=s.label_class, label_score=s.label_score)
             for s in sequences]
 

@@ -449,6 +449,60 @@ def test_non_positive_image_size_names_the_clip(tmp_path, capsys):
     assert clip.name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["preprocess", "baseline"])
+@pytest.mark.parametrize("case", ["no-dyad", "empty-file"])
+def test_clip_without_valid_frames_names_the_clip(tmp_path, capsys, case, command):
+    manifest = make_dataset(tmp_path, per_class=1)
+    clip = load_manifest(manifest)[1].path
+    if case == "empty-file":
+        clip.write_text("")
+    else:  # person b is missing from every frame
+        doc = json.loads(clip.read_text())
+        for frame in doc["frames"]:
+            frame["persons"] = frame["persons"][:1]
+        clip.write_text(json.dumps(doc))
+    argv = {"preprocess": ["preprocess"], "baseline": ["baseline", "--method", "dtw"]}[command]
+    capsys.readouterr()
+    assert run(*argv, "--data", str(manifest), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert f"{clip}: no valid frames" in err
+
+
+def test_zero_epoch_train_is_config_error_and_writes_nothing(tmp_path, capsys):
+    manifest = make_dataset(tmp_path, per_class=1)
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"epochs": 0}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run("train", "--data", str(manifest), "--out", str(out), "--branch", "csm",
+               "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "zero.json" in err and "epochs must be >= 1" in err
+    assert not (out / "model.bin").exists() and not out.exists()
+
+
+@pytest.mark.parametrize("order", ["regress-first", "classify-first", "external-scores"])
+def test_eval_mixed_heads_is_config_error_naming_both(tmp_path, capsys, order):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    classify = save_untrained(tmp_path, "csm_classify", CsmModel(CsmConfig(), seed=1))
+    if order == "external-scores":
+        regress = str(tmp_path / "scores.csv")
+        Path(regress).write_text("source_id,branch,score\n" + "".join(
+            f"{e.path.stem},flow,5.0\n" for e in load_manifest(manifest)))
+        sources = ["--ckpt", classify, "--external", regress]
+    else:
+        regress = save_untrained(tmp_path, "tfn_regress", SttfModel(
+            ModelConfig(f=12, d_joint=2, layers=1, heads=1, head_kind="regress"), seed=1))
+        first, second = (regress, classify) if order == "regress-first" else (classify, regress)
+        sources = ["--ckpt", first, "--ckpt", second]
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", *sources, "--data", str(manifest), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert regress in err and classify in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("branch,content", [
     ("tfn", None),  # missing file
     ("tfn", "{not json"),

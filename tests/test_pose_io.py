@@ -4,41 +4,47 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadsync import pose_io
 from dyadsync.errors import AmbiguityError, DataError, ParameterError, ParseError
 from dyadsync.pose_io import (
-    DyadicFrame,
-    PersonPose,
-    filter_valid_frames,
-    frames_from_sequence,
+    NUM_JOINTS,
+    KeypointClip,
     load_keypoint_file,
     load_manifest,
-    normalize_coords,
     preprocess,
-    resample_uniform,
+    resample_indices,
 )
 
 
-def make_frame(index=0, a=True, b=True, image_size=(320, 240), fill=0.5):
-    def pose(detected):
-        if not detected:
-            return PersonPose.undetected()
-        joints = np.full((17, 3), fill)
-        joints[:, 0] *= image_size[0]
-        joints[:, 1] *= image_size[1]
-        joints[:, 2] = 0.9
-        return PersonPose(joints, True)
+def make_clip(detected, image_size=(320, 240), fill=0.5):
+    """A clip whose detected persons stand with every joint at ``fill`` of
+    the image and x offset by the frame number; undetected ones are zeros."""
+    detected = np.asarray(detected, dtype=bool).reshape(-1, 2)
+    keypoints = np.zeros(detected.shape + (NUM_JOINTS, 3))
+    keypoints[..., 0] = fill * image_size[0] + np.arange(len(detected))[:, None, None]
+    keypoints[..., 1] = fill * image_size[1]
+    keypoints[..., 2] = 0.9
+    keypoints[~detected] = 0.0
+    return KeypointClip(keypoints, detected, image_size)
 
-    return DyadicFrame(pose(a), pose(b), index, image_size)
+
+def unit_image_clip(seq):
+    """A normalized sequence as a clip of a 1x1 image, which preprocess
+    divides by one."""
+    f = seq.num_frames
+    keypoints = np.concatenate([seq.frames, np.ones((f, 2, NUM_JOINTS, 1))], axis=-1)
+    return KeypointClip(keypoints, np.ones((f, 2), dtype=bool), (1, 1))
 
 
 def write_clip(path, frames_spec, image_size=(320, 240)):
-    """frames_spec: list of (index, [person ids present])."""
+    """frames_spec: list of (index, [person ids present]); x grows with the index."""
     doc = {"image_size": list(image_size), "frames": []}
     for index, ids in frames_spec:
         persons = [
-            {"id": pid, "keypoints": [[10.0 * pid + j, 5.0 + j, 0.8] for j in range(17)]}
+            {"id": pid, "keypoints": [[10.0 * pid + j + index, 5.0 + j, 0.8] for j in range(17)]}
             for pid in ids
         ]
         doc["frames"].append({"index": index, "persons": persons})
@@ -53,26 +59,37 @@ def write_clip(path, frames_spec, image_size=(320, 240)):
 
 def test_load_basic_clip_sorted_by_index(tmp_path):
     p = write_clip(tmp_path / "clip.json", [(2, [0, 1]), (0, [0, 1]), (1, [0, 1])])
-    frames = load_keypoint_file(p)
-    assert [f.frame_index for f in frames] == [0, 1, 2]
-    assert all(f.valid for f in frames)
-    assert frames[0].image_size == (320, 240)
+    clip = load_keypoint_file(p)
+    assert clip.keypoints.shape == (3, 2, 17, 3) and clip.keypoints.dtype == np.float64
+    assert clip.keypoints[:, 0, 0, 0].tolist() == [0.0, 1.0, 2.0]
+    assert clip.detected.all()
+    assert clip.image_size == (320, 240)
+    # a repeated index keeps file order, as a stable sort does
+    p = write_clip(tmp_path / "repeat.json", [(2, [0, 1]), (1, [0]), (0, [0, 1]), (1, [1])])
+    assert load_keypoint_file(p).detected.tolist() == [[True, True], [True, False],
+                                                       [False, True], [True, True]]
 
 
 def test_load_missing_person_marks_undetected(tmp_path):
     p = write_clip(tmp_path / "clip.json", [(0, [0])])
-    frames = load_keypoint_file(p)
-    assert frames[0].person_a.detected
-    assert not frames[0].person_b.detected
-    assert not frames[0].valid
+    clip = load_keypoint_file(p)
+    assert clip.detected.tolist() == [[True, False]]
+    p = write_clip(tmp_path / "gaps.json", [(0, [0, 1]), (1, [1]), (2, [])])
+    clip = load_keypoint_file(p)
+    assert clip.detected.tolist() == [[True, True], [False, True], [False, False]]
+    assert not clip.keypoints[1, 0].any() and not clip.keypoints[2].any()  # zero-filled
+    assert clip.keypoints[1, 1].any()
 
 
 def test_load_empty_file_gives_empty_list(tmp_path):
     p = tmp_path / "empty.json"
     p.write_text("")
-    assert load_keypoint_file(p) == []
+    clip = load_keypoint_file(p)
+    assert clip.keypoints.shape == (0, 2, 17, 3) and clip.detected.shape == (0, 2)
+    assert clip.image_size is None
     p.write_text(json.dumps({"image_size": [320, 240], "frames": []}))
-    assert load_keypoint_file(p) == []
+    clip = load_keypoint_file(p)
+    assert clip.keypoints.shape == (0, 2, 17, 3) and clip.detected.shape == (0, 2)
 
 
 def test_load_three_persons_is_ambiguous(tmp_path):
@@ -120,24 +137,6 @@ def test_load_malformed_records_name_the_frame(tmp_path):
         load_keypoint_file(p)
 
 
-def test_load_builds_placeholders_only_for_missing_persons(tmp_path, monkeypatch):
-    p = write_clip(tmp_path / "clip.json", [(0, [0, 1]), (1, [1]), (2, [])])
-    built = []
-    real = PersonPose.undetected
-
-    def counting():
-        built.append(1)
-        return real()
-
-    monkeypatch.setattr(PersonPose, "undetected", staticmethod(counting))
-    frames = load_keypoint_file(p)
-    assert len(built) == 3  # one in frame 1, two in frame 2
-    assert frames[0].valid
-    assert not frames[1].person_a.detected and frames[1].person_b.detected
-    assert not frames[2].person_a.detected and not frames[2].person_b.detected
-    assert np.array_equal(frames[2].person_b.joints, np.zeros((17, 3)))
-
-
 def test_load_rejects_duplicate_ids_and_bad_json(tmp_path):
     doc = {
         "image_size": [320, 240],
@@ -156,36 +155,45 @@ def test_load_rejects_duplicate_ids_and_bad_json(tmp_path):
         load_keypoint_file(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize("frames,message", [
+    (5, "'frames' list"),
+    ([{"index": 3, "persons": 5}], "malformed frame record"),
+], ids=["frames-not-a-list", "persons-not-a-list"])
+def test_load_refuses_records_that_are_not_lists(tmp_path, frames, message):
+    p = tmp_path / "odd.json"
+    p.write_text(json.dumps({"image_size": [320, 240], "frames": frames}))
+    with pytest.raises(ParseError, match=message):
+        load_keypoint_file(p)
+
+
 # ---------------------------------------------------------------------------
 # filtering / resampling
 # ---------------------------------------------------------------------------
 
 
+def frame_numbers(seq, width=320):
+    """The frame offsets make_clip added to x, read back from a sequence."""
+    return np.rint(seq.frames[:, 0, 0, 0] * width - 0.5 * width).astype(int).tolist()
+
+
 def test_filter_keeps_only_dually_detected():
-    frames = [make_frame(0), make_frame(1, b=False), make_frame(2), make_frame(3, a=False)]
-    kept = filter_valid_frames(frames)
-    assert [f.frame_index for f in kept] == [0, 2]
-    all_valid = [make_frame(i) for i in range(3)]
-    assert filter_valid_frames(all_valid) == all_valid  # identity on clean input
-    assert filter_valid_frames([make_frame(0, a=False, b=False)]) == []
+    clip = make_clip([[1, 1], [1, 0], [1, 1], [0, 1]])
+    assert frame_numbers(preprocess(clip, target_f=2)) == [0, 2]  # 2 -> 2 resamples nothing
+    assert frame_numbers(preprocess(make_clip([[1, 1]] * 3), target_f=3)) == [0, 1, 2]
+    with pytest.raises(DataError, match="no valid frames"):
+        preprocess(make_clip([[0, 0]]))
 
 
 def test_resample_identity_when_lengths_match():
-    frames = [make_frame(i) for i in range(81)]
-    out = resample_uniform(frames, 81)
-    assert [f.frame_index for f in out] == list(range(81))
+    assert resample_indices(81, 81).tolist() == list(range(81))
 
 
 def test_resample_upsamples_three_to_five():
-    frames = [make_frame(i) for i in range(3)]  # A, B, C
-    out = resample_uniform(frames, 5)
-    assert [f.frame_index for f in out] == [0, 0, 1, 2, 2]  # A A B C C
+    assert resample_indices(3, 5).tolist() == [0, 0, 1, 2, 2]  # A A B C C
 
 
 def test_resample_downsample_161_takes_even_indices():
-    frames = [make_frame(i) for i in range(161)]
-    out = resample_uniform(frames, 81)
-    assert [f.frame_index for f in out] == list(range(0, 161, 2))
+    assert resample_indices(161, 81).tolist() == list(range(0, 161, 2))
 
 
 def test_resample_matches_index_formula_for_random_lengths():
@@ -193,20 +201,17 @@ def test_resample_matches_index_formula_for_random_lengths():
     for _ in range(50):
         n = int(rng.integers(1, 400))
         target = int(rng.integers(2, 120))
-        frames = [make_frame(i) for i in range(n)]
-        out = resample_uniform(frames, target)
         want = [round(i * (n - 1) / (target - 1)) for i in range(target)]
-        assert [f.frame_index for f in out] == want
-        assert len(out) == target
+        assert resample_indices(n, target).tolist() == want
 
 
 def test_resample_edge_cases():
     with pytest.raises(DataError):
-        resample_uniform([], 81)
+        resample_indices(0, 81)
     with pytest.raises(ParameterError):
-        resample_uniform([make_frame(0)], 0)
-    assert len(resample_uniform([make_frame(0)], 81)) == 81  # single frame duplicated
-    assert [f.frame_index for f in resample_uniform([make_frame(5)], 1)] == [5]
+        resample_indices(1, 0)
+    assert resample_indices(1, 81).tolist() == [0] * 81  # single frame duplicated
+    assert resample_indices(7, 1).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +219,17 @@ def test_resample_edge_cases():
 # ---------------------------------------------------------------------------
 
 
+def one_frame_clip(joints_a, joints_b, image_size=(320, 240)):
+    return KeypointClip(np.stack([joints_a, joints_b])[None], np.ones((1, 2), dtype=bool),
+                        image_size)
+
+
 def test_normalize_center_and_corners():
     joints = np.zeros((17, 3))
     joints[0] = [160, 120, 1.0]
     joints[1] = [0, 0, 1.0]
     joints[2] = [320, 240, 1.0]
-    frame = DyadicFrame(PersonPose(joints, True), PersonPose(joints, True), 0, (320, 240))
-    seq = normalize_coords([frame])
+    seq = preprocess(one_frame_clip(joints, joints), target_f=1)
     assert np.allclose(seq.frames[0, 0, 0], [0.5, 0.5])
     assert np.allclose(seq.frames[0, 0, 1], [0.0, 0.0])
     assert np.allclose(seq.frames[0, 0, 2], [1.0, 1.0])
@@ -230,19 +239,19 @@ def test_normalize_center_and_corners():
 def test_normalize_clamps_and_tallies_out_of_frame():
     joints = np.tile([10.0, 10.0, 1.0], (17, 1))
     joints[3] = [400, 120, 1.0]  # x beyond width
-    frame = DyadicFrame(PersonPose(joints, True), PersonPose(np.tile([1.0, 1.0, 1.0], (17, 1)), True), 0, (320, 240))
-    seq = normalize_coords([frame])
+    seq = preprocess(one_frame_clip(joints, np.tile([1.0, 1.0, 1.0], (17, 1))), target_f=1)
     assert np.allclose(seq.frames[0, 0, 3], [1.0, 0.5])
     assert seq.clamped == 1
 
 
 def test_normalize_rejects_bad_sizes_and_unfiltered_input():
-    with pytest.raises(DataError):
-        normalize_coords([make_frame(0, image_size=(0, 240))])
-    with pytest.raises(DataError):
-        normalize_coords([make_frame(0, b=False)])
-    with pytest.raises(DataError):
-        normalize_coords([])
+    with pytest.raises(DataError, match="image size"):
+        preprocess(make_clip([[1, 1]], image_size=(0, 240)))
+    # the filter runs inside preprocess: an undetected person leaves no frames
+    with pytest.raises(DataError, match="no valid frames"):
+        preprocess(make_clip([[1, 0]]))
+    with pytest.raises(DataError, match="no valid frames"):
+        preprocess(make_clip(np.zeros((0, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -262,25 +271,72 @@ def test_preprocess_end_to_end(tmp_path):
 
 def test_preprocess_is_idempotent():
     rng = np.random.default_rng(5)
-    frames = []
-    for i in range(130):
-        joints_a = np.column_stack([rng.uniform(0, 320, 17), rng.uniform(0, 240, 17), np.full(17, 0.9)])
-        joints_b = np.column_stack([rng.uniform(0, 320, 17), rng.uniform(0, 240, 17), np.full(17, 0.9)])
-        frames.append(DyadicFrame(PersonPose(joints_a, True), PersonPose(joints_b, True), i, (320, 240)))
-    once = preprocess(frames)
-    twice = preprocess(frames_from_sequence(once))
+    keypoints = np.concatenate([rng.uniform(0, 320, (130, 2, 17, 1)),
+                                rng.uniform(0, 240, (130, 2, 17, 1)),
+                                np.full((130, 2, 17, 1), 0.9)], axis=-1)
+    once = preprocess(KeypointClip(keypoints, np.ones((130, 2), dtype=bool), (320, 240)))
+    twice = preprocess(unit_image_clip(once))
     assert np.array_equal(once.frames, twice.frames)
 
 
 def test_preprocess_validates_labels_and_rejects_all_invalid():
     with pytest.raises(DataError, match="no valid frames"):
-        preprocess([make_frame(0, a=False)])
+        preprocess(make_clip([[0, 1]]))
     with pytest.raises(ParameterError):
-        preprocess([make_frame(0)], label_class="Chaos")
+        preprocess(make_clip([[1, 1]]), label_class="Chaos")
     with pytest.raises(ParameterError):
-        preprocess([make_frame(0)], label_score=11.0)
-    seq = preprocess([make_frame(0)], label_class="Sync", label_score=9.0)
+        preprocess(make_clip([[1, 1]]), label_score=11.0)
+    seq = preprocess(make_clip([[1, 1]]), label_class="Sync", label_score=9.0)
     assert seq.label_class == "Sync" and seq.label_score == 9.0
+
+
+def reference_preprocess(clip, target_f):
+    """The per-frame pipeline the array path replaced, kept as an oracle:
+    filter a list of frames, resample it, then normalize one person at a time."""
+    frames = [clip.keypoints[t] for t in range(len(clip.keypoints)) if clip.detected[t].all()]
+    if target_f == 1:
+        frames = [frames[0]]
+    else:
+        positions = np.arange(target_f) * (len(frames) - 1) / (target_f - 1)
+        frames = [frames[i] for i in np.rint(positions).astype(int)]
+    width, height = clip.image_size
+    out = np.empty((len(frames), 2, NUM_JOINTS, 2))
+    clamped = 0
+    for t, frame in enumerate(frames):
+        for p in range(2):
+            xy = frame[p, :, :2] / np.array([width, height], dtype=np.float64)
+            clamped += int(np.any((xy < 0.0) | (xy > 1.0), axis=1).sum())
+            out[t, p] = np.clip(xy, 0.0, 1.0)
+    return out, clamped
+
+
+@st.composite
+def clips_and_targets(draw):
+    """A random clip with at least one valid frame, and a target length of
+    1, below or above its valid frame count."""
+    n = draw(st.integers(1, 300))
+    size = (draw(st.integers(1, 4000)), draw(st.integers(1, 4000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    detected = rng.random((n, 2)) < draw(st.floats(0.0, 1.0))
+    detected[rng.integers(n)] = True
+    xy = rng.uniform(-0.5, 1.5, (n, 2, NUM_JOINTS, 2)) * size  # partly outside the image
+    edges = rng.random(xy.shape) < 0.1  # and some joints exactly on the border
+    xy[edges] = (rng.integers(0, 2, xy.shape) * np.array(size))[edges]
+    keypoints = np.concatenate([xy, rng.random((n, 2, NUM_JOINTS, 1))], axis=-1)
+    keypoints[~detected] = 0.0
+    valid = int(detected.all(axis=1).sum())
+    target_f = draw(st.one_of(st.just(1), st.integers(1, valid), st.integers(valid + 1, 400)))
+    return KeypointClip(keypoints, detected, size), target_f
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(clips_and_targets())
+def test_preprocess_matches_the_per_frame_reference(case):
+    clip, target_f = case
+    seq = preprocess(clip, target_f)
+    frames, clamped = reference_preprocess(clip, target_f)
+    assert seq.frames.tobytes() == frames.tobytes()
+    assert seq.clamped == clamped
 
 
 # ---------------------------------------------------------------------------

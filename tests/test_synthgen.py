@@ -91,10 +91,10 @@ def test_validation():
 
 def test_generate_sequences_order_and_offsets():
     cfg = SynthConfig(f=20, seed=2)
-    seqs = generate_sequences(cfg, 2, start_index=3)
+    seqs = list(generate_sequences(cfg, 2, start_index=3))
     assert [s.label_class for s in seqs] == ["Sync", "Sync", "ModSync", "ModSync", "Unsync", "Unsync"]
     assert seqs[0].source_id == "sync_0003"
-    held_out = generate_sequences(cfg, 2, start_index=5)
+    held_out = list(generate_sequences(cfg, 2, start_index=5))
     assert not np.array_equal(seqs[0].frames, held_out[0].frames)
 
 
@@ -118,13 +118,11 @@ def test_dataset_round_trips_coordinates_exactly(tmp_path):
     cfg = SynthConfig(f=9, lag=3, seed=19)
     generate_dataset(cfg, 1, tmp_path)
     seq = generate_dyad_sequence(cfg, "ModSync", 0)
-    frames = load_keypoint_file(tmp_path / "modsync_0000.json")
-    assert len(frames) == 9
+    clip = load_keypoint_file(tmp_path / "modsync_0000.json")
+    assert clip.keypoints.shape == (9, 2, 17, 3) and clip.detected.all()
     scale = np.array(cfg.image_size, dtype=np.float64)
-    for t, frame in enumerate(frames):
-        assert np.array_equal(frame.person_a.joints[:, :2], seq.frames[t, 0] * scale)
-        assert np.array_equal(frame.person_b.joints[:, :2], seq.frames[t, 1] * scale)
-        assert np.all(frame.person_a.joints[:, 2] == 1.0)
+    assert np.array_equal(clip.keypoints[..., :2], seq.frames * scale)
+    assert np.all(clip.keypoints[..., 2] == 1.0)
 
 
 def test_dataset_regeneration_is_byte_identical(tmp_path):
