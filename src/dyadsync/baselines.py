@@ -245,15 +245,6 @@ def linear_scores(clf: LinearClassifier, features: list) -> np.ndarray:
     return (x - clf.mean) / clf.std @ clf.weights.T + clf.bias
 
 
-def hinge_objective(clf: LinearClassifier, features: list, labels, reg: float = 1e-3) -> float:
-    """The value train_linear_hinge descends: mean hinge + L2 penalty."""
-    scores = linear_scores(clf, features)
-    y = np.asarray(labels)
-    signs = np.where(y[None, :] == np.arange(len(clf.bias))[:, None], 1.0, -1.0)
-    hinge = np.maximum(0.0, 1.0 - signs.T * scores).sum(axis=1).mean()
-    return float(hinge + reg * (clf.weights**2).sum())
-
-
 def predict_linear(clf: LinearClassifier, features: BaselineFeatures) -> int:
     """Argmax of affine scores; ties break to the lowest class index."""
     return int(linear_scores(clf, [features])[0].argmax())

@@ -100,6 +100,8 @@ def load_model(path):
         if end > len(raw):
             raise DataError(f"{path}: truncated at parameter {entry['name']!r}")
         values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(values).all():
+            raise DataError(f"{path}: parameter {entry['name']!r} holds a non-finite value")
         model.params.replace(entry["name"], values.reshape(shape).astype(np.float64))
         offset = end
     if offset != len(raw):

@@ -224,6 +224,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_external(path, external: list, manifest_ids: list, exact: bool) -> None:
+    """Refuse an --external CSV whose rows cannot be fused, naming it and the branch.
+
+    Each branch must list manifest ids only, in the order of the file's
+    first branch, or with ``exact`` (a checkpoint supplies the other
+    branches) the manifest's own ids in manifest order.
+    """
+    if not external:
+        raise DataError(f"{path}: no prediction rows")
+    branches: dict = {}
+    for p in external:
+        branches.setdefault(p.branch, []).append(p.source_id)
+    first, first_ids = next(iter(branches.items()))
+    known = set(manifest_ids)
+    for name, ids in branches.items():
+        unknown = [sid for sid in ids if sid not in known]
+        if unknown:
+            raise DataError(f"{path}: branch {name!r} predicts unknown sample {unknown[0]!r}")
+        if ids != (manifest_ids if exact else first_ids):
+            raise DataError(f"{path}: branch {name!r} must list the samples of "
+                            + ("the manifest" if exact else f"branch {first!r}")
+                            + " in the same order")
+
+
 def cmd_eval(args) -> int:
     if not args.ckpt and not args.external:
         raise ConfigError("eval needs at least one --ckpt or --external source")
@@ -239,6 +263,9 @@ def cmd_eval(args) -> int:
     datasets = {f: load_dataset(args.data, target_f=f)
                 for f in dict.fromkeys(frames or [TARGET_FRAMES])}
     sequences = next(iter(datasets.values()))
+    if args.external:
+        _check_external(args.external, external, [seq.source_id for seq in sequences],
+                        exact=bool(models))
 
     predictions = []
     seen: dict = {}
@@ -262,9 +289,7 @@ def cmd_eval(args) -> int:
     labels = []
     targets = []
     for pred in fused:
-        seq = by_id.get(pred.source_id)
-        if seq is None:
-            raise DataError(f"prediction for unknown sample {pred.source_id!r}")
+        seq = by_id[pred.source_id]
         if regress:
             if seq.label_score is None:
                 raise DataError(f"{seq.source_id}: score label required")
@@ -477,9 +502,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error (data): {exc}", file=sys.stderr)
         return 3
-    except ContractError as exc:
-        print(f"error (internal): {exc}", file=sys.stderr)
-        return 4
     except DyadsyncError as exc:
         print(f"error (internal): {exc}", file=sys.stderr)
         return 4

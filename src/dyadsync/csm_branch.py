@@ -52,8 +52,8 @@ class CsmModel:
         self.params.add_uniform("w2", (config.hidden, config.out_dim))
         self.params.add_zeros("b2", (config.out_dim,))
 
-    def forward(self, images: np.ndarray, tape=None, training=False, rng=None):
-        """(B, side, side) CSM images -> (B, out_dim) tensor."""
+    def forward(self, images: np.ndarray, tape=None, rng=None):
+        """(B, side, side) CSM images -> (B, out_dim) tensor; dropout iff ``rng``."""
         cfg = self.config
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3 or images.shape[1:] != (cfg.side, cfg.side):
@@ -63,7 +63,7 @@ class CsmModel:
         p = self.params.tracked(tape)
         x = Tensor(images.reshape(len(images), cfg.side * cfg.side))
         h = T.gelu(T.linear_apply(x, p["w1"], p["b1"]))
-        h = T.dropout_apply(h, cfg.dropout, training, rng)
+        h = T.dropout_apply(h, cfg.dropout, rng)
         return T.linear_apply(h, p["w2"], p["b2"])
 
     def predict_batch(self, images: np.ndarray) -> np.ndarray:

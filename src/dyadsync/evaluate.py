@@ -194,6 +194,7 @@ def save_predictions(preds: list, path) -> None:
 
 
 def load_predictions(path) -> list:
+    """Rows of a ``save_predictions`` CSV; a malformed or non-finite value is a ParseError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
@@ -208,13 +209,15 @@ def load_predictions(path) -> list:
         if len(parts) != want:
             raise ParseError(f"{path}:{ln}: expected {want} fields, got {len(parts)}")
         try:
-            if is_logits:
-                out.append(BranchPrediction(parts[1], parts[0],
-                                            logits=np.array([float(v) for v in parts[2:]])))
-            else:
-                out.append(BranchPrediction(parts[1], parts[0], score=float(parts[2])))
+            values = np.array([float(v) for v in parts[2:]])
         except ValueError as exc:
             raise ParseError(f"{path}:{ln}: {exc}") from None
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}:{ln}: prediction values must be finite, got {parts[2:]}")
+        if is_logits:
+            out.append(BranchPrediction(parts[1], parts[0], logits=values))
+        else:
+            out.append(BranchPrediction(parts[1], parts[0], score=float(values[0])))
     return out
 
 

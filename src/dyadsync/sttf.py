@@ -115,11 +115,12 @@ class AttentionMaps:
         return AttentionMaps(per_map(self.spatial), per_map(self.temporal))
 
 
-def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, training=False, rng=None):
+def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, rng=None):
     """softmax(Q Kᵀ / sqrt(d)) V over the trailing two axes.
 
     Returns (output, weights); ``weights`` are the pre-dropout softmax
     rows.  Leading axes broadcast, so stacked heads/batches ride along.
+    The weights are dropped out only when a generator ``rng`` is passed.
     """
     q, k, v = T._wrap(q), T._wrap(k), T._wrap(v)
     if q.shape != k.shape:
@@ -131,12 +132,12 @@ def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, training=False, r
     d = q.shape[-1]
     axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
     weights = T.softmax_rows(T.matmul(q, T.transpose(k, axes)), 1.0 / math.sqrt(d))
-    applied = T.dropout_apply(weights, attn_dropout, training, rng)
+    applied = T.dropout_apply(weights, attn_dropout, rng)
     return T.matmul(applied, v), weights
 
 
-def mhsa(x, params: MhsaParams, heads: int, *, attn_dropout=0.0, training=False,
-         rng=None, capture: Optional[list] = None):
+def mhsa(x, params: MhsaParams, heads: int, *, attn_dropout=0.0, rng=None,
+         capture: Optional[list] = None):
     """Multi-head self-attention: per-head attention, concat, W_out.
 
     ``x`` is (..., n, d); Q, K, V come from the three square projections,
@@ -161,9 +162,7 @@ def mhsa(x, params: MhsaParams, heads: int, *, attn_dropout=0.0, training=False,
     qh = split(T.matmul(x, params.wq))
     kh = split(T.matmul(x, params.wk))
     vh = split(T.matmul(x, params.wv))
-    out, weights = scaled_dot_product_attention(
-        qh, kh, vh, attn_dropout=attn_dropout, training=training, rng=rng
-    )
+    out, weights = scaled_dot_product_attention(qh, kh, vh, attn_dropout=attn_dropout, rng=rng)
     if capture is not None:
         capture.append(weights.data.copy())
     merged = T.transpose(out, from_heads).reshape(*lead, n, d)
@@ -212,7 +211,7 @@ class SttfModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def _layer(self, x, p, prefix, heads, training, rng, capture):
+    def _layer(self, x, p, prefix, rng, capture):
         cfg = self.config
         normed = T.layer_norm(x, p[f"{prefix}.norm1.g"], p[f"{prefix}.norm1.b"])
         attn = mhsa(
@@ -221,9 +220,8 @@ class SttfModel:
                 p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wk"],
                 p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wo"],
             ),
-            heads,
+            cfg.heads,
             attn_dropout=cfg.dropout,
-            training=training,
             rng=rng,
             capture=capture,
         )
@@ -231,10 +229,10 @@ class SttfModel:
         normed = T.layer_norm(x, p[f"{prefix}.norm2.g"], p[f"{prefix}.norm2.b"])
         hidden = T.gelu(T.linear_apply(normed, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
         out = T.linear_apply(hidden, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
-        out = T.dropout_apply(out, cfg.dropout, training, rng)
+        out = T.dropout_apply(out, cfg.dropout, rng)
         return x + out
 
-    def _spatial_stack(self, frames: np.ndarray, tape=None, training=False, rng=None,
+    def _spatial_stack(self, frames: np.ndarray, tape=None, rng=None,
                        capture: Optional[list] = None):
         """(B, f, 2, J, 2) pose batch -> (B, f, c_spa) frame vectors."""
         cfg = self.config
@@ -247,23 +245,22 @@ class SttfModel:
         tokens = Tensor(np.ascontiguousarray(frames).reshape(batch * cfg.f, cfg.tokens_spatial, 2))
         x = T.linear_apply(tokens, p["joint_proj.w"], p["joint_proj.b"])
         x = x + p["spatial.pos"]
-        x = T.dropout_apply(x, cfg.dropout, training, rng)
+        x = T.dropout_apply(x, cfg.dropout, rng)
         for l in range(cfg.layers):
-            x = self._layer(x, p, f"spatial.{l}", cfg.heads, training, rng, capture)
+            x = self._layer(x, p, f"spatial.{l}", rng, capture)
         x = x.reshape(batch, cfg.f, cfg.c_spa)
         return x + p["frame.pos"]
 
-    def _temporal_stack(self, z, tape=None, training=False, rng=None,
-                        capture: Optional[list] = None):
+    def _temporal_stack(self, z, tape=None, rng=None, capture: Optional[list] = None):
         """(B, f, c_temp) -> (B, f, c_temp) after the frame-attention stack."""
         cfg = self.config
         if z.shape[-2:] != (cfg.f, cfg.c_temp):
             raise DimensionError(f"expected (..., {cfg.f}, {cfg.c_temp}), got {z.shape}")
         p = self.params.tracked(tape)
         y = z + p["temporal.pos"]
-        y = T.dropout_apply(y, cfg.dropout, training, rng)
+        y = T.dropout_apply(y, cfg.dropout, rng)
         for l in range(cfg.layers):
-            y = self._layer(y, p, f"temporal.{l}", cfg.heads, training, rng, capture)
+            y = self._layer(y, p, f"temporal.{l}", rng, capture)
         return y
 
     def _head(self, y, tape=None):
@@ -272,12 +269,12 @@ class SttfModel:
         pooled = y.mean(axis=-2)
         return T.linear_apply(pooled, p["head.w"], p["head.b"])
 
-    def forward(self, frames: np.ndarray, tape=None, training=False, rng=None,
+    def forward(self, frames: np.ndarray, tape=None, rng=None,
                 capture_spatial: Optional[list] = None,
                 capture_temporal: Optional[list] = None):
-        """Full pass over a (B, f, 2, J, 2) batch -> (B, out_dim) tensor."""
-        z = self._spatial_stack(frames, tape, training, rng, capture_spatial)
-        y = self._temporal_stack(z, tape, training, rng, capture_temporal)
+        """Full pass over a (B, f, 2, J, 2) batch -> (B, out_dim) tensor; dropout iff ``rng``."""
+        z = self._spatial_stack(frames, tape, rng, capture_spatial)
+        y = self._temporal_stack(z, tape, rng, capture_temporal)
         return self._head(y, tape)
 
     def predict_batch(self, frames: np.ndarray) -> np.ndarray:

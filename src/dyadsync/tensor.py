@@ -8,6 +8,12 @@ walks the records in reverse order to accumulate gradients.  Because
 nodes are appended in execution order, reverse index order is already a
 reverse topological order.
 
+Every primitive computes its output, then hands it to :func:`_record`
+with its inputs and its backward closure.  That one function decides
+whether a node is recorded: when no input lives on a tape the output
+comes back untracked, so an eval forward records nothing.  Dropout is
+on exactly when a random generator is passed.
+
 Everything the transformer and the classifier heads need is expressible
 with the primitives below; broadcasting follows numpy semantics with
 gradient reduction handled by :func:`_unbroadcast`.  Tensors are treated
@@ -44,10 +50,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def tracked(self) -> bool:
-        return self.tape is not None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -58,9 +60,6 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def transpose(self, axes) -> "Tensor":
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
@@ -70,32 +69,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
 
     def __mul__(self, other):
         return multiply(self, other)
 
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return negative(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not part of the engine; multiply by a reciprocal")
-        return multiply(self, 1.0 / float(other))
-
     def __repr__(self):
-        tag = f", node={self.node_id}" if self.tracked else ""
+        tag = f", node={self.node_id}" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{tag})"
 
 
@@ -105,7 +86,8 @@ class Tape:
     Each node stores the node ids of its parents (``None`` for untracked
     constants) and a backward callable mapping the node's output gradient
     to one gradient array per parent.  Leaf nodes (parameters, inputs)
-    have no backward callable.
+    have no backward callable.  Operation nodes are recorded only through
+    :func:`_record`; leaves through :meth:`leaf` and :meth:`named_leaf`.
 
     Backward callables must close over bare numpy arrays, never Tensor
     objects: tensors point back at the tape, so capturing one would make
@@ -182,15 +164,8 @@ class ParamStore:
 
     def __init__(self, seed: int = 0, scope: str = ""):
         self._values: dict[str, Tensor] = {}
-        self.rng_seed = seed
         purpose = f"init/{scope}" if scope else "init"
         self._init_rng = stream(seed, purpose)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
 
     def __getitem__(self, name: str) -> Tensor:
         return self._values[name]
@@ -268,16 +243,25 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _tape_of(*tensors) -> Optional[Tape]:
+def _record(out: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
+    """``out`` as a tensor, recorded with ``backward`` on the inputs' tape.
+
+    At most one tape may appear among ``inputs``.  With none the result is
+    untracked and ``backward`` is dropped unrun; otherwise the node's
+    parents are the inputs' node ids (``None`` for untracked constants),
+    in the order ``backward`` returns their gradients.
+    """
     tape = None
-    for t in tensors:
+    for t in inputs:
         if t.tape is None:
             continue
         if tape is None:
             tape = t.tape
         elif tape is not t.tape:
             raise ContractError("operands live on different tapes")
-    return tape
+    if tape is None:
+        return Tensor(out)
+    return Tensor(out, tape, tape.record(tuple(t.node_id for t in inputs), backward))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -295,55 +279,32 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data + b.data
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor(out)
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return Tensor(out, tape, tape.record((a.node_id, b.node_id), backward))
+    return _record(a.data + b.data, (a, b), backward)
 
 
 def subtract(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data - b.data
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor(out)
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
         return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
-    return Tensor(out, tape, tape.record((a.node_id, b.node_id), backward))
+    return _record(a.data - b.data, (a, b), backward)
 
 
 def multiply(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data * b.data
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor(out)
     ad, bd = a.data, b.data
 
     def backward(g):
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return Tensor(out, tape, tape.record((a.node_id, b.node_id), backward))
-
-
-def negative(x) -> Tensor:
-    x = _wrap(x)
-    if x.tape is None:
-        return Tensor(-x.data)
-
-    def backward(g):
-        return (-g,)
-
-    return Tensor(-x.data, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(ad * bd, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -357,10 +318,6 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"cannot contract {a.shape} with {b.shape}")
-    out = a.data @ b.data
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor(out)
     ad, bd = a.data, b.data
 
     def backward(g):
@@ -368,34 +325,27 @@ def matmul(a, b) -> Tensor:
         gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
         return ga, gb
 
-    return Tensor(out, tape, tape.record((a.node_id, b.node_id), backward))
+    return _record(ad @ bd, (a, b), backward)
 
 
 def reshape(x, shape) -> Tensor:
     x = _wrap(x)
-    out = x.data.reshape(shape)
-    if x.tape is None:
-        return Tensor(out)
     in_shape = x.data.shape
 
     def backward(g):
         return (g.reshape(in_shape),)
 
-    return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(x.data.reshape(shape), (x,), backward)
 
 
 def transpose(x, axes) -> Tensor:
     x = _wrap(x)
     axes = tuple(axes)
-    out = x.data.transpose(axes)
-    if x.tape is None:
-        return Tensor(out)
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        return (g.transpose(inverse),)
+        return (g.transpose(np.argsort(axes)),)
 
-    return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(x.data.transpose(axes), (x,), backward)
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
@@ -411,31 +361,25 @@ def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.nda
 
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _wrap(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
-    if x.tape is None:
-        return Tensor(out)
     in_shape = x.data.shape
 
     def backward(g):
         return (_expand_reduced(g, in_shape, axis, keepdims),)
 
-    return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _wrap(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    if x.tape is None:
-        return Tensor(out)
-    count = x.data.size if axis is None else np.prod(
-        [x.data.shape[a % x.data.ndim] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
     in_shape = x.data.shape
 
     def backward(g):
+        count = math.prod(in_shape) if axis is None else np.prod(
+            [in_shape[a % len(in_shape)] for a in (axis if isinstance(axis, tuple) else (axis,))]
+        )
         return (_expand_reduced(g, in_shape, axis, keepdims) / count,)
 
-    return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 def linear_apply(x, weight, bias) -> Tensor:
@@ -464,8 +408,6 @@ def softmax_rows(x, scale: float = 1.0) -> Tensor:
     out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
-    if x.tape is None:
-        return Tensor(out)
 
     def backward(g):
         gx = g - (g * out).sum(axis=-1, keepdims=True)
@@ -473,7 +415,7 @@ def softmax_rows(x, scale: float = 1.0) -> Tensor:
         gx *= scale
         return (gx,)
 
-    return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(out, (x,), backward)
 
 
 def log_softmax(x) -> Tensor:
@@ -482,14 +424,11 @@ def log_softmax(x) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = z - lse
-    if x.tape is None:
-        return Tensor(out)
-    soft = np.exp(out)
 
     def backward(g):
-        return (g - soft * g.sum(axis=-1, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
-    return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(out, (x,), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -518,7 +457,7 @@ def gelu(x) -> Tensor:
         deriv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
         return (g * deriv,)
 
-    return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(out, (x,), backward)
 
 
 def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
@@ -530,10 +469,6 @@ def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = gain.data * xhat + shift.data
-    tape = _tape_of(x, gain, shift)
-    if tape is None:
-        return Tensor(out)
     gd, gain_shape, shift_shape = gain.data, gain.data.shape, shift.data.shape
 
     def backward(g):
@@ -547,34 +482,28 @@ def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
         )
         return g_x, g_gain, g_shift
 
-    parents = (x.node_id, gain.node_id, shift.node_id)
-    return Tensor(out, tape, tape.record(parents, backward))
+    return _record(gd * xhat + shift.data, (x, gain, shift), backward)
 
 
-def dropout_apply(x, rate: float, training: bool, rng=None) -> Tensor:
+def dropout_apply(x, rate: float, rng=None) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors.
 
-    In eval mode (or at rate 0) the input tensor is returned unchanged,
-    bit for bit.  An active dropout needs an explicit generator so runs
-    stay reproducible.
+    Dropout is on exactly when a generator is passed, so every active
+    mask is reproducible from its stream.  With ``rng=None`` (eval) or at
+    rate 0 the input tensor is returned unchanged, bit for bit.
     """
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must lie in [0, 1), got {rate}")
     x = _wrap(x)
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ContractError("active dropout requires a random generator")
     scale = 1.0 / (1.0 - rate)
     mask = (rng.random(x.data.shape) >= rate) * scale
-    out = x.data * mask
-    if x.tape is None:
-        return Tensor(out)
 
     def backward(g):
         return (g * mask,)
 
-    return Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+    return _record(x.data * mask, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +535,7 @@ def check_gradients(f, point: ParamStore, eps: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.
 
     ``f(params, tape)`` must return a scalar tensor and be deterministic
-    (no active dropout).  With ``tape=None`` it is evaluated value-only.
+    (no dropout generator).  With ``tape=None`` it is evaluated value-only.
     The relative error per parameter element is
     ``|analytic - numeric| / max(1, |numeric|)``.
     """

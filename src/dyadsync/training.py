@@ -2,8 +2,9 @@
 
 ``fit`` drives any model exposing the small training protocol used
 across this package: a ``params`` ParamStore, a ``config`` dataclass
-whose ``head_kind`` picks the loss, ``forward(inputs, tape, training,
-rng)`` returning an (B, out) tensor, and ``prepare_inputs`` mapping
+whose ``head_kind`` picks the loss, ``forward(inputs, tape, rng)``
+returning an (B, out) tensor, with dropout on exactly when a generator
+``rng`` is passed, and ``prepare_inputs`` mapping
 SkeletonSequences to its input array.  Runs are deterministic in
 the seed: shuffling, the validation split, and dropout each draw from
 their own named stream, so equal seeds give bit-identical histories.
@@ -210,7 +211,7 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             tape = Tape()
-            out = model.forward(inputs[idx], tape=tape, training=True, rng=dropout_rng)
+            out = model.forward(inputs[idx], tape=tape, rng=dropout_rng)
             if classify:
                 loss = cross_entropy_loss(out, targets[idx])
             else:

@@ -1,7 +1,8 @@
 """Baselines: DTW vs path enumeration, correlation conventions, recurrence counts,
 and the linear hinge classifier's contract.  The cell-by-cell DTW loop and the
 per-element diagonal run walk are kept here as bit-exact references for the
-vectorized code."""
+vectorized code, and the hinge objective as the oracle the classifier's
+descent is checked against."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dyadsync.baselines import (
     dtw_distance,
     dtw_features,
     extract_features,
-    hinge_objective,
+    linear_scores,
     load_classifier,
     predict_linear,
     save_classifier,
@@ -340,6 +341,15 @@ def test_extract_features_dispatch():
 # ---------------------------------------------------------------------------
 # linear hinge classifier
 # ---------------------------------------------------------------------------
+
+
+def hinge_objective(clf, features, labels, reg=1e-3):
+    """The value train_linear_hinge descends: mean hinge + L2 penalty."""
+    scores = linear_scores(clf, features)
+    y = np.asarray(labels)
+    signs = np.where(y[None, :] == np.arange(len(clf.bias))[:, None], 1.0, -1.0)
+    hinge = np.maximum(0.0, 1.0 - signs.T * scores).sum(axis=1).mean()
+    return float(hinge + reg * (clf.weights**2).sum())
 
 
 def toy_features(rng, n_per_class=10, spread=0.3):

@@ -159,3 +159,20 @@ def test_header_that_is_not_an_object_is_parse_error(tmp_path):
     path.write_bytes(struct.pack("<Q", len(blob)) + blob)
     with pytest.raises(ParseError, match="list.bin"):
         load_model(path)
+
+
+@pytest.mark.parametrize("where, value, param", [
+    ("first", np.nan, "b1"),  # parameters are stored name-sorted: b1 comes first
+    ("last", np.inf, "w2"),
+    ("last", -np.inf, "w2"),
+], ids=["nan-first", "inf-last", "neg-inf-last"])
+def test_non_finite_parameter_is_data_error(tmp_path, where, value, param):
+    path = tmp_path / "poisoned.bin"
+    save_model(CsmModel(CsmConfig(side=8, hidden=5), seed=0), path)
+    raw = bytearray(path.read_bytes())
+    (length,) = np.frombuffer(bytes(raw[:8]), dtype="<u8")
+    offset = 8 + int(length) if where == "first" else len(raw) - 8
+    raw[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=rf"poisoned\.bin: parameter '{param}'"):
+        load_model(path)

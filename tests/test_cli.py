@@ -286,16 +286,59 @@ def test_eval_external_predictions(tmp_path):
     assert metrics["accuracy"] == 100.0
 
 
-def test_eval_misaligned_external_is_contract_error(tmp_path):
-    manifest = make_dataset(tmp_path, per_class=2)
-    tc, mc = write_tiny_configs(tmp_path)
-    run_dir = tmp_path / "run"
-    assert run("train", "--data", str(manifest), "--out", str(run_dir),
-               "--config", str(tc), "--model-config", str(mc)) == 0
+def external_rows(ids, branch="flow"):
+    return "".join(f"{sid},{branch},1,0,0\n" for sid in ids)
+
+
+@pytest.mark.parametrize("case, ckpt", [
+    ("unknown-id", True),
+    ("reordered", True),
+    ("subset", True),
+    ("unknown-id", False),
+    ("branches-differ", False),
+    ("header-only", False),
+])
+def test_eval_external_ids_that_cannot_fuse_are_data_errors(tmp_path, capsys, case, ckpt):
+    manifest = make_dataset(tmp_path, per_class=2, frames=40)
+    ids = [e.path.stem for e in load_manifest(manifest)]
+    rows, branch = {
+        "unknown-id": (external_rows(ids[:-1] + ["not_a_sample"]), "flow"),
+        "reordered": (external_rows(ids[::-1]), "flow"),
+        "subset": (external_rows(ids[:3]), "flow"),
+        "branches-differ": (external_rows(ids) + external_rows(ids[1:], "pose"), "pose"),
+        "header-only": ("", None),
+    }[case]
     ext = tmp_path / "flow.csv"
-    ext.write_text("source_id,branch,p0,p1,p2\nnot_a_sample,flow,1,0,0\n")
-    assert run("eval", "--ckpt", str(run_dir / "model.bin"), "--external", str(ext),
-               "--data", str(manifest), "--out", str(tmp_path / "x")) == 4
+    ext.write_text("source_id,branch,p0,p1,p2\n" + rows)
+    sources = ["--external", str(ext)]
+    if ckpt:
+        sources += ["--ckpt", save_untrained(tmp_path, "csm", CsmModel(CsmConfig(), seed=1))]
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", *sources, "--data", str(manifest), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(ext) in err
+    if branch:
+        assert f"branch {branch!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, bad_row", [
+    ("source_id,branch,p0,p1,p2", "{},flow,0.5,nan,0.1"),
+    ("source_id,branch,score", "{},flow,inf"),
+], ids=["nan-logit", "inf-score"])
+def test_eval_non_finite_external_value_is_data_error(tmp_path, capsys, header, bad_row):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    ids = [e.path.stem for e in load_manifest(manifest)]
+    good = ",0.2,0.3,0.5" if header.endswith("p2") else ",5.0"
+    lines = [header, bad_row.format(ids[0])] + [f"{sid},flow{good}" for sid in ids[1:]]
+    ext = tmp_path / "flow.csv"
+    ext.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", "--external", str(ext), "--data", str(manifest), "--out", str(out)) == 3
+    assert f"{ext}:2:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_without_sources_is_config_error(tmp_path):

@@ -315,10 +315,11 @@ def test_forward_determinism_and_dropout_variation():
     assert a.shape == (2, 3)
 
     model = SttfModel(cfg, seed=11)
-    t1 = model.forward(frames, training=True, rng=stream(1, "dropout")).data
-    t2 = model.forward(frames, training=True, rng=stream(2, "dropout")).data
+    t1 = model.forward(frames, rng=stream(1, "dropout")).data
+    t2 = model.forward(frames, rng=stream(2, "dropout")).data
     assert not np.array_equal(t1, t2)  # different masks
-    t3 = model.forward(frames, training=True, rng=stream(1, "dropout")).data
+    assert not np.array_equal(t1, a)  # a generator switches dropout on
+    t3 = model.forward(frames, rng=stream(1, "dropout")).data
     assert np.array_equal(t1, t3)  # same stream, same masks
 
 

@@ -215,7 +215,7 @@ def test_broadcast_add_and_mul_values():
 def test_reshape_transpose_roundtrip():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 3, 4))
-    t = T.Tensor(x).transpose((2, 0, 1)).transpose((1, 2, 0))
+    t = T.transpose(T.transpose(T.Tensor(x), (2, 0, 1)), (1, 2, 0))
     assert np.array_equal(t.data, x)
     r = T.Tensor(x).reshape(4, 6).reshape(2, 3, 4)
     assert np.array_equal(r.data, x)
@@ -230,8 +230,10 @@ def test_elementwise_gradients():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(3, 4))
     w = rng.normal(size=(3, 4))
+    c = rng.normal(size=(3, 4))
     cases = [
-        ("neg", lambda t: T.negative(t), lambda v: (w * -v).sum()),
+        ("subtract", lambda t: T.subtract(t, c), lambda v: (w * (v - c)).sum()),
+        ("subtract-from", lambda t: T.subtract(c, t), lambda v: (w * (c - v)).sum()),
         ("gelu", lambda t: T.gelu(t), lambda v: (w * T.gelu(T.Tensor(v)).data).sum()),
         ("softmax", lambda t: T.softmax_rows(t), lambda v: (w * T.softmax_rows(T.Tensor(v)).data).sum()),
         ("logsoftmax", lambda t: T.log_softmax(t), lambda v: (w * T.log_softmax(T.Tensor(v)).data).sum()),
@@ -371,14 +373,15 @@ def test_backward_keeps_only_leaf_gradients():
 
 def test_dropout_eval_mode_is_identity():
     x = T.Tensor(np.linspace(-1, 1, 12).reshape(3, 4))
-    out = T.dropout_apply(x, 0.5, training=False)
+    out = T.dropout_apply(x, 0.5)
     assert out is x  # bit-exact passthrough, same object
+    assert T.dropout_apply(x, 0.0, rng=stream(0, "dropout")) is x
 
 
 def test_dropout_training_statistics():
     rng = stream(123, "dropout")
     x = np.ones((200, 200))
-    out = T.dropout_apply(T.Tensor(x), 0.3, training=True, rng=rng).data
+    out = T.dropout_apply(T.Tensor(x), 0.3, rng=rng).data
     kept = out != 0.0
     # survivors scaled by 1/(1-rate); keep fraction near 0.7
     assert np.allclose(out[kept], 1.0 / 0.7)
@@ -391,16 +394,17 @@ def test_dropout_gradient_uses_same_mask():
     x = np.ones((50, 50))
     tape = T.Tape()
     xt = tape.leaf(x)
-    out = T.dropout_apply(xt, 0.4, training=True, rng=rng)
+    out = T.dropout_apply(xt, 0.4, rng=rng)
     grads = tape.backward(out.sum())
     assert np.array_equal(grads[xt.node_id], out.data)  # mask*scale both times
 
 
 def test_dropout_validation():
+    # the rate is checked whether or not dropout is on
     with pytest.raises(ParameterError):
-        T.dropout_apply(T.Tensor(np.ones(3)), 1.0, training=True, rng=stream(0, "dropout"))
-    with pytest.raises(ContractError):
-        T.dropout_apply(T.Tensor(np.ones(3)), 0.5, training=True)
+        T.dropout_apply(T.Tensor(np.ones(3)), 1.0, rng=stream(0, "dropout"))
+    with pytest.raises(ParameterError):
+        T.dropout_apply(T.Tensor(np.ones(3)), -0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Losses against closed forms, Adam against a hand-rolled oracle, fit loop behavior."""
 
 import dataclasses
+import gc
 import json
 import math
 
@@ -12,6 +13,8 @@ from dyadsync.config import load_config
 from dyadsync.csm_branch import CsmConfig, CsmModel, expected_param_count
 from dyadsync.errors import ConfigError, ContractError, DataError, NumericalError
 from dyadsync.pose_io import SkeletonSequence
+from dyadsync.rng import stream
+from dyadsync.sttf import ModelConfig, SttfModel
 from dyadsync.tensor import ParamStore, Tape, Tensor
 from dyadsync.training import (
     AdamState,
@@ -292,6 +295,29 @@ def test_frozen_loss_invariant_to_batch_partition():
         idx = perm[start : start + 5]
         pieces += cross_entropy_loss(model.forward(images[idx]), labels[idx]).item() * len(idx)
     assert abs(whole - pieces / 16) < 1e-12
+
+
+def test_taped_steps_leave_no_reference_cycles():
+    # backward closures hold bare arrays: a captured Tensor points back at
+    # its tape, so every finished step would linger as a cycle until a gc pass
+    rng = np.random.default_rng(53)
+    tfn = SttfModel(ModelConfig(f=4, num_joints=2, d_joint=4, layers=1, heads=2, dropout=0.3), seed=1)
+    csm = CsmModel(CsmConfig(side=4, hidden=6, dropout=0.3, head_kind="regress"), seed=1)
+    steps = [
+        (tfn, rng.uniform(size=(3, 4, 2, 2, 2)), lambda out: cross_entropy_loss(out, [0, 1, 2])),
+        (csm, rng.uniform(size=(3, 4, 4)), lambda out: mse_loss(out, [1.0, 5.0, 9.0])),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for model, inputs, loss_of in steps:
+            out = model.forward(inputs, tape=Tape(), rng=stream(0, "dropout"))
+            T.gradient_of(loss_of(out), model.params)
+        del out
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_targets_from_sequences():
