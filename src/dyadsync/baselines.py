@@ -172,14 +172,14 @@ def cross_recurrence_features(csm: SimilarityMatrix, eps: float = None) -> Basel
     return BaselineFeatures("crossrec", np.array([rr, det, lmax]))
 
 
-def extract_features(seq: SkeletonSequence, method: str, eps: float = None) -> BaselineFeatures:
+def extract_features(seq: SkeletonSequence, method: str) -> BaselineFeatures:
     """Dispatch a sequence to one of the three feature extractors."""
     if method == "dtw":
         return dtw_features(seq)
     if method == "corr2d":
         return correlation_features(seq)
     if method == "crossrec":
-        feats = cross_recurrence_features(compute_csm(seq), eps)
+        feats = cross_recurrence_features(compute_csm(seq))
         return BaselineFeatures("crossrec", feats.vector, seq.source_id)
     raise ParameterError(f"unknown baseline method {method!r}; expected one of {FEATURE_METHODS}")
 

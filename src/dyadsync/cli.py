@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -227,9 +228,9 @@ def cmd_train(args) -> int:
 def _check_external(path, external: list, manifest_ids: list, exact: bool) -> None:
     """Refuse an --external CSV whose rows cannot be fused, naming it and the branch.
 
-    Each branch must list manifest ids only, in the order of the file's
-    first branch, or with ``exact`` (a checkpoint supplies the other
-    branches) the manifest's own ids in manifest order.
+    Each branch must list manifest ids only, each once, in the order of
+    the file's first branch, or with ``exact`` (a checkpoint supplies the
+    other branches) the manifest's own ids in manifest order.
     """
     if not external:
         raise DataError(f"{path}: no prediction rows")
@@ -242,6 +243,10 @@ def _check_external(path, external: list, manifest_ids: list, exact: bool) -> No
         unknown = [sid for sid in ids if sid not in known]
         if unknown:
             raise DataError(f"{path}: branch {name!r} predicts unknown sample {unknown[0]!r}")
+        repeated = [sid for sid, count in Counter(ids).items() if count > 1]
+        if repeated:
+            raise DataError(f"{path}: branch {name!r} lists sample {repeated[0]!r} "
+                            "more than once")
         if ids != (manifest_ids if exact else first_ids):
             raise DataError(f"{path}: branch {name!r} must list the samples of "
                             + ("the manifest" if exact else f"branch {first!r}")
@@ -303,8 +308,7 @@ def cmd_eval(args) -> int:
 
     cm = confusion_normalized(labels, decisions)
     if regress:
-        report = compute_metrics(cm, mode="regress",
-                                 preds=[p.score for p in fused], targets=targets)
+        report = compute_metrics(cm, preds=[p.score for p in fused], targets=targets)
     else:
         report = compute_metrics(cm)
     out_dir = Path(args.out)
@@ -389,7 +393,7 @@ def cmd_export_attn(args) -> int:
         layers, heads = stack.shape[:2]
         for layer in range(layers):
             for head in range(heads):
-                m = SimilarityMatrix(stack[layer, head], kind="attention")
+                m = SimilarityMatrix(stack[layer, head])
                 name = f"{seq.source_id}_{branch}_l{layer}_h{head}.{args.format}"
                 savers[args.format](m, out_dir / name)
                 count += 1

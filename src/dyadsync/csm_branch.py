@@ -78,9 +78,6 @@ class CsmModel:
         ]
         return np.stack(mats)
 
-    def param_count(self) -> int:
-        return self.params.total_size()
-
 
 def expected_param_count(cfg: CsmConfig) -> int:
     """side^2*hidden + hidden + hidden*out + out, the two affine maps."""

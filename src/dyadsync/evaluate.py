@@ -21,10 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DataError, ParseError
-from .pose_io import CLASS_NAMES
-
-ALPHA = 7.16
-BETA = 8.36
+from .pose_io import ALPHA, BETA, CLASS_NAMES
 
 
 @dataclass(frozen=True)
@@ -41,16 +38,6 @@ class BranchPrediction:
             raise ContractError("exactly one of logits/score must be set")
         if self.logits is not None and np.asarray(self.logits).shape != (3,):
             raise ContractError(f"logits must have shape (3,), got {np.asarray(self.logits).shape}")
-
-
-@dataclass(frozen=True)
-class ScoreBinning:
-    alpha: float = ALPHA
-    beta: float = BETA
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= self.beta <= 10.0:
-            raise ContractError(f"thresholds must satisfy 0 <= alpha <= beta <= 10, got {self}")
 
 
 @dataclass(frozen=True)
@@ -102,22 +89,22 @@ def fuse_predictions(preds: list) -> list:
             for i, sid in enumerate(ids)]
 
 
-def bin_score(score: float, bins: ScoreBinning = ScoreBinning()) -> int:
-    """Map a [0, 10] synchrony score to a class id via the two thresholds."""
+def bin_score(score: float) -> int:
+    """Map a [0, 10] synchrony score to a class id via ALPHA and BETA."""
     if not np.isfinite(score):
         raise DataError(f"score must be finite, got {score}")
-    if score >= bins.beta:
+    if score >= BETA:
         return CLASS_NAMES.index("Sync")
-    if score >= bins.alpha:
+    if score >= ALPHA:
         return CLASS_NAMES.index("ModSync")
     return CLASS_NAMES.index("Unsync")
 
 
-def predicted_classes(preds: list, bins: ScoreBinning = ScoreBinning()) -> np.ndarray:
+def predicted_classes(preds: list) -> np.ndarray:
     """Class decisions for a list of predictions (argmax or binned score)."""
     out = np.empty(len(preds), dtype=np.int64)
     for i, p in enumerate(preds):
-        out[i] = int(np.argmax(p.logits)) if p.logits is not None else bin_score(p.score, bins)
+        out[i] = int(np.argmax(p.logits)) if p.logits is not None else bin_score(p.score)
     return out
 
 
@@ -144,9 +131,8 @@ def confusion_normalized(labels, predictions) -> ConfusionMatrix:
     return ConfusionMatrix(counts, normalized, tuple(empty))
 
 
-def compute_metrics(cm: ConfusionMatrix, mode: str = "classify",
-                    preds=None, targets=None) -> MetricsReport:
-    """Per-class recall, micro accuracy, macro F1; adds MSE when regressing."""
+def compute_metrics(cm: ConfusionMatrix, preds=None, targets=None) -> MetricsReport:
+    """Per-class recall, micro accuracy, macro F1; adds MSE given raw scores and targets."""
     counts = cm.counts
     total = counts.sum()
     row_sums = counts.sum(axis=1)
@@ -159,7 +145,7 @@ def compute_metrics(cm: ConfusionMatrix, mode: str = "classify",
         r = counts[c, c] / row_sums[c] if row_sums[c] else 0.0
         f1.append(2 * p * r / (p + r) if p + r else 0.0)
     mse = None
-    if mode == "regress":
+    if preds is not None or targets is not None:
         if preds is None or targets is None:
             raise ContractError("regression metrics need raw predictions and targets")
         preds = np.asarray(preds, dtype=np.float64)

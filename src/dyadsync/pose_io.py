@@ -34,6 +34,9 @@ NUM_JOINTS = 17
 TARGET_FRAMES = 81
 CLASS_NAMES = ("Sync", "ModSync", "Unsync")
 SCORE_RANGE = (0.0, 10.0)
+# a score >= BETA is Sync, >= ALPHA ModSync, anything lower Unsync
+ALPHA = 7.16
+BETA = 8.36
 
 
 @dataclass(frozen=True)
@@ -224,6 +227,8 @@ def load_manifest(path) -> list:
     """Read a dataset manifest: JSON list of {"path", "label_class"|"label_score"}.
 
     Relative entry paths are resolved against the manifest's directory.
+    Two entries may not share a file stem: it is the source id that names
+    every artifact and prediction row of the clip.
     """
     path = Path(path)
     if not path.exists():
@@ -235,6 +240,7 @@ def load_manifest(path) -> list:
     if not isinstance(doc, list):
         raise ParseError(f"{path}: manifest must be a JSON list")
     entries = []
+    first_of: dict = {}  # source id -> index of the entry that claimed it
     for i, rec in enumerate(doc):
         if not isinstance(rec, dict) or "path" not in rec:
             raise ParseError(f"{path}: entry {i} must be an object with a 'path'")
@@ -253,6 +259,10 @@ def load_manifest(path) -> list:
         entry_path = Path(rec["path"])
         if not entry_path.is_absolute():
             entry_path = path.parent / entry_path
+        first = first_of.setdefault(entry_path.stem, i)
+        if first != i:
+            raise ParseError(f"{path}: entries {first} and {i} share the source id "
+                             f"{entry_path.stem!r}")
         entries.append(ManifestEntry(entry_path, cls, score))
     return entries
 

@@ -30,11 +30,6 @@ IMAGE_SIDE = 224
 @dataclass(frozen=True)
 class SimilarityMatrix:
     values: np.ndarray
-    kind: str  # "cross" | "self"
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
 
 
 def frame_distance_matrix(track_a: np.ndarray, track_b: np.ndarray) -> np.ndarray:
@@ -53,7 +48,7 @@ def compute_csm(seq: SkeletonSequence) -> SimilarityMatrix:
     """Eq-style cross-similarity between the two persons of a sequence."""
     num_joints = seq.frames.shape[2]
     dist = frame_distance_matrix(seq.person(0), seq.person(1))
-    return SimilarityMatrix(-dist / num_joints, "cross")
+    return SimilarityMatrix(-dist / num_joints)
 
 
 def compute_ssm(track: np.ndarray) -> SimilarityMatrix:
@@ -61,7 +56,7 @@ def compute_ssm(track: np.ndarray) -> SimilarityMatrix:
     track = np.asarray(track, dtype=np.float64)
     num_joints = track.shape[1]
     dist = frame_distance_matrix(track, track)
-    return SimilarityMatrix(-dist / num_joints, "self")
+    return SimilarityMatrix(-dist / num_joints)
 
 
 def resize_nearest(m: SimilarityMatrix, target: int = IMAGE_SIDE) -> SimilarityMatrix:
@@ -74,7 +69,7 @@ def resize_nearest(m: SimilarityMatrix, target: int = IMAGE_SIDE) -> SimilarityM
     src = m.values
     rows = (np.arange(target) * src.shape[0]) // target
     cols = (np.arange(target) * src.shape[1]) // target
-    return SimilarityMatrix(src[np.ix_(rows, cols)], m.kind)
+    return SimilarityMatrix(src[np.ix_(rows, cols)])
 
 
 def normalize_minmax(m: SimilarityMatrix) -> SimilarityMatrix:
@@ -82,8 +77,8 @@ def normalize_minmax(m: SimilarityMatrix) -> SimilarityMatrix:
     v = m.values
     lo, hi = v.min(), v.max()
     if hi == lo:
-        return SimilarityMatrix(np.zeros_like(v), m.kind)
-    return SimilarityMatrix((v - lo) / (hi - lo), m.kind)
+        return SimilarityMatrix(np.zeros_like(v))
+    return SimilarityMatrix((v - lo) / (hi - lo))
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +103,7 @@ def load_binary(path) -> SimilarityMatrix:
     body = np.frombuffer(raw[8:], dtype="<f4")
     if body.size != rows * cols:
         raise DataError(f"{path}: expected {rows * cols} values, found {body.size}")
-    values = body.astype(np.float64).reshape(rows, cols)
-    kind = "self" if rows == cols and np.allclose(values, values.T) and np.allclose(np.diag(values), 0) else "cross"
-    return SimilarityMatrix(values, kind)
+    return SimilarityMatrix(body.astype(np.float64).reshape(rows, cols))
 
 
 def save_csv(m: SimilarityMatrix, path) -> None:

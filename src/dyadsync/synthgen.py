@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .pose_io import CLASS_NAMES, NUM_JOINTS, SkeletonSequence
+from .pose_io import ALPHA, BETA, CLASS_NAMES, NUM_JOINTS, SCORE_RANGE, SkeletonSequence
 from .rng import stream
 
 # Roughly human joint layout (COCO order: nose, eyes, ears, shoulders,
@@ -46,7 +46,10 @@ ANCHOR = np.array(
 )
 
 # score bins, mirroring the alpha/beta class thresholds in reverse
-SCORE_BINS = {"Sync": (8.36, 10.0), "ModSync": (7.16, 8.36), "Unsync": (0.0, 7.16)}
+SCORE_BINS = {"Sync": (BETA, SCORE_RANGE[1]), "ModSync": (ALPHA, BETA),
+              "Unsync": (SCORE_RANGE[0], ALPHA)}
+# (width, height) in pixels of the frame that written clips are scaled to
+IMAGE_SIZE = (320, 240)
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class SynthConfig:
     amp_mismatch: float = 1.15
     jitter: float = 0.004
     seed: int = 0
-    image_size: tuple = (320, 240)
 
     def __post_init__(self):
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
@@ -157,7 +159,7 @@ def generate_dataset(cfg: SynthConfig, n_per_class: int, out_dir) -> Path:
     entries = []
     for seq in sequences:
         name = f"{seq.source_id}.json"
-        doc = sequence_to_document(seq, cfg.image_size)
+        doc = sequence_to_document(seq, IMAGE_SIZE)
         (out_dir / name).write_text(json.dumps(doc, separators=(",", ":")))
         entries.append(
             {"path": name, "label_class": seq.label_class, "label_score": seq.label_score}

@@ -255,7 +255,7 @@ def test_correlation_bounded():
 
 
 def test_crossrec_threshold_law():
-    m = SimilarityMatrix(np.array([[-0.1, -0.6], [-0.6, -0.1]]), "cross")
+    m = SimilarityMatrix(np.array([[-0.1, -0.6], [-0.6, -0.1]]))
     feats = cross_recurrence_features(m, eps=0.5)
     assert feats.vector[0] == 0.5  # RR: two of four entries recur
 
@@ -275,7 +275,7 @@ def test_crossrec_rr_matches_counting_oracle():
     for _ in range(10):
         values = -rng.uniform(0, 1, size=(9, 9))
         eps = float(rng.uniform(0.1, 0.9))
-        feats = cross_recurrence_features(SimilarityMatrix(values, "cross"), eps=eps)
+        feats = cross_recurrence_features(SimilarityMatrix(values), eps=eps)
         count = sum(
             1 for i in range(9) for j in range(9) if -values[i, j] <= eps
         )
@@ -284,7 +284,7 @@ def test_crossrec_rr_matches_counting_oracle():
 
 def test_crossrec_rr_monotone_in_eps():
     rng = np.random.default_rng(70)
-    m = SimilarityMatrix(-rng.uniform(0, 1, size=(10, 10)), "cross")
+    m = SimilarityMatrix(-rng.uniform(0, 1, size=(10, 10)))
     rates = [cross_recurrence_features(m, eps=e).vector[0] for e in np.linspace(0.05, 1.0, 12)]
     assert all(b >= a for a, b in zip(rates, rates[1:]))
 
@@ -293,7 +293,7 @@ def test_crossrec_det_counts_lines_not_singletons():
     r = np.full((4, 4), -1.0)  # nothing recurs at eps=0.5 ...
     r[0, 0] = r[1, 1] = -0.1  # ... except a 2-run on the main diagonal
     r[3, 0] = -0.1  # and one isolated point
-    feats = cross_recurrence_features(SimilarityMatrix(r, "cross"), eps=0.5)
+    feats = cross_recurrence_features(SimilarityMatrix(r), eps=0.5)
     rr, det, lmax = feats.vector
     assert rr == 3 / 16
     assert det == 2 / 3
@@ -313,13 +313,13 @@ def test_crossrec_matches_run_loop_oracle():
     for r in matrices:
         assert _diagonal_runs(r).tolist() == list(loop_diagonal_runs(r)), r.shape
         # recurrent entries sit at distance 0.1, the others at 1.0
-        csm = SimilarityMatrix(np.where(r, -0.1, -1.0), "cross")
+        csm = SimilarityMatrix(np.where(r, -0.1, -1.0))
         got = cross_recurrence_features(csm, eps=0.5).vector
         assert got.tobytes() == loop_crossrec_vector(r).tobytes(), r.shape
 
 
 def test_crossrec_eps_validation_and_default():
-    m = SimilarityMatrix(np.array([[-1.0, -0.05], [-0.05, -1.0]]), "cross")
+    m = SimilarityMatrix(np.array([[-1.0, -0.05], [-0.05, -1.0]]))
     with pytest.raises(ParameterError):
         cross_recurrence_features(m, eps=0.0)
     # default eps = 10% of max distance = 0.1; the -0.05 entries recur

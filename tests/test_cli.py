@@ -323,6 +323,19 @@ def test_eval_external_ids_that_cannot_fuse_are_data_errors(tmp_path, capsys, ca
     assert not out.exists()
 
 
+def test_eval_external_repeated_id_is_data_error(tmp_path, capsys):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    ids = [e.path.stem for e in load_manifest(manifest)]
+    ext = tmp_path / "flow.csv"
+    ext.write_text("source_id,branch,p0,p1,p2\n" + external_rows(ids[:1] * 3 + ids[1:]))
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", "--external", str(ext), "--data", str(manifest), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(ext) in err and "branch 'flow'" in err and repr(ids[0]) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header, bad_row", [
     ("source_id,branch,p0,p1,p2", "{},flow,0.5,nan,0.1"),
     ("source_id,branch,score", "{},flow,inf"),
@@ -479,6 +492,32 @@ def test_bad_manifest_score_is_data_error(tmp_path, capsys, score):
     assert run("csm", "--data", str(manifest), "--out", str(tmp_path / "mats")) == 3
     err = capsys.readouterr().err
     assert "manifest.json" in err and "entry 1" in err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "eval"])
+def test_manifest_repeating_a_source_id_is_data_error(tmp_path, capsys, command):
+    raw = make_dataset(tmp_path, per_class=1, frames=40).parent
+    for folder, clip in (("a", "sync_0000.json"), ("c", "unsync_0000.json")):
+        (raw / folder).mkdir()
+        (raw / folder / "sync_0000.json").write_bytes((raw / clip).read_bytes())
+    manifest = raw / "dup.json"
+    manifest.write_text(json.dumps([
+        {"path": "a/sync_0000.json", "label_class": "Sync"},
+        {"path": "modsync_0000.json", "label_class": "ModSync"},
+        {"path": "c/sync_0000.json", "label_class": "Unsync"},
+    ]))
+    argv = ["preprocess"]
+    if command == "eval":
+        ext = tmp_path / "flow.csv"
+        ext.write_text("source_id,branch,p0,p1,p2\n"
+                       + external_rows(["sync_0000", "modsync_0000"]))
+        argv = ["eval", "--external", str(ext)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--data", str(manifest), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "entries 0 and 2" in err and "'sync_0000'" in err
+    assert not out.exists()
 
 
 def test_non_positive_image_size_names_the_clip(tmp_path, capsys):

@@ -5,7 +5,6 @@ from dyadsync.errors import ContractError, DataError, ParseError
 from dyadsync.evaluate import (
     BranchPrediction,
     ConfusionMatrix,
-    ScoreBinning,
     bin_score,
     compute_metrics,
     confusion_normalized,
@@ -143,20 +142,15 @@ def test_bin_score_thresholds():
 
 
 def test_bin_score_monotone_sweep():
-    bins = ScoreBinning()
     previous = 2
     for score in np.linspace(0.0, 10.0, 401):
-        klass = bin_score(float(score), bins)
+        klass = bin_score(float(score))
         # class id decreases (2 -> 1 -> 0) as the score rises
         assert klass <= previous
         previous = klass
 
 
 def test_binning_validation():
-    with pytest.raises(ContractError):
-        ScoreBinning(alpha=9.0, beta=8.0)
-    with pytest.raises(ContractError):
-        ScoreBinning(alpha=-1.0, beta=5.0)
     with pytest.raises(DataError):
         bin_score(float("nan"))
 
@@ -256,16 +250,16 @@ def test_constant_regressor_mse_is_target_variance():
     labels = [bin_score(t) for t in targets]
     binned = [bin_score(p) for p in preds]
     cm = confusion_normalized(labels, binned)
-    report = compute_metrics(cm, mode="regress", preds=preds, targets=targets)
+    report = compute_metrics(cm, preds=preds, targets=targets)
     assert report.mse == pytest.approx(targets.var(), abs=1e-12)
 
 
 def test_regression_metrics_require_raw_values():
     cm = confusion_normalized([0, 1], [0, 1])
     with pytest.raises(ContractError):
-        compute_metrics(cm, mode="regress")
+        compute_metrics(cm, preds=[1.0])
     with pytest.raises(ContractError):
-        compute_metrics(cm, mode="regress", preds=[1.0], targets=[1.0, 2.0])
+        compute_metrics(cm, preds=[1.0], targets=[1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -346,17 +346,19 @@ def test_preprocess_matches_the_per_frame_reference(case):
 
 def test_manifest_roundtrip_and_relative_paths(tmp_path):
     clip = write_clip(tmp_path / "a" / "clip.json", [(0, [0, 1]), (1, [0, 1])]) if (tmp_path / "a").mkdir() is None else None
+    write_clip(tmp_path / "a" / "other.json", [(0, [0, 1]), (1, [0, 1])])
     manifest = tmp_path / "manifest.json"
     manifest.write_text(
         json.dumps(
             [
                 {"path": "a/clip.json", "label_class": "ModSync"},
-                {"path": str(tmp_path / "a" / "clip.json"), "label_score": 7.5},
+                {"path": str(tmp_path / "a" / "other.json"), "label_score": 7.5},
             ]
         )
     )
     entries = load_manifest(manifest)
     assert entries[0].path == tmp_path / "a" / "clip.json"
+    assert entries[1].path == tmp_path / "a" / "other.json"
     assert entries[0].label_class == "ModSync"
     assert entries[1].label_score == 7.5
 
@@ -377,6 +379,11 @@ def test_manifest_validation(tmp_path):
         load_manifest(m)
     m.write_text(json.dumps([{"path": "x", "label_class": "Wild"}]))
     with pytest.raises(ParseError, match="Wild"):
+        load_manifest(m)
+    # one stem names every artifact of a clip, so it may appear only once
+    m.write_text(json.dumps([{"path": "a/x.json"}, {"path": "y.json"},
+                             {"path": str(tmp_path / "a" / "x.json")}]))
+    with pytest.raises(ParseError, match="entries 0 and 2 share the source id 'x'"):
         load_manifest(m)
     m.write_text(json.dumps([{"path": "x", "label_score": -2}]))
     with pytest.raises(ParseError, match="score"):

@@ -51,7 +51,6 @@ def test_csm_three_four_five_single_joint():
     frames[0, 1, 0] = [0.3, 0.4]
     seq = SkeletonSequence(frames=frames)
     m = compute_csm(seq)
-    assert m.kind == "cross"
     assert abs(m.values[0, 0] - (-0.5)) < 1e-15
 
 
@@ -87,7 +86,6 @@ def test_ssm_symmetric_zero_diagonal():
     rng = np.random.default_rng(104)
     track = rng.uniform(0, 1, size=(11, 17, 2))
     m = compute_ssm(track)
-    assert m.kind == "self"
     assert np.array_equal(m.values, m.values.T)
     assert np.array_equal(np.diag(m.values), np.zeros(11))
 
@@ -108,7 +106,7 @@ def test_empty_sequence_is_an_error():
 
 
 def test_resize_2x2_replicates_blocks():
-    m = SimilarityMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), "cross")
+    m = SimilarityMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
     out = resize_nearest(m, 4).values
     want = np.array(
         [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float
@@ -119,7 +117,7 @@ def test_resize_2x2_replicates_blocks():
 def test_resize_identity_and_membership():
     rng = np.random.default_rng(106)
     src = rng.normal(size=(81, 81))
-    m = SimilarityMatrix(src, "cross")
+    m = SimilarityMatrix(src)
     assert np.array_equal(resize_nearest(m, 81).values, src)
     big = resize_nearest(m, 224).values
     assert big.shape == (224, 224)
@@ -130,17 +128,17 @@ def test_resize_identity_and_membership():
 
 def test_resize_index_formula():
     src = np.arange(25.0).reshape(5, 5)
-    out = resize_nearest(SimilarityMatrix(src, "cross"), 7).values
+    out = resize_nearest(SimilarityMatrix(src), 7).values
     rows = [(i * 5) // 7 for i in range(7)]
     assert np.array_equal(out, src[np.ix_(rows, rows)])
 
 
 def test_normalize_minmax():
-    m = SimilarityMatrix(np.array([[-3.0, -1.0], [0.0, -2.0]]), "cross")
+    m = SimilarityMatrix(np.array([[-3.0, -1.0], [0.0, -2.0]]))
     out = normalize_minmax(m).values
     assert out.min() == 0.0 and out.max() == 1.0
     assert np.allclose(out, [[0.0, 2 / 3], [1.0, 1 / 3]])
-    flat = normalize_minmax(SimilarityMatrix(np.full((3, 3), -5.0), "cross"))
+    flat = normalize_minmax(SimilarityMatrix(np.full((3, 3), -5.0)))
     assert np.array_equal(flat.values, np.zeros((3, 3)))
 
 
@@ -151,7 +149,7 @@ def test_normalize_minmax():
 
 def test_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(107)
-    m = SimilarityMatrix(rng.normal(size=(9, 9)).astype(np.float32).astype(np.float64), "cross")
+    m = SimilarityMatrix(rng.normal(size=(9, 9)).astype(np.float32).astype(np.float64))
     p = tmp_path / "m.csm"
     save_binary(m, p)
     back = load_binary(p)
@@ -172,14 +170,14 @@ def test_binary_rejects_truncation(tmp_path):
 
 
 def test_csv_export_reads_back(tmp_path):
-    m = SimilarityMatrix(np.array([[-0.25, 0.0], [-1.5, -0.125]]), "cross")
+    m = SimilarityMatrix(np.array([[-0.25, 0.0], [-1.5, -0.125]]))
     p = tmp_path / "m.csv"
     save_csv(m, p)
     assert np.array_equal(np.loadtxt(p, delimiter=","), m.values)
 
 
 def test_pgm_export_header_and_scaling(tmp_path):
-    m = SimilarityMatrix(np.array([[-1.0, 0.0], [-0.5, -1.0]]), "cross")
+    m = SimilarityMatrix(np.array([[-1.0, 0.0], [-0.5, -1.0]]))
     p = tmp_path / "m.pgm"
     save_pgm(m, p)
     raw = p.read_bytes()

@@ -9,8 +9,8 @@ from dyadsync import tensor as T
 from dyadsync.errors import ConfigError, DimensionError, ParameterError
 from dyadsync.pose_io import SkeletonSequence
 from dyadsync.rng import stream
+from dyadsync.similarity import SimilarityMatrix, normalize_minmax
 from dyadsync.sttf import (
-    AttentionMaps,
     MhsaParams,
     ModelConfig,
     SttfModel,
@@ -173,7 +173,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(layers=-1)
     cfg = ModelConfig()
-    assert (cfg.tokens_spatial, cfg.c_spa, cfg.c_temp, cfg.d_head) == (34, 544, 544, 68)
+    assert (cfg.tokens_spatial, cfg.c_temp, cfg.c_temp // cfg.heads) == (34, 544, 68)
 
 
 def test_param_count_matches_closed_form():
@@ -184,14 +184,14 @@ def test_param_count_matches_closed_form():
         ModelConfig(f=4, num_joints=2, d_joint=8, layers=1, heads=2, dropout=0.0),
     ]:
         model = SttfModel(cfg, seed=1)
-        assert model.param_count() == expected_param_count(cfg)
+        assert model.params.total_size() == expected_param_count(cfg)
 
 
 def test_reference_config_count_and_shape():
     cfg = ModelConfig()
     assert expected_param_count(cfg) == 14_327_731
     model = SttfModel(cfg, seed=0)
-    assert model.param_count() == 14_327_731
+    assert model.params.total_size() == 14_327_731
     seq = SkeletonSequence(frames=np.random.default_rng(1).uniform(0, 1, (81, 2, 17, 2)))
     z = model._spatial_stack(seq.frames[None]).data[0]
     assert z.shape == (81, 544)
@@ -343,25 +343,10 @@ def test_export_attention_normalization_and_person_blocks():
     cfg = small_config(dropout=0.0)
     model = SttfModel(cfg, seed=13)
     maps = export_attention(model, random_seq(np.random.default_rng(38), cfg))
-    normed = maps.normalized()
-    for stack in (normed.spatial, normed.temporal):
+    for stack in (maps.spatial, maps.temporal):
         for lmap in stack.reshape(-1, *stack.shape[-2:]):
-            assert lmap.min() == 0.0 and lmap.max() == 1.0
+            normed = normalize_minmax(SimilarityMatrix(lmap)).values
+            assert normed.min() == 0.0 and normed.max() == 1.0
     J = cfg.num_joints
     block = maps.spatial[0, 0, :J, J:]  # person a attending to person b
     assert block.shape == (J, J)
-
-
-def test_normalized_matches_per_map_loop():
-    rng = np.random.default_rng(39)
-    spatial = rng.uniform(size=(2, 3, 4, 4))
-    spatial[1, 2] = 0.25  # a constant map normalizes to zeros
-    maps = AttentionMaps(spatial, rng.uniform(size=(2, 3, 5, 5)))
-    normed = maps.normalized()
-    for raw, out in ((maps.spatial, normed.spatial), (maps.temporal, normed.temporal)):
-        for l in range(raw.shape[0]):
-            for h in range(raw.shape[1]):
-                m = raw[l, h]
-                lo, hi = m.min(), m.max()
-                want = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
-                assert np.array_equal(out[l, h], want)

@@ -10,7 +10,8 @@ from dyadsync.baselines import correlation_features, dtw_distance
 from dyadsync.errors import ParameterError
 from dyadsync.pose_io import load_dataset, load_keypoint_file, load_manifest
 from dyadsync.similarity import compute_csm
-from dyadsync.synthgen import SynthConfig, generate_dataset, generate_dyad_sequence, generate_sequences
+from dyadsync.synthgen import (IMAGE_SIZE, SynthConfig, generate_dataset, generate_dyad_sequence,
+                               generate_sequences)
 
 
 def test_sync_zero_jitter_is_identity_coupling():
@@ -120,7 +121,7 @@ def test_dataset_round_trips_coordinates_exactly(tmp_path):
     seq = generate_dyad_sequence(cfg, "ModSync", 0)
     clip = load_keypoint_file(tmp_path / "modsync_0000.json")
     assert clip.keypoints.shape == (9, 2, 17, 3) and clip.detected.all()
-    scale = np.array(cfg.image_size, dtype=np.float64)
+    scale = np.array(IMAGE_SIZE, dtype=np.float64)
     assert np.array_equal(clip.keypoints[..., :2], seq.frames * scale)
     assert np.all(clip.keypoints[..., 2] == 1.0)
 

@@ -4,6 +4,10 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +174,7 @@ def test_lr_schedule_exact_values():
 def test_csm_model_param_count_and_shapes():
     cfg = CsmConfig(side=8, hidden=16, dropout=0.0)
     model = CsmModel(cfg, seed=1)
-    assert model.param_count() == expected_param_count(cfg) == 64 * 16 + 16 + 16 * 3 + 3
+    assert model.params.total_size() == expected_param_count(cfg) == 64 * 16 + 16 + 16 * 3 + 3
     out = model.predict_batch(np.zeros((5, 8, 8)))
     assert out.shape == (5, 3)
 
@@ -318,6 +322,52 @@ def test_taped_steps_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert found == 0
+
+
+# One eval forward and one taped step of the full-size model on 2 clips,
+# hashed together with every gradient.  Its (162, 544) x (544, 544)
+# temporal matmuls are far above the size at which OpenBLAS splits a
+# product across threads.
+_FULL_SIZE_STEP = """
+import hashlib
+import os
+import numpy as np
+from dyadsync.rng import stream
+from dyadsync.sttf import ModelConfig, SttfModel
+from dyadsync.tensor import Tape, gradient_of
+from dyadsync.training import cross_entropy_loss
+
+model = SttfModel(ModelConfig(), seed=0)
+frames = np.random.default_rng(3).uniform(size=(2, 81, 2, 17, 2))
+digest = hashlib.sha256(model.predict_batch(frames).tobytes())
+logits = model.forward(frames, tape=Tape(), rng=stream(0, "dropout"))
+grads = gradient_of(cross_entropy_loss(logits, [0, 2]), model.params)
+digest.update(logits.data.tobytes())
+for name in model.params.names():
+    digest.update(grads[name].data.tobytes())
+threads = []
+if os.path.exists("/proc/self/status"):
+    threads = [line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:")]
+print(digest.hexdigest(), *threads)
+"""
+
+
+def test_full_size_step_is_identical_on_one_and_two_blas_threads():
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("a second BLAS thread needs a second CPU")
+    src = str(Path(T.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _FULL_SIZE_STEP], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split())
+    (digest_1, *count_1), (digest_2, *count_2) = runs
+    # where the OS reports it, the second run really had its second BLAS thread
+    assert (count_1, count_2) in ((["1"], ["2"]), ([], []))
+    assert digest_1 == digest_2
 
 
 def test_targets_from_sequences():
