@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParameterError
-from .pose_io import SkeletonSequence
+from .errors import ConfigError, ContractError, DataError
+from .pose_io import CLASS_NAMES, SkeletonSequence
 from .similarity import SimilarityMatrix, compute_csm
 
 FEATURE_METHODS = ("dtw", "corr2d", "crossrec")
+HINGE_REG = 1e-3  # L2 penalty of the linear hinge classifier
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def cross_recurrence_features(csm: SimilarityMatrix, eps: float = None) -> Basel
     if eps is None:
         eps = 0.1 * distances.max()
     elif eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+        raise ConfigError(f"eps must be positive, got {eps}")
     r = distances <= eps
     rr = float(r.mean())
     runs = _diagonal_runs(r)
@@ -181,7 +182,7 @@ def extract_features(seq: SkeletonSequence, method: str) -> BaselineFeatures:
     if method == "crossrec":
         feats = cross_recurrence_features(compute_csm(seq))
         return BaselineFeatures("crossrec", feats.vector, seq.source_id)
-    raise ParameterError(f"unknown baseline method {method!r}; expected one of {FEATURE_METHODS}")
+    raise ConfigError(f"unknown baseline method {method!r}; expected one of {FEATURE_METHODS}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +197,9 @@ def _feature_matrix(features: list) -> np.ndarray:
     return np.stack([f.vector for f in features])
 
 
-def train_linear_hinge(features: list, labels, epochs: int = 300, lr: float = 0.05,
-                       reg: float = 1e-3, num_classes: int = 3) -> LinearClassifier:
-    """One-vs-rest hinge loss with L2 penalty, full-batch gradient descent.
+def train_linear_hinge(features: list, labels, epochs: int = 300,
+                       lr: float = 0.05) -> LinearClassifier:
+    """One-vs-rest hinge loss with L2 penalty HINGE_REG, full-batch gradient descent.
 
     Features are standardized per dimension (stats kept on the
     classifier).  Weights start at zero, so training is deterministic
@@ -208,6 +209,7 @@ def train_linear_hinge(features: list, labels, epochs: int = 300, lr: float = 0.
     y = np.asarray(labels)
     if len(y) != len(x):
         raise ContractError(f"{len(x)} features vs {len(y)} labels")
+    num_classes = len(CLASS_NAMES)
     present = set(np.unique(y).tolist())
     if present != set(range(num_classes)):
         missing = sorted(set(range(num_classes)) - present)
@@ -226,7 +228,7 @@ def train_linear_hinge(features: list, labels, epochs: int = 300, lr: float = 0.
         scores = xs @ w.T + b  # (n, c)
         active = (signs.T * scores < 1.0).astype(np.float64)  # hinge margin violated
         coeff = -(signs.T * active) / n  # d(loss)/d(scores)
-        w -= lr * (coeff.T @ xs + 2.0 * reg * w)
+        w -= lr * (coeff.T @ xs + 2.0 * HINGE_REG * w)
         b -= lr * coeff.sum(axis=0)
 
     digest = hashlib.sha256()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import config_from_dict
 from .csm_branch import CsmConfig, CsmModel
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .sttf import ModelConfig, SttfModel
 
 _KINDS = {"sttf": (SttfModel, ModelConfig), "csm": (CsmModel, CsmConfig)}
@@ -66,12 +66,12 @@ def load_model(path):
     try:
         header = json.loads(raw[8:8 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: bad checkpoint header: {exc}") from None
+        raise DataError(f"{path}: bad checkpoint header: {exc}") from None
     if not isinstance(header, dict):
-        raise ParseError(f"{path}: checkpoint header must be a JSON object")
+        raise DataError(f"{path}: checkpoint header must be a JSON object")
     for key in ("kind", "seed", "config", "manifest"):
         if key not in header:
-            raise ParseError(f"{path}: header missing {key!r}")
+            raise DataError(f"{path}: header missing {key!r}")
     if not isinstance(header["kind"], str) or header["kind"] not in _KINDS:
         raise DataError(f"{path}: unknown model kind {header['kind']!r}")
     model_cls, config_cls = _KINDS[header["kind"]]

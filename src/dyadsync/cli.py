@@ -44,7 +44,8 @@ from .evaluate import (
     save_metrics,
     save_predictions,
 )
-from .pose_io import CLASS_NAMES, TARGET_FRAMES, load_dataset, load_entry, load_manifest
+from .pose_io import (CLASS_NAMES, NUM_JOINTS, TARGET_FRAMES, load_dataset, load_entry,
+                      load_manifest)
 from .similarity import (
     SimilarityMatrix,
     compute_csm,
@@ -90,10 +91,12 @@ def _resolve_seed(flag_value, fallback: int = 0) -> int:
 
 
 def _map_ordered(fn, tasks: list, workers: int) -> list:
-    """Apply fn to tasks, optionally on a pool; results keep input order."""
+    """Apply fn to tasks on at most one process per task and per CPU, or in this
+    process when that comes to one; results keep input order."""
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    if workers == 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
@@ -201,9 +204,18 @@ def _build_model(branch: str, model_config_path, seed: int):
     return model_cls(cfg, seed=seed)
 
 
-def _model_frames(model) -> int:
-    """Frames per clip a model was built for: the transformer's f, else TARGET_FRAMES."""
-    return model.config.f if model_kind(model) == "sttf" else TARGET_FRAMES
+def _model_frames(model, source, error) -> int:
+    """Frames per clip a model was built for: the transformer's f, else TARGET_FRAMES.
+
+    A transformer built for other than NUM_JOINTS joints is refused as
+    ``error``, naming ``source``, the file it came from.
+    """
+    if model_kind(model) != "sttf":
+        return TARGET_FRAMES
+    if model.config.num_joints != NUM_JOINTS:
+        raise error(f"{source}: num_joints is {model.config.num_joints}, but clips "
+                    f"have {NUM_JOINTS} joints per person")
+    return model.config.f
 
 
 def cmd_train(args) -> int:
@@ -211,7 +223,8 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed, fallback=train_cfg.seed)
     train_cfg = dataclasses.replace(train_cfg, seed=seed)
     model = _build_model(args.branch, args.model_config, seed)
-    sequences = load_dataset(args.data, target_f=_model_frames(model))
+    sequences = load_dataset(args.data,
+                             target_f=_model_frames(model, args.model_config, ConfigError))
     history = fit(model, sequences, train_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,12 +238,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_external(path, external: list, manifest_ids: list, exact: bool) -> None:
+def _check_external(path, external: list, manifest_ids: list, ckpt_branches: list) -> None:
     """Refuse an --external CSV whose rows cannot be fused, naming it and the branch.
 
-    Each branch must list manifest ids only, each once, in the order of
-    the file's first branch, or with ``exact`` (a checkpoint supplies the
-    other branches) the manifest's own ids in manifest order.
+    A branch may not take the name of a checkpoint branch or of the fused
+    output. Each branch must list manifest ids only, each once, in the
+    order of the file's first branch, or, next to checkpoint branches,
+    the manifest's own ids in manifest order.
     """
     if not external:
         raise DataError(f"{path}: no prediction rows")
@@ -240,6 +254,9 @@ def _check_external(path, external: list, manifest_ids: list, exact: bool) -> No
     first, first_ids = next(iter(branches.items()))
     known = set(manifest_ids)
     for name, ids in branches.items():
+        if name == "fused" or name in ckpt_branches:
+            owner = "the fused output" if name == "fused" else "a --ckpt branch"
+            raise DataError(f"{path}: branch {name!r} has the name of {owner}")
         unknown = [sid for sid in ids if sid not in known]
         if unknown:
             raise DataError(f"{path}: branch {name!r} predicts unknown sample {unknown[0]!r}")
@@ -247,9 +264,9 @@ def _check_external(path, external: list, manifest_ids: list, exact: bool) -> No
         if repeated:
             raise DataError(f"{path}: branch {name!r} lists sample {repeated[0]!r} "
                             "more than once")
-        if ids != (manifest_ids if exact else first_ids):
+        if ids != (manifest_ids if ckpt_branches else first_ids):
             raise DataError(f"{path}: branch {name!r} must list the samples of "
-                            + ("the manifest" if exact else f"branch {first!r}")
+                            + ("the manifest" if ckpt_branches else f"branch {first!r}")
                             + " in the same order")
 
 
@@ -263,21 +280,23 @@ def cmd_eval(args) -> int:
     if len(heads) > 1:
         raise ConfigError(f"regression source {heads['regress']} cannot be fused with "
                           f"classification source {heads['classify']}")
-    frames = [_model_frames(model) for model in models]
+    frames = [_model_frames(model, path, DataError)
+              for path, model in zip(args.ckpt or [], models)]
+    names = []
+    seen = Counter()
+    for model in models:
+        kind = {"sttf": "tfn", "csm": "csm"}[model_kind(model)]
+        seen[kind] += 1
+        names.append(kind if seen[kind] == 1 else f"{kind}{seen[kind]}")
     # one load per distinct frame count; ids and labels do not depend on it
     datasets = {f: load_dataset(args.data, target_f=f)
                 for f in dict.fromkeys(frames or [TARGET_FRAMES])}
     sequences = next(iter(datasets.values()))
     if args.external:
-        _check_external(args.external, external, [seq.source_id for seq in sequences],
-                        exact=bool(models))
+        _check_external(args.external, external, [seq.source_id for seq in sequences], names)
 
     predictions = []
-    seen: dict = {}
-    for model, f in zip(models, frames):
-        kind = {"sttf": "tfn", "csm": "csm"}[model_kind(model)]
-        seen[kind] = seen.get(kind, 0) + 1
-        name = kind if seen[kind] == 1 else f"{kind}{seen[kind]}"
+    for model, name, f in zip(models, names, frames):
         out = _batched_logits(model, model.prepare_inputs(datasets[f]))
         for seq, row in zip(sequences, out):
             if out.shape[1] == 1:
@@ -380,7 +399,7 @@ def cmd_export_attn(args) -> int:
     model = load_model(args.ckpt)
     if model_kind(model) != "sttf":
         raise ConfigError("attention export needs a transformer checkpoint")
-    sequences = load_dataset(args.data, target_f=model.config.f)
+    sequences = load_dataset(args.data, target_f=_model_frames(model, args.ckpt, DataError))
     if not 0 <= args.index < len(sequences):
         raise ConfigError(f"--index {args.index} outside dataset of {len(sequences)}")
     seq = sequences[args.index]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ContractError
 from .similarity import compute_csm, normalize_minmax, resize_nearest
 from .tensor import ParamStore, Tensor
 
@@ -57,9 +57,7 @@ class CsmModel:
         cfg = self.config
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3 or images.shape[1:] != (cfg.side, cfg.side):
-            raise DimensionError(
-                f"expected (B, {cfg.side}, {cfg.side}) images, got {images.shape}"
-            )
+            raise ContractError(f"expected (B, {cfg.side}, {cfg.side}) images, got {images.shape}")
         p = self.params.tracked(tape)
         x = Tensor(images.reshape(len(images), cfg.side * cfg.side))
         h = T.gelu(T.linear_apply(x, p["w1"], p["b1"]))

@@ -1,7 +1,13 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: one class per exit code.
 
-The CLI maps these onto exit codes (see cli.py): configuration problems
-exit 2, data problems exit 3, violated internal contracts exit 4.
+``cli.main`` maps each class onto the exit code it documents:
+
+- ``DyadsyncError``, exit 4: base class of the other four
+- ``ConfigError``, exit 2: a model/training/CLI setting or argument is unusable
+- ``DataError``, exit 3: a clip, manifest, checkpoint or predictions file is
+  malformed, ambiguous or out of range
+- ``ContractError``, exit 4: a caller broke an internal contract
+- ``NumericalError``, exit 4: a value went non-finite
 """
 
 
@@ -10,31 +16,15 @@ class DyadsyncError(Exception):
 
 
 class ConfigError(DyadsyncError):
-    """A model/training/CLI configuration is unusable."""
-
-
-class ParameterError(ConfigError):
-    """A function argument lies outside its documented domain."""
+    """A configuration or argument lies outside its documented domain."""
 
 
 class DataError(DyadsyncError):
-    """Input data violates a documented precondition (empty, out of range...)."""
-
-
-class ParseError(DataError):
-    """A keypoint or manifest file does not match the expected schema."""
-
-
-class AmbiguityError(DataError):
-    """Input is structurally valid but has no unique interpretation."""
+    """Input data is malformed, ambiguous or violates a documented precondition."""
 
 
 class ContractError(DyadsyncError):
-    """An internal API contract was violated by the caller."""
-
-
-class DimensionError(ContractError):
-    """Operand shapes are incompatible."""
+    """An internal API contract was violated by the caller (e.g. operand shapes)."""
 
 
 class NumericalError(DyadsyncError):

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DataError, ParseError
+from .errors import ContractError, DataError
 from .pose_io import ALPHA, BETA, CLASS_NAMES
 
 
@@ -180,26 +180,26 @@ def save_predictions(preds: list, path) -> None:
 
 
 def load_predictions(path) -> list:
-    """Rows of a ``save_predictions`` CSV; a malformed or non-finite value is a ParseError."""
+    """Rows of a ``save_predictions`` CSV; a malformed or non-finite value is a DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
     lines = path.read_text().strip().split("\n")
     if not lines or lines[0] not in ("source_id,branch,p0,p1,p2", "source_id,branch,score"):
-        raise ParseError(f"{path}: unrecognized predictions header")
+        raise DataError(f"{path}: unrecognized predictions header")
     is_logits = lines[0].endswith("p2")
     out = []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         want = 5 if is_logits else 3
         if len(parts) != want:
-            raise ParseError(f"{path}:{ln}: expected {want} fields, got {len(parts)}")
+            raise DataError(f"{path}:{ln}: expected {want} fields, got {len(parts)}")
         try:
             values = np.array([float(v) for v in parts[2:]])
         except ValueError as exc:
-            raise ParseError(f"{path}:{ln}: {exc}") from None
+            raise DataError(f"{path}:{ln}: {exc}") from None
         if not np.isfinite(values).all():
-            raise ParseError(f"{path}:{ln}: prediction values must be finite, got {parts[2:]}")
+            raise DataError(f"{path}:{ln}: prediction values must be finite, got {parts[2:]}")
         if is_logits:
             out.append(BranchPrediction(parts[1], parts[0], logits=values))
         else:

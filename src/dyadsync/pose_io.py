@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguityError, DataError, ParameterError, ParseError
+from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -85,22 +85,20 @@ def _parse_person(entry, where: str, keypoints: np.ndarray, detected: np.ndarray
         pid = entry["id"]
         kp = entry["keypoints"]
     except (TypeError, KeyError) as exc:
-        raise ParseError(f"{where}: person record missing {exc}") from None
+        raise DataError(f"{where}: person record missing {exc}") from None
     if pid not in (0, 1):
-        raise ParseError(f"{where}: person id must be 0 or 1, got {pid!r}")
+        raise DataError(f"{where}: person id must be 0 or 1, got {pid!r}")
     try:
         joints = np.asarray(kp, dtype=np.float64)
     except (TypeError, ValueError):
-        raise ParseError(f"{where}: keypoints are not a numeric array") from None
+        raise DataError(f"{where}: keypoints are not a numeric array") from None
     if joints.shape != (NUM_JOINTS, 3):
-        raise ParseError(
-            f"{where}: expected {NUM_JOINTS}x3 keypoints, got shape {joints.shape}"
-        )
+        raise DataError(f"{where}: expected {NUM_JOINTS}x3 keypoints, got shape {joints.shape}")
     if not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all():
-        raise ParseError(f"{where}: non-finite coordinate or confidence outside [0, 1]")
+        raise DataError(f"{where}: non-finite coordinate or confidence outside [0, 1]")
     slot = int(pid)  # a JSON true or 1.0 names person 1, as it always has
     if detected[slot]:
-        raise ParseError(f"{where}: duplicate person id {pid}")
+        raise DataError(f"{where}: duplicate person id {pid}")
     keypoints[slot] = joints
     detected[slot] = True
 
@@ -123,16 +121,16 @@ def load_keypoint_file(path) -> KeypointClip:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
-        raise ParseError(f"{path}: expected an object with a 'frames' list")
+        raise DataError(f"{path}: expected an object with a 'frames' list")
     try:
         width, height = doc["image_size"]
         image_size = (int(width), int(height))
     except (KeyError, TypeError, ValueError):
-        raise ParseError(f"{path}: missing or malformed 'image_size'") from None
+        raise DataError(f"{path}: missing or malformed 'image_size'") from None
     if min(image_size) <= 0:
-        raise ParseError(f"{path}: non-positive image_size {image_size}")
+        raise DataError(f"{path}: non-positive image_size {image_size}")
 
     records = doc["frames"]
     keypoints = np.zeros((len(records), 2, NUM_JOINTS, 3))
@@ -144,12 +142,10 @@ def load_keypoint_file(path) -> KeypointClip:
             persons = record["persons"]
             count = len(persons)
         except (TypeError, KeyError, ValueError):
-            raise ParseError(f"{path}: malformed frame record {record!r}") from None
+            raise DataError(f"{path}: malformed frame record {record!r}") from None
         where = f"{path}: frame {frame_index}"
         if count > 2:
-            raise AmbiguityError(
-                f"{where}: {count} persons present; dyad selection is upstream"
-            )
+            raise DataError(f"{where}: {count} persons present; dyad selection is upstream")
         for entry in persons:
             _parse_person(entry, where, keypoints[t], detected[t])
         indices.append(frame_index)
@@ -165,7 +161,7 @@ def resample_indices(n: int, target_f: int) -> np.ndarray:
     round-half-to-even, matching numpy.
     """
     if target_f < 1:
-        raise ParameterError(f"target_f must be >= 1, got {target_f}")
+        raise ConfigError(f"target_f must be >= 1, got {target_f}")
     if n < 1:
         raise DataError("no valid frames to resample")
     if target_f == 1:
@@ -189,9 +185,9 @@ def preprocess(
     ``clamped`` tally (and triggers one summary log line).
     """
     if label_class is not None and label_class not in CLASS_NAMES:
-        raise ParameterError(f"unknown class label {label_class!r}; expected one of {CLASS_NAMES}")
+        raise ConfigError(f"unknown class label {label_class!r}; expected one of {CLASS_NAMES}")
     if label_score is not None and not SCORE_RANGE[0] <= label_score <= SCORE_RANGE[1]:
-        raise ParameterError(f"score {label_score} outside {SCORE_RANGE}")
+        raise ConfigError(f"score {label_score} outside {SCORE_RANGE}")
     valid = clip.keypoints[clip.detected.all(axis=1)]
     if not len(valid):
         raise DataError("no valid frames")
@@ -236,32 +232,32 @@ def load_manifest(path) -> list:
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, list):
-        raise ParseError(f"{path}: manifest must be a JSON list")
+        raise DataError(f"{path}: manifest must be a JSON list")
     entries = []
     first_of: dict = {}  # source id -> index of the entry that claimed it
     for i, rec in enumerate(doc):
         if not isinstance(rec, dict) or "path" not in rec:
-            raise ParseError(f"{path}: entry {i} must be an object with a 'path'")
+            raise DataError(f"{path}: entry {i} must be an object with a 'path'")
         if not isinstance(rec["path"], str):
-            raise ParseError(f"{path}: entry {i} path {rec['path']!r} is not a string")
+            raise DataError(f"{path}: entry {i} path {rec['path']!r} is not a string")
         cls = rec.get("label_class")
         if cls is not None and cls not in CLASS_NAMES:
-            raise ParseError(f"{path}: entry {i} has unknown class {cls!r}")
+            raise DataError(f"{path}: entry {i} has unknown class {cls!r}")
         score = rec.get("label_score")
         if score is not None:
             if type(score) not in (int, float):  # JSON numbers only: no bool, no string
-                raise ParseError(f"{path}: entry {i} score {score!r} is not a number")
+                raise DataError(f"{path}: entry {i} score {score!r} is not a number")
             if not SCORE_RANGE[0] <= score <= SCORE_RANGE[1]:
-                raise ParseError(f"{path}: entry {i} score {score} outside {SCORE_RANGE}")
+                raise DataError(f"{path}: entry {i} score {score} outside {SCORE_RANGE}")
             score = float(score)
         entry_path = Path(rec["path"])
         if not entry_path.is_absolute():
             entry_path = path.parent / entry_path
         first = first_of.setdefault(entry_path.stem, i)
         if first != i:
-            raise ParseError(f"{path}: entries {first} and {i} share the source id "
+            raise DataError(f"{path}: entries {first} and {i} share the source id "
                              f"{entry_path.stem!r}")
         entries.append(ManifestEntry(entry_path, cls, score))
     return entries

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import ConfigError, DataError
 from .pose_io import SkeletonSequence
 
 IMAGE_SIDE = 224
@@ -65,7 +65,7 @@ def resize_nearest(m: SimilarityMatrix, target: int = IMAGE_SIDE) -> SimilarityM
     out[i][j] = src[floor(i*s/target)][floor(j*s/target)]
     """
     if target <= 0:
-        raise ParameterError(f"target side must be positive, got {target}")
+        raise ConfigError(f"target side must be positive, got {target}")
     src = m.values
     rows = (np.arange(target) * src.shape[0]) // target
     cols = (np.arange(target) * src.shape[1]) // target

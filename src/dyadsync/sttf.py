@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, ContractError
 from .pose_io import SkeletonSequence
 from .tensor import ParamStore, Tensor
 
@@ -108,11 +108,11 @@ def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, rng=None):
     """
     q, k, v = T._wrap(q), T._wrap(k), T._wrap(v)
     if q.shape != k.shape:
-        raise DimensionError(f"Q {q.shape} and K {k.shape} must match")
+        raise ContractError(f"Q {q.shape} and K {k.shape} must match")
     if q.data.ndim < 2:
-        raise DimensionError("attention operands need ndim >= 2")
+        raise ContractError("attention operands need ndim >= 2")
     if v.shape[:-1] != k.shape[:-1]:
-        raise DimensionError(f"V {v.shape} does not align with K {k.shape}")
+        raise ContractError(f"V {v.shape} does not align with K {k.shape}")
     d = q.shape[-1]
     axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
     weights = T.softmax_rows(T.matmul(q, T.transpose(k, axes)), 1.0 / math.sqrt(d))
@@ -133,7 +133,7 @@ def mhsa(x, params: MhsaParams, heads: int, *, attn_dropout=0.0, rng=None,
     x = T._wrap(x)
     n, d = x.shape[-2], x.shape[-1]
     if d % heads:
-        raise ParameterError(f"heads ({heads}) must divide model dim ({d})")
+        raise ConfigError(f"heads ({heads}) must divide model dim ({d})")
     dh = d // heads
     lead = x.shape[:-2]
     nl = len(lead)
@@ -222,7 +222,7 @@ class SttfModel:
         """(B, f, 2, J, 2) pose batch -> (B, f, c_temp) frame vectors."""
         cfg = self.config
         if frames.ndim != 5 or frames.shape[2:] != (2, cfg.num_joints, 2):
-            raise DimensionError(f"expected (B, f, 2, {cfg.num_joints}, 2) poses, got {frames.shape}")
+            raise ContractError(f"expected (B, f, 2, {cfg.num_joints}, 2) poses, got {frames.shape}")
         if frames.shape[1] != cfg.f:
             raise ConfigError(f"sequence has {frames.shape[1]} frames, model expects {cfg.f}")
         batch = frames.shape[0]
@@ -240,7 +240,7 @@ class SttfModel:
         """(B, f, c_temp) -> (B, f, c_temp) after the frame-attention stack."""
         cfg = self.config
         if z.shape[-2:] != (cfg.f, cfg.c_temp):
-            raise DimensionError(f"expected (..., {cfg.f}, {cfg.c_temp}), got {z.shape}")
+            raise ContractError(f"expected (..., {cfg.f}, {cfg.c_temp}), got {z.shape}")
         p = self.params.tracked(tape)
         y = z + p["temporal.pos"]
         y = T.dropout_apply(y, cfg.dropout, rng)

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError
 from .pose_io import ALPHA, BETA, CLASS_NAMES, NUM_JOINTS, SCORE_RANGE, SkeletonSequence
 from .rng import stream
 
@@ -62,11 +62,11 @@ class SynthConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise ParameterError(f"jitter must be finite and >= 0, got {self.jitter}")
+            raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not math.isfinite(self.amp_mismatch):
-            raise ParameterError(f"amp_mismatch must be finite, got {self.amp_mismatch}")
+            raise ConfigError(f"amp_mismatch must be finite, got {self.amp_mismatch}")
         if not 0 <= self.lag < self.f:
-            raise ParameterError(f"lag must lie in [0, f), got {self.lag}")
+            raise ConfigError(f"lag must lie in [0, f), got {self.lag}")
 
 
 def _draw_motion(rng):
@@ -88,7 +88,7 @@ def _evaluate(motion, t, f, amp_scale=1.0):
 def generate_dyad_sequence(cfg: SynthConfig, klass: str, index: int = 0) -> SkeletonSequence:
     """One labeled sequence of cfg.f frames, coordinates in [0, 1]."""
     if klass not in CLASS_NAMES:
-        raise ParameterError(f"unknown class {klass!r}; expected one of {CLASS_NAMES}")
+        raise ConfigError(f"unknown class {klass!r}; expected one of {CLASS_NAMES}")
     rng = stream(cfg.seed, f"synth/{klass}/{index}")
     motion = _draw_motion(rng)
     t = np.arange(cfg.f)
@@ -120,7 +120,7 @@ def generate_sequences(cfg: SynthConfig, n_per_class: int, start_index: int = 0)
     never holds the whole set.
     """
     if n_per_class < 1:
-        raise ParameterError(f"n_per_class must be >= 1, got {n_per_class}")
+        raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     return (
         generate_dyad_sequence(cfg, klass, index)
         for klass in CLASS_NAMES

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericalError, ParameterError
+from .errors import ConfigError, ContractError, NumericalError
 from .rng import stream
 
 
@@ -315,9 +315,9 @@ def matmul(a, b) -> Tensor:
     """
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
+        raise ContractError(f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(f"cannot contract {a.shape} with {b.shape}")
+        raise ContractError(f"cannot contract {a.shape} with {b.shape}")
     ad, bd = a.data, b.data
 
     def backward(g):
@@ -386,13 +386,9 @@ def linear_apply(x, weight, bias) -> Tensor:
     """Affine map ``x @ weight + bias`` over the trailing axis of ``x``."""
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if x.data.shape[-1] != weight.data.shape[-2]:
-        raise DimensionError(
-            f"linear_apply: input {x.shape} does not match weight {weight.shape}"
-        )
+        raise ContractError(f"linear_apply: input {x.shape} does not match weight {weight.shape}")
     if bias.data.shape != weight.data.shape[-1:]:
-        raise DimensionError(
-            f"linear_apply: bias {bias.shape} does not match weight {weight.shape}"
-        )
+        raise ContractError(f"linear_apply: bias {bias.shape} does not match weight {weight.shape}")
     return add(matmul(x, weight), bias)
 
 
@@ -433,6 +429,7 @@ def log_softmax(x) -> Tensor:
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+LAYER_NORM_EPS = 1e-5
 
 
 def gelu(x) -> Tensor:
@@ -460,14 +457,14 @@ def gelu(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, shift) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     x, gain, shift = _wrap(x), _wrap(gain), _wrap(shift)
     v = x.data
     mu = v.mean(axis=-1, keepdims=True)
     centered = v - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     gd, gain_shape, shift_shape = gain.data, gain.data.shape, shift.data.shape
 
@@ -493,7 +490,7 @@ def dropout_apply(x, rate: float, rng=None) -> Tensor:
     rate 0 the input tensor is returned unchanged, bit for bit.
     """
     if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must lie in [0, 1), got {rate}")
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     x = _wrap(x)
     if rng is None or rate == 0.0:
         return x
@@ -531,7 +528,10 @@ def gradient_of(loss: Tensor, params: ParamStore) -> dict:
     return out
 
 
-def check_gradients(f, point: ParamStore, eps: float = 1e-5) -> float:
+GRADCHECK_STEP = 1e-5  # central-difference step
+
+
+def check_gradients(f, point: ParamStore) -> float:
     """Max relative error between analytic gradients and central differences.
 
     ``f(params, tape)`` must return a scalar tensor and be deterministic
@@ -550,17 +550,17 @@ def check_gradients(f, point: ParamStore, eps: float = 1e-5) -> float:
         for idx in range(base.size):
             orig = base.flat[idx]
             shifted = base.copy()
-            shifted.flat[idx] = orig + eps
+            shifted.flat[idx] = orig + GRADCHECK_STEP
             point.replace(name, shifted)
             up = f(point, None).item()
             shifted = base.copy()
-            shifted.flat[idx] = orig - eps
+            shifted.flat[idx] = orig - GRADCHECK_STEP
             point.replace(name, shifted)
             down = f(point, None).item()
             point.replace(name, base)
             if not (math.isfinite(up) and math.isfinite(down)):
                 raise NumericalError(f"non-finite evaluation while perturbing {name!r}")
-            numeric = (up - down) / (2.0 * eps)
+            numeric = (up - down) / (2.0 * GRADCHECK_STEP)
             if not math.isfinite(flat_analytic[idx]):
                 raise NumericalError(f"non-finite analytic gradient for {name!r}")
             err = abs(flat_analytic[idx] - numeric) / max(1.0, abs(numeric))

@@ -80,14 +80,16 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params: ParamStore) -> "AdamState":
@@ -100,15 +102,15 @@ class AdamState:
 def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> AdamState:
     """One Adam update in place: moments, bias correction, parameter move."""
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for name, value in params.items():
         g = grads[name].data
         if g.shape != value.shape:
             raise ContractError(f"gradient shape {g.shape} != parameter {name!r} {value.shape}")
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         params.replace(name, value.data - step)
     return state
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dyadsync.baselines import (
+    HINGE_REG,
     BaselineFeatures,
     _diagonal_runs,
     correlation_features,
@@ -22,7 +23,7 @@ from dyadsync.baselines import (
     save_features,
     train_linear_hinge,
 )
-from dyadsync.errors import ContractError, DataError, ParameterError
+from dyadsync.errors import ConfigError, ContractError, DataError
 from dyadsync.pose_io import SkeletonSequence
 from dyadsync.similarity import SimilarityMatrix, compute_csm
 
@@ -320,7 +321,7 @@ def test_crossrec_matches_run_loop_oracle():
 
 def test_crossrec_eps_validation_and_default():
     m = SimilarityMatrix(np.array([[-1.0, -0.05], [-0.05, -1.0]]))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="eps must be positive"):
         cross_recurrence_features(m, eps=0.0)
     # default eps = 10% of max distance = 0.1; the -0.05 entries recur
     assert cross_recurrence_features(m).vector[0] == 0.5
@@ -334,7 +335,7 @@ def test_extract_features_dispatch():
     crossrec = extract_features(seq, "crossrec")
     assert crossrec.vector.shape == (3,)
     assert crossrec.source_id == "q"
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="unknown baseline method 'wavelets'"):
         extract_features(seq, "wavelets")
 
 
@@ -343,13 +344,13 @@ def test_extract_features_dispatch():
 # ---------------------------------------------------------------------------
 
 
-def hinge_objective(clf, features, labels, reg=1e-3):
+def hinge_objective(clf, features, labels):
     """The value train_linear_hinge descends: mean hinge + L2 penalty."""
     scores = linear_scores(clf, features)
     y = np.asarray(labels)
     signs = np.where(y[None, :] == np.arange(len(clf.bias))[:, None], 1.0, -1.0)
     hinge = np.maximum(0.0, 1.0 - signs.T * scores).sum(axis=1).mean()
-    return float(hinge + reg * (clf.weights**2).sum())
+    return float(hinge + HINGE_REG * (clf.weights**2).sum())
 
 
 def toy_features(rng, n_per_class=10, spread=0.3):

@@ -3,7 +3,7 @@ import pytest
 
 from dyadsync.checkpoint import load_model, model_kind, save_model
 from dyadsync.csm_branch import CsmConfig, CsmModel
-from dyadsync.errors import DataError, ParseError
+from dyadsync.errors import DataError
 from dyadsync.sttf import ModelConfig, SttfModel
 
 SMALL = ModelConfig(f=4, num_joints=2, d_joint=4, layers=1, heads=2, dropout=0.0)
@@ -85,7 +85,7 @@ def test_rejects_corrupt_files(tmp_path):
 
     garbage = b"{not json"
     (tmp_path / "badjson.bin").write_bytes(struct.pack("<Q", len(garbage)) + garbage)
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="bad checkpoint header"):
         load_model(tmp_path / "badjson.bin")
 
     with pytest.raises(DataError):
@@ -157,7 +157,7 @@ def test_header_that_is_not_an_object_is_parse_error(tmp_path):
     blob = json.dumps(["kind", "seed", "config", "manifest"]).encode()
     path = tmp_path / "list.bin"
     path.write_bytes(struct.pack("<Q", len(blob)) + blob)
-    with pytest.raises(ParseError, match="list.bin"):
+    with pytest.raises(DataError, match="list.bin"):
         load_model(path)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dyadsync import cli, errors
 from dyadsync.checkpoint import save_model
 from dyadsync.cli import build_parser, main
 from dyadsync.csm_branch import CsmConfig, CsmModel
@@ -154,6 +156,39 @@ def test_worker_pool_preserves_artifacts(tmp_path):
     assert run("preprocess", "--data", str(manifest), "--out", str(pooled),
                "--workers", "3") == 0
     assert dir_bytes(serial) == dir_bytes(pooled)
+
+
+def test_worker_pool_is_capped_by_clips_and_cpus(tmp_path, monkeypatch):
+    # a stand-in pool records its size and maps in this process: nothing is forked
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    manifest = make_dataset(tmp_path, per_class=1)  # 3 clips
+    serial = tmp_path / "serial"
+    assert run("preprocess", "--data", str(manifest), "--out", str(serial)) == 0
+    for cpus, want in [(4, [3]), (2, [2]), (1, []), (None, [])]:
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run("preprocess", "--data", str(manifest), "--out", str(out),
+                   "--workers", "8") == 0
+        assert sizes == want, cpus
+        assert dir_bytes(out) == dir_bytes(serial)
+    assert run("preprocess", "--data", str(manifest), "--out", str(tmp_path / "zero"),
+               "--workers", "0") == 2
 
 
 def test_csm_binary_artifacts(tmp_path):
@@ -333,6 +368,31 @@ def test_eval_external_repeated_id_is_data_error(tmp_path, capsys):
     assert run("eval", "--external", str(ext), "--data", str(manifest), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert str(ext) in err and "branch 'flow'" in err and repr(ids[0]) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ckpts, branch", [
+    (["tfn"], "tfn"),
+    (["tfn", "csm"], "tfn"),
+    (["csm"], "fused"),
+], ids=["ckpt-name", "ckpt-name-beside-csm", "fused"])
+def test_eval_external_branch_with_a_taken_name_is_data_error(tmp_path, capsys, ckpts,
+                                                              branch):
+    manifest = make_dataset(tmp_path, per_class=2, frames=40)
+    ids = [e.path.stem for e in load_manifest(manifest)]
+    models = {"tfn": SttfModel(ModelConfig(f=12, d_joint=2, layers=1, heads=1), seed=1),
+              "csm": CsmModel(CsmConfig(), seed=1)}
+    sources = []
+    for name in ckpts:
+        sources += ["--ckpt", save_untrained(tmp_path, name, models[name])]
+    ext = tmp_path / "ext.csv"
+    ext.write_text("source_id,branch,p0,p1,p2\n" + external_rows(ids, branch))
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", *sources, "--external", str(ext), "--data", str(manifest),
+               "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(ext) in err and f"branch {branch!r}" in err
     assert not out.exists()
 
 
@@ -607,6 +667,26 @@ def test_bad_model_config_is_config_error(tmp_path, capsys, branch, content):
     assert "mc.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "export-attn"])
+def test_transformer_with_other_joint_count_names_its_file(tmp_path, capsys, command):
+    # clips have 17 joints per person; a 5-joint transformer cannot take them
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    config = {"f": 12, "num_joints": 5, "d_joint": 4, "layers": 1, "heads": 2}
+    out = tmp_path / "out"
+    if command == "train":
+        source = tmp_path / "mc.json"
+        source.write_text(json.dumps(config))
+        argv, code = ["train", "--model-config", str(source)], 2
+    else:
+        source = save_untrained(tmp_path, "joints5", SttfModel(ModelConfig(**config), seed=1))
+        argv, code = [command, "--ckpt", source], 3
+    capsys.readouterr()
+    assert run(*argv, "--data", str(manifest), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert str(source) in err and "num_joints is 5" in err
+    assert not out.exists()
+
+
 def test_bad_checkpoint_config_is_data_error(tmp_path, capsys):
     import struct
 
@@ -633,6 +713,26 @@ def test_diverging_train_writes_no_checkpoint(tmp_path, capsys):
     assert code == 4
     assert "loss is nan" in capsys.readouterr().err
     assert not (out / "model.bin").exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (errors.DyadsyncError, 4, "internal"),
+    (errors.ConfigError, 2, "config"),
+    (errors.DataError, 3, "data"),
+    (errors.ContractError, 4, "internal"),
+    (errors.NumericalError, 4, "internal"),
+])
+def test_each_error_class_has_its_exit_code(monkeypatch, capsys, error, code, prefix):
+    assert {name for name, value in vars(errors).items() if isinstance(value, type)} == {
+        "DyadsyncError", "ConfigError", "DataError", "ContractError", "NumericalError"}
+
+    def failing_suite(seed):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_gradcheck_suite", failing_suite)
+    capsys.readouterr()
+    assert run("gradcheck") == code
+    assert capsys.readouterr().err == f"error ({prefix}): boom\n"
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadsync.errors import ContractError, DataError, ParseError
+from dyadsync.errors import ContractError, DataError
 from dyadsync.evaluate import (
     BranchPrediction,
     ConfusionMatrix,
@@ -292,10 +292,10 @@ def test_predictions_csv_roundtrip_scores(tmp_path):
 def test_predictions_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("who,knows\n1,2\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="unrecognized predictions header"):
         load_predictions(path)
     path.write_text("source_id,branch,score\na,b,not-a-number\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match=r"bad\.csv:2: could not convert"):
         load_predictions(path)
     with pytest.raises(DataError):
         load_predictions(tmp_path / "missing.csv")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadsync import pose_io
-from dyadsync.errors import AmbiguityError, DataError, ParameterError, ParseError
+from dyadsync.errors import ConfigError, DataError
 from dyadsync.pose_io import (
     NUM_JOINTS,
     KeypointClip,
@@ -106,7 +106,7 @@ def test_load_three_persons_is_ambiguous(tmp_path):
     }
     p = tmp_path / "crowd.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(AmbiguityError, match="frame 4"):
+    with pytest.raises(DataError, match="frame 4"):
         load_keypoint_file(p)
 
 
@@ -117,7 +117,7 @@ def test_load_malformed_records_name_the_frame(tmp_path):
     }
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad_kp))
-    with pytest.raises(ParseError, match="frame 7"):
+    with pytest.raises(DataError, match="frame 7"):
         load_keypoint_file(p)
 
     bad_conf = {
@@ -125,7 +125,7 @@ def test_load_malformed_records_name_the_frame(tmp_path):
         "frames": [{"index": 9, "persons": [{"id": 1, "keypoints": [[1, 2, 1.5]] * 17}]}],
     }
     p.write_text(json.dumps(bad_conf))
-    with pytest.raises(ParseError, match="frame 9"):
+    with pytest.raises(DataError, match="frame 9"):
         load_keypoint_file(p)
 
     bad_type = {
@@ -133,7 +133,7 @@ def test_load_malformed_records_name_the_frame(tmp_path):
         "frames": [{"index": 5, "persons": [{"id": 0, "keypoints": [["x", 2, 0.5]] * 17}]}],
     }
     p.write_text(json.dumps(bad_type))
-    with pytest.raises(ParseError, match="frame 5"):
+    with pytest.raises(DataError, match="frame 5"):
         load_keypoint_file(p)
 
 
@@ -146,10 +146,10 @@ def test_load_rejects_duplicate_ids_and_bad_json(tmp_path):
     }
     p = tmp_path / "dup.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(DataError, match="duplicate"):
         load_keypoint_file(p)
     p.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="invalid JSON"):
         load_keypoint_file(p)
     with pytest.raises(DataError):
         load_keypoint_file(tmp_path / "nope.json")
@@ -162,7 +162,7 @@ def test_load_rejects_duplicate_ids_and_bad_json(tmp_path):
 def test_load_refuses_records_that_are_not_lists(tmp_path, frames, message):
     p = tmp_path / "odd.json"
     p.write_text(json.dumps({"image_size": [320, 240], "frames": frames}))
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(DataError, match=message):
         load_keypoint_file(p)
 
 
@@ -208,7 +208,7 @@ def test_resample_matches_index_formula_for_random_lengths():
 def test_resample_edge_cases():
     with pytest.raises(DataError):
         resample_indices(0, 81)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="target_f must be >= 1, got 0"):
         resample_indices(1, 0)
     assert resample_indices(1, 81).tolist() == [0] * 81  # single frame duplicated
     assert resample_indices(7, 1).tolist() == [0]
@@ -282,9 +282,9 @@ def test_preprocess_is_idempotent():
 def test_preprocess_validates_labels_and_rejects_all_invalid():
     with pytest.raises(DataError, match="no valid frames"):
         preprocess(make_clip([[0, 1]]))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="unknown class label 'Chaos'"):
         preprocess(make_clip([[1, 1]]), label_class="Chaos")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match=r"score 11\.0 outside"):
         preprocess(make_clip([[1, 1]]), label_score=11.0)
     seq = preprocess(make_clip([[1, 1]]), label_class="Sync", label_score=9.0)
     assert seq.label_class == "Sync" and seq.label_score == 9.0
@@ -372,21 +372,21 @@ def test_manifest_roundtrip_and_relative_paths(tmp_path):
 def test_manifest_validation(tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"path": "x"}))
-    with pytest.raises(ParseError, match="list"):
+    with pytest.raises(DataError, match="list"):
         load_manifest(m)
     m.write_text(json.dumps([{"label_class": "Sync"}]))
-    with pytest.raises(ParseError, match="path"):
+    with pytest.raises(DataError, match="path"):
         load_manifest(m)
     m.write_text(json.dumps([{"path": "x", "label_class": "Wild"}]))
-    with pytest.raises(ParseError, match="Wild"):
+    with pytest.raises(DataError, match="Wild"):
         load_manifest(m)
     # one stem names every artifact of a clip, so it may appear only once
     m.write_text(json.dumps([{"path": "a/x.json"}, {"path": "y.json"},
                              {"path": str(tmp_path / "a" / "x.json")}]))
-    with pytest.raises(ParseError, match="entries 0 and 2 share the source id 'x'"):
+    with pytest.raises(DataError, match="entries 0 and 2 share the source id 'x'"):
         load_manifest(m)
     m.write_text(json.dumps([{"path": "x", "label_score": -2}]))
-    with pytest.raises(ParseError, match="score"):
+    with pytest.raises(DataError, match="score"):
         load_manifest(m)
     with pytest.raises(DataError):
         load_manifest(tmp_path / "absent.json")
@@ -398,5 +398,5 @@ def test_manifest_validation(tmp_path):
 def test_manifest_entry_types_name_the_entry(tmp_path, entry):
     m = tmp_path / "m.json"
     m.write_text(json.dumps([{"path": "ok.json"}, entry]))
-    with pytest.raises(ParseError, match=r"m\.json: entry 1 "):
+    with pytest.raises(DataError, match=r"m\.json: entry 1 "):
         load_manifest(m)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dyadsync.errors import DataError, ParameterError
+from dyadsync.errors import ConfigError, DataError
 from dyadsync.pose_io import SkeletonSequence
 from dyadsync.similarity import (
     SimilarityMatrix,
@@ -122,7 +122,7 @@ def test_resize_identity_and_membership():
     big = resize_nearest(m, 224).values
     assert big.shape == (224, 224)
     assert np.isin(big, src).all()  # no interpolation arithmetic, values replicated
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="target side must be positive"):
         resize_nearest(m, 0)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dyadsync import tensor as T
-from dyadsync.errors import ConfigError, DimensionError, ParameterError
+from dyadsync.errors import ConfigError, ContractError
 from dyadsync.pose_io import SkeletonSequence
 from dyadsync.rng import stream
 from dyadsync.similarity import SimilarityMatrix, normalize_minmax
@@ -99,9 +99,9 @@ def test_attention_scaling_invariance():
 
 
 def test_attention_shape_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match=r"Q \(3, 4\) and K \(2, 4\) must match"):
         scaled_dot_product_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match=r"V \(2, 4\) does not align with K \(3, 4\)"):
         scaled_dot_product_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))))
 
 
@@ -145,7 +145,7 @@ def test_mhsa_shape_law_and_head_validation():
     for n, d, h in [(3, 6, 1), (4, 6, 2), (2, 6, 3), (5, 8, 4)]:
         x = Tensor(rng.normal(size=(n, d)))
         assert mhsa(x, random_mhsa_params(rng, d), h).shape == (n, d)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match=r"heads \(4\) must divide model dim \(6\)"):
         mhsa(Tensor(rng.normal(size=(3, 6))), random_mhsa_params(rng, 6), 4)
 
 
@@ -263,7 +263,7 @@ def test_temporal_empty_stack_is_position_add():
 
 def test_temporal_rejects_bad_shapes():
     model = SttfModel(small_config(), seed=0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match=r"expected \(\.\.\., \d+, \d+\), got \(3, 7\)"):
         model._temporal_stack(Tensor(np.zeros((3, 7))))
 
 

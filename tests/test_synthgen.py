@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dyadsync.baselines import correlation_features, dtw_distance
-from dyadsync.errors import ParameterError
+from dyadsync.errors import ConfigError
 from dyadsync.pose_io import load_dataset, load_keypoint_file, load_manifest
 from dyadsync.similarity import compute_csm
 from dyadsync.synthgen import (IMAGE_SIZE, SynthConfig, generate_dataset, generate_dyad_sequence,
@@ -80,13 +80,13 @@ def test_dtw_separability_ordering_small_sample():
 
 
 def test_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="jitter must be finite and >= 0"):
         SynthConfig(jitter=-0.1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match=r"lag must lie in \[0, f\)"):
         SynthConfig(f=10, lag=10)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="unknown class 'Mystery'"):
         generate_dyad_sequence(SynthConfig(), "Mystery")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="n_per_class must be >= 1"):
         generate_sequences(SynthConfig(), 0)
 
 
