@@ -99,12 +99,13 @@ class AttentionMaps:
     temporal: np.ndarray
 
 
-def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, rng=None):
-    """softmax(Q Kᵀ / sqrt(d)) V over the trailing two axes.
+def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, rng=None, keep_weights=False):
+    """softmax(Q Kᵀ / sqrt(d)) V over the trailing two axes, as one tape node.
 
     Returns (output, weights); ``weights`` are the pre-dropout softmax
-    rows.  Leading axes broadcast, so stacked heads/batches ride along.
-    The weights are dropped out only when a generator ``rng`` is passed.
+    rows as a plain array when ``keep_weights`` is set, else None.
+    Leading axes must match, so stacked heads/batches ride along.  The
+    weights are dropped out only when a generator ``rng`` is passed.
     """
     q, k, v = T._wrap(q), T._wrap(k), T._wrap(v)
     if q.shape != k.shape:
@@ -113,11 +114,7 @@ def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, rng=None):
         raise ContractError("attention operands need ndim >= 2")
     if v.shape[:-1] != k.shape[:-1]:
         raise ContractError(f"V {v.shape} does not align with K {k.shape}")
-    d = q.shape[-1]
-    axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
-    weights = T.softmax_rows(T.matmul(q, T.transpose(k, axes)), 1.0 / math.sqrt(d))
-    applied = T.dropout_apply(weights, attn_dropout, rng)
-    return T.matmul(applied, v), weights
+    return T.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), attn_dropout, rng, keep_weights)
 
 
 def mhsa(x, params: MhsaParams, heads: int, *, attn_dropout=0.0, rng=None,
@@ -146,9 +143,10 @@ def mhsa(x, params: MhsaParams, heads: int, *, attn_dropout=0.0, rng=None,
     qh = split(T.matmul(x, params.wq))
     kh = split(T.matmul(x, params.wk))
     vh = split(T.matmul(x, params.wv))
-    out, weights = scaled_dot_product_attention(qh, kh, vh, attn_dropout=attn_dropout, rng=rng)
+    out, weights = scaled_dot_product_attention(qh, kh, vh, attn_dropout=attn_dropout, rng=rng,
+                                                keep_weights=capture is not None)
     if capture is not None:
-        capture.append(weights.data.copy())
+        capture.append(weights.copy())
     merged = T.transpose(out, from_heads).reshape(*lead, n, d)
     return T.matmul(merged, params.wo)
 

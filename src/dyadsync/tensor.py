@@ -392,24 +392,32 @@ def linear_apply(x, weight, bias) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
-def softmax_rows(x, scale: float = 1.0) -> Tensor:
-    """Softmax of ``x * scale`` along the last axis, with per-row max subtraction.
-
-    The product is the only fresh array: the max-subtract, ``exp`` and
-    divide run in place in it.  Folding the scale in gives the same bits
-    as multiplying first and taking the softmax of the product.
-    """
-    x = _wrap(x)
-    out = x.data * scale
+def _softmax_rows_inplace(out: np.ndarray) -> None:
+    """Row softmax of ``out`` along its last axis, in place, max-subtracted."""
     out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
+
+def _softmax_rows_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Input gradient of a row softmax, given its output ``out``."""
+    gx = g - (g * out).sum(axis=-1, keepdims=True)
+    gx *= out
+    return gx
+
+
+def softmax_rows(x) -> Tensor:
+    """Softmax along the last axis, with per-row max subtraction.
+
+    The copy of the input is the only fresh array: the max-subtract,
+    ``exp`` and divide run in place in it.
+    """
+    x = _wrap(x)
+    out = x.data.copy(order="K")
+    _softmax_rows_inplace(out)
+
     def backward(g):
-        gx = g - (g * out).sum(axis=-1, keepdims=True)
-        gx *= out
-        gx *= scale
-        return (gx,)
+        return (_softmax_rows_grad(g, out),)
 
     return _record(out, (x,), backward)
 
@@ -482,25 +490,136 @@ def layer_norm(x, gain, shift) -> Tensor:
     return _record(gd * xhat + shift.data, (x, gain, shift), backward)
 
 
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+
+
+def _keep_mask(rng, shape: tuple, rate: float) -> np.ndarray:
+    """Boolean dropout mask: an element survives when its draw is >= ``rate``."""
+    return rng.random(shape) >= rate
+
+
 def dropout_apply(x, rate: float, rng=None) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors.
 
     Dropout is on exactly when a generator is passed, so every active
     mask is reproducible from its stream.  With ``rng=None`` (eval) or at
-    rate 0 the input tensor is returned unchanged, bit for bit.
+    rate 0 the input tensor is returned unchanged, bit for bit.  The node
+    keeps a boolean mask; scaling first, then multiplying by the mask,
+    gives the same bits as one multiply by a float mask of 0 and scale.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+    _check_rate(rate)
     x = _wrap(x)
     if rng is None or rate == 0.0:
         return x
     scale = 1.0 / (1.0 - rate)
-    mask = (rng.random(x.data.shape) >= rate) * scale
+    keep = _keep_mask(rng, x.data.shape, rate)
+    # C order, as the product with a C-ordered float mask was, whatever x's layout
+    out = np.multiply(x.data, scale, order="C")
+    out *= keep
 
     def backward(g):
-        return (g * mask,)
+        gx = np.multiply(g, scale, order="C")
+        gx *= keep
+        return (gx,)
 
-    return _record(x.data * mask, (x,), backward)
+    return _record(out, (x,), backward)
+
+
+# Bytes of attention probabilities computed per block; a block holds
+# whole (n, n) matrices, so a larger matrix makes a block of one.
+ATTENTION_BLOCK_BYTES = 1 << 20
+
+
+def _lead_blocks(lead: tuple, item_bytes: int):
+    """Basic indices that cut leading axes ``lead`` into C-ordered blocks.
+
+    Each index selects a view of about ``ATTENTION_BLOCK_BYTES`` when one
+    trailing item takes ``item_bytes``: the trailing leading axes that fit
+    stay whole, the axis before them is cut into runs, and any axis before
+    that is walked one index at a time.  Visiting the blocks in order
+    visits the items in C order, so a random draw per block reproduces
+    one draw over the whole array.
+    """
+    if not lead:
+        yield ()
+        return
+    items = max(1, ATTENTION_BLOCK_BYTES // item_bytes)
+    axis, inner = len(lead) - 1, 1
+    while axis > 0 and inner * lead[axis] <= items:
+        inner *= lead[axis]
+        axis -= 1
+    run = max(1, items // inner)
+    for outer in np.ndindex(*lead[:axis]):
+        for start in range(0, lead[axis], run):
+            yield outer + (slice(start, start + run),)
+
+
+def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
+              keep_weights: bool = False):
+    """``dropout(softmax(q kᵀ · scale)) @ v`` as one tape node.
+
+    ``q`` and ``k`` are (..., n, d) and ``v`` is (..., n, dv), with equal
+    leading axes.  The work runs in blocks of whole (n, n) matrices over
+    the leading axes, each block through the same numpy expressions as
+    the transpose, matmul, softmax, dropout and matmul chain, so the
+    output and gradients are bit for bit that chain's.  Dropout is on
+    exactly when a generator is passed; its mask is drawn block by block.
+
+    Returns ``(out, weights)``.  ``weights`` are the pre-dropout
+    probabilities when ``keep_weights`` is set, else None.  A taped call
+    keeps the probabilities and a boolean mask, and its backward rebuilds
+    the dropped-out product per block; an untaped one keeps no (..., n, n)
+    array unless ``keep_weights`` asks for it.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    _check_rate(rate)
+    qd, kd, vd = q.data, k.data, v.data
+    kt = kd.swapaxes(-1, -2)
+    lead, n = qd.shape[:-2], qd.shape[-2]
+    item_bytes = n * n * 8
+    taped = any(t.tape is not None for t in (q, k, v))
+    drop = rng is not None and rate > 0.0
+    keep_scale = 1.0 / (1.0 - rate)
+    out = np.empty(lead + (n, vd.shape[-1]))
+    probs = np.empty(lead + (n, n)) if taped or keep_weights else None
+    keep = np.empty(lead + (n, n), dtype=bool) if taped and drop else None
+    for idx in _lead_blocks(lead, item_bytes):
+        w = np.matmul(qd[idx], kt[idx], out=None if probs is None else probs[idx])
+        w *= scale
+        _softmax_rows_inplace(w)
+        if drop:
+            mask = _keep_mask(rng, w.shape, rate)
+            if keep is not None:
+                keep[idx] = mask
+            w = w * keep_scale
+            w *= mask
+        np.matmul(w, vd[idx], out=out[idx])
+    weights = probs if keep_weights else None
+    if not taped:
+        return Tensor(out), weights
+
+    def backward(g):
+        gq, gkt, gv = np.empty(qd.shape), np.empty(kt.shape), np.empty(vd.shape)
+        for idx in _lead_blocks(lead, item_bytes):
+            p = probs[idx]
+            w = p
+            if keep is not None:
+                w = p * keep_scale
+                w *= keep[idx]
+            np.matmul(w.swapaxes(-1, -2), g[idx], out=gv[idx])
+            gw = g[idx] @ vd[idx].swapaxes(-1, -2)
+            if keep is not None:
+                gw *= keep_scale
+                gw *= keep[idx]
+            gs = _softmax_rows_grad(gw, p)
+            gs *= scale
+            np.matmul(gs, kd[idx], out=gq[idx])
+            np.matmul(qd[idx].swapaxes(-1, -2), gs, out=gkt[idx])
+        return gq, gkt.swapaxes(-1, -2), gv
+
+    return _record(out, (q, k, v), backward), weights
 
 
 # ---------------------------------------------------------------------------

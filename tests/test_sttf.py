@@ -53,8 +53,8 @@ def naive_attention(q, k, v):
 def test_attention_single_token():
     q = k = Tensor(np.array([[0.3, -0.7]]))
     v = Tensor(np.array([[5.0, 6.0]]))
-    out, w = scaled_dot_product_attention(q, k, v)
-    assert np.array_equal(w.data, [[1.0]])
+    out, w = scaled_dot_product_attention(q, k, v, keep_weights=True)
+    assert np.array_equal(w, [[1.0]])
     assert np.array_equal(out.data, v.data)
 
 
@@ -62,8 +62,8 @@ def test_attention_zero_queries_give_uniform_weights():
     rng = np.random.default_rng(20)
     v = rng.normal(size=(5, 3))
     zeros = Tensor(np.zeros((5, 3)))
-    out, w = scaled_dot_product_attention(zeros, zeros, Tensor(v))
-    assert np.allclose(w.data, 1.0 / 5.0)
+    out, w = scaled_dot_product_attention(zeros, zeros, Tensor(v), keep_weights=True)
+    assert np.allclose(w, 1.0 / 5.0)
     assert np.allclose(out.data, np.tile(v.mean(axis=0), (5, 1)))
 
 
@@ -71,17 +71,17 @@ def test_attention_matches_naive_oracle():
     rng = np.random.default_rng(21)
     for _ in range(10):
         q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
-        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v))
+        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), keep_weights=True)
         want_out, want_w = naive_attention(q, k, v)
         assert np.max(np.abs(out.data - want_out)) < 1e-12
-        assert np.max(np.abs(w.data - want_w)) < 1e-12
+        assert np.max(np.abs(w - want_w)) < 1e-12
 
 
 def test_attention_rows_sum_to_one_batched():
     rng = np.random.default_rng(22)
     q, k, v = (Tensor(rng.normal(size=(2, 3, 6, 4))) for _ in range(3))
-    _, w = scaled_dot_product_attention(q, k, v)
-    assert np.allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
+    _, w = scaled_dot_product_attention(q, k, v, keep_weights=True)
+    assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_attention_scaling_invariance():

@@ -7,9 +7,13 @@ triple-loop implementation.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyadsync import tensor as T
 from dyadsync.errors import ConfigError, ContractError
@@ -176,33 +180,45 @@ def test_softmax_rows_matches_unfused_formula():
     for arr in (x, x.transpose(0, 1, 3, 2)):  # contiguous and strided rows
         assert T.softmax_rows(T.Tensor(arr)).data.tobytes() == \
             unfused_softmax_rows(arr).tobytes()
+
+
+def test_attention_scale_matches_multiply_then_softmax():
+    # the scale cases that softmax_rows(scale=) carried before attention fused
+    rng = np.random.default_rng(46)
+    base = rng.normal(size=(3, 4, 9, 6)) * 4
+    v = T.Tensor(rng.normal(size=(3, 4, 9, 2)))
+    for q in (base, base[..., ::-1, :]):  # contiguous and reversed rows
+        k = np.ascontiguousarray(q[:, ::-1])
+        scores = T.matmul(T.Tensor(q), T.transpose(T.Tensor(k), (0, 1, 3, 2)))
         for scale in (1.0, 1.0 / math.sqrt(6), 1.0 / math.sqrt(12)):
-            separate = T.multiply(T.Tensor(arr), scale).data
-            assert T.softmax_rows(T.Tensor(arr), scale).data.tobytes() == \
-                unfused_softmax_rows(separate).tobytes()
+            separate = T.multiply(scores, scale).data
+            _, weights = T.attention(T.Tensor(q), T.Tensor(k), v, scale, keep_weights=True)
+            assert weights.tobytes() == unfused_softmax_rows(separate).tobytes()
 
 
 def test_scaled_softmax_gradients_match_multiply_then_softmax():
     rng = np.random.default_rng(47)
     q, k = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(2, 3, 7, 6))
-    w = rng.normal(size=(2, 3, 7, 7))
+    v, w = rng.normal(size=(2, 3, 7, 5)), rng.normal(size=(2, 3, 7, 5))
     scale = 1.0 / math.sqrt(6)
 
     def run(fused):
         tape = T.Tape()
-        qt, kt = tape.leaf(q), tape.leaf(k)
-        scores = T.matmul(qt, T.transpose(kt, (0, 1, 3, 2)))
+        qt, kt, vt = tape.leaf(q), tape.leaf(k), tape.leaf(v)
         if fused:
-            probs = T.softmax_rows(scores, scale)
+            out, probs = T.attention(qt, kt, vt, scale, keep_weights=True)
         else:
-            probs = unfused_softmax_node(T.multiply(scores, scale))
-        grads = tape.backward((probs * T.Tensor(w)).sum())
-        return probs.data, grads[qt.node_id], grads[kt.node_id], len(tape)
+            scores = T.matmul(qt, T.transpose(kt, (0, 1, 3, 2)))
+            probs_t = unfused_softmax_node(T.multiply(scores, scale))
+            out, probs = T.matmul(probs_t, vt), probs_t.data
+        grads = tape.backward((out * T.Tensor(w)).sum())
+        return (out.data, probs, grads[qt.node_id], grads[kt.node_id], grads[vt.node_id],
+                len(tape))
 
     fused, chain = run(True), run(False)
-    for got, want in zip(fused[:3], chain[:3]):
+    for got, want in zip(fused[:5], chain[:5]):
         assert got.tobytes() == want.tobytes()
-    assert fused[3] == chain[3] - 1  # the scale no longer costs a node
+    assert fused[5] == chain[5] - 4  # one node where the chain records five
 
 
 def test_broadcast_add_and_mul_values():
@@ -405,6 +421,137 @@ def test_dropout_validation():
         T.dropout_apply(T.Tensor(np.ones(3)), 1.0, rng=stream(0, "dropout"))
     with pytest.raises(ConfigError, match=r"dropout rate must lie in \[0, 1\), got -0\.1"):
         T.dropout_apply(T.Tensor(np.ones(3)), -0.1)
+
+
+# ---------------------------------------------------------------------------
+# attention: one node against the five-node chain it replaced
+# ---------------------------------------------------------------------------
+
+
+def chain_node(x, out, backward):
+    """``out`` recorded on ``x``'s tape through the public Tape API, if it has one."""
+    if x.tape is None:
+        return T.Tensor(out)
+    return T.Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+
+
+def chain_scaled_softmax(x, scale):
+    """The softmax tape op with the attention scale folded in, as it was before fusion."""
+    out = x.data * scale
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gx = g - (g * out).sum(axis=-1, keepdims=True)
+        gx *= out
+        gx *= scale
+        return (gx,)
+
+    return chain_node(x, out, backward)
+
+
+def chain_float_dropout(x, rate, rng):
+    """The dropout tape op with a float64 mask of 0 and 1/(1 - rate), drawn whole."""
+    if rng is None or rate == 0.0:
+        return x
+    mask = (rng.random(x.shape) >= rate) * (1.0 / (1.0 - rate))
+
+    def backward(g):
+        return (g * mask,)
+
+    return chain_node(x, x.data * mask, backward)
+
+
+def chain_attention(q, k, v, scale, rate=0.0, rng=None):
+    """Transpose, matmul, scaled softmax, dropout, matmul: five tape nodes."""
+    nd = k.data.ndim
+    axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
+    weights = chain_scaled_softmax(T.matmul(q, T.transpose(k, axes)), scale)
+    return T.matmul(chain_float_dropout(weights, rate, rng), v), weights.data
+
+
+@st.composite
+def attention_cases(draw):
+    lead = tuple(draw(st.lists(st.integers(1, 5), max_size=2)))  # 2-, 3- and 4-d operands
+    n, d, dv = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    per_block = draw(st.integers(1, 4))  # (n, n) matrices per block
+    rate = draw(st.sampled_from([0.0, 0.4]))
+    strided = draw(st.booleans())
+    return lead, n, d, dv, per_block, rate, strided, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(attention_cases())
+@example(((1,), 4, 3, 2, 1, 0.4, False, 1))  # leading length 1
+@example(((4,), 3, 2, 2, 4, 0.4, True, 2))  # exactly one block
+@example(((5,), 3, 2, 2, 2, 0.4, False, 3))  # not a multiple of the block
+@example(((3, 2), 4, 2, 3, 4, 0.4, True, 4))  # inner axis whole, outer axis cut 2 + 1
+@example(((2, 5), 2, 3, 1, 2, 0.4, False, 5))  # outer axis walked, inner axis cut
+@example(((), 6, 3, 2, 1, 0.4, True, 6))  # 2-d: one block, rows never cut
+def test_attention_matches_the_five_node_chain(case):
+    lead, n, d, dv, per_block, rate, strided, seed = case
+    rng = np.random.default_rng(seed)
+    if strided:  # rows as a strided view, like the head split of mhsa
+        q, k, v = (rng.normal(scale=2.0, size=lead + (w, n)).swapaxes(-1, -2) for w in (d, d, dv))
+    else:
+        q, k, v = (rng.normal(scale=2.0, size=lead + (n, w)) for w in (d, d, dv))
+    upstream = rng.normal(size=lead + (dv, n)).swapaxes(-1, -2)  # a strided incoming gradient
+    scale = 1.0 / math.sqrt(d)
+
+    def run(attend):
+        tape = T.Tape()
+        leaves = [tape.leaf(a) for a in (q, k, v)]
+        out, weights = attend(*leaves, scale, rate, stream(seed, "dropout"))
+        grads = tape.backward((out * T.Tensor(upstream)).sum())
+        return [out.data, weights] + [grads[t.node_id] for t in leaves]
+
+    with mock.patch.object(T, "ATTENTION_BLOCK_BYTES", per_block * n * n * 8):
+        fused = run(lambda *a: T.attention(*a, keep_weights=True))
+        untaped, none = T.attention(q, k, v, scale, rate, stream(seed, "dropout"))
+    chain = run(chain_attention)
+    for got, want in zip(fused, chain):
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides  # downstream matmuls see the same layout
+    assert untaped.data.tobytes() == chain[0].tobytes() and none is None
+
+
+def test_taped_attention_retains_weights_and_a_bool_mask():
+    rng = np.random.default_rng(48)
+    q, k, v = (rng.normal(size=(4, 2, 48, 4)) for _ in range(3))
+    weight_bytes = 4 * 2 * 48 * 48 * 8
+
+    def retained(attend):
+        tape = T.Tape()
+        leaves = [tape.leaf(a) for a in (q, k, v)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, _ = attend(*leaves, 0.5, 0.3, stream(0, "dropout"))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return kept - out.data.nbytes
+
+    # the node keeps the probabilities and a bool mask; the chain keeps the
+    # probabilities, a float64 mask and the dropped-out product
+    assert retained(T.attention) <= weight_bytes + weight_bytes // 8 + 4096
+    assert retained(chain_attention) >= 3 * weight_bytes
+
+
+def test_untaped_attention_keeps_no_full_weight_array():
+    rng = np.random.default_rng(49)
+    q, k, v = (T.Tensor(rng.normal(size=(8, 2, 48, 4))) for _ in range(3))
+    weight_bytes = 8 * 2 * 48 * 48 * 8
+    with mock.patch.object(T, "ATTENTION_BLOCK_BYTES", 48 * 48 * 8):
+        tracemalloc.start()
+        try:
+            out, weights = T.attention(q, k, v, 0.5, 0.3, stream(0, "dropout"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert weights is None
+    assert peak - out.data.nbytes < weight_bytes // 4
 
 
 # ---------------------------------------------------------------------------
