@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import config_from_dict
 from .csm_branch import CsmConfig, CsmModel
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .sttf import ModelConfig, SttfModel
 
 _KINDS = {"sttf": (SttfModel, ModelConfig), "csm": (CsmModel, CsmConfig)}
@@ -32,6 +32,10 @@ def model_kind(model) -> str:
 
 
 def save_model(model, path) -> None:
+    """Write ``model`` to ``path``; a non-finite parameter writes nothing."""
+    for name, value in model.params.items():
+        if not np.isfinite(value.data).all():
+            raise NumericalError(f"{path}: parameter {name!r} holds a non-finite value")
     header = {
         "kind": model_kind(model),
         "seed": model.seed,

@@ -56,7 +56,7 @@ from .similarity import (
     save_csv,
     save_pgm,
 )
-from .sttf import MhsaParams, ModelConfig, SttfModel, export_attention, mhsa
+from .sttf import ModelConfig, SttfModel, export_attention, mhsa
 from .synthgen import SynthConfig, generate_dataset, sequence_to_document
 from .tensor import ParamStore, Tensor, check_gradients, linear_apply, reduce_mean
 from .training import (
@@ -358,7 +358,7 @@ def _gradcheck_suite(seed: int) -> list:
 
     def attn_loss(p, tape):
         t = p.tracked(tape)
-        out = mhsa(t["x"], MhsaParams(t["wq"], t["wk"], t["wv"], t["wo"]), heads=2)
+        out = mhsa(t["x"], t["wq"], t["wk"], t["wv"], t["wo"], heads=2)
         return reduce_mean(out * out)
 
     results.append(("multi-head-attention", check_gradients(attn_loss, attn_params)))

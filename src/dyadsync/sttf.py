@@ -78,16 +78,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class MhsaParams:
-    """Projection matrices of one attention block, all square d x d."""
-
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-
-
-@dataclass(frozen=True)
 class AttentionMaps:
     """Captured softmax weights: spatial (L, h, 2J, 2J), temporal (L, h, f, f).
 
@@ -99,33 +89,16 @@ class AttentionMaps:
     temporal: np.ndarray
 
 
-def scaled_dot_product_attention(q, k, v, *, attn_dropout=0.0, rng=None, keep_weights=False):
-    """softmax(Q Kᵀ / sqrt(d)) V over the trailing two axes, as one tape node.
-
-    Returns (output, weights); ``weights`` are the pre-dropout softmax
-    rows as a plain array when ``keep_weights`` is set, else None.
-    Leading axes must match, so stacked heads/batches ride along.  The
-    weights are dropped out only when a generator ``rng`` is passed.
-    """
-    q, k, v = T._wrap(q), T._wrap(k), T._wrap(v)
-    if q.shape != k.shape:
-        raise ContractError(f"Q {q.shape} and K {k.shape} must match")
-    if q.data.ndim < 2:
-        raise ContractError("attention operands need ndim >= 2")
-    if v.shape[:-1] != k.shape[:-1]:
-        raise ContractError(f"V {v.shape} does not align with K {k.shape}")
-    return T.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), attn_dropout, rng, keep_weights)
-
-
-def mhsa(x, params: MhsaParams, heads: int, *, attn_dropout=0.0, rng=None,
+def mhsa(x, wq, wk, wv, wo, heads: int, *, attn_dropout=0.0, rng=None,
          capture: Optional[list] = None):
     """Multi-head self-attention: per-head attention, concat, W_out.
 
-    ``x`` is (..., n, d); Q, K, V come from the three square projections,
-    are split column-wise into ``heads`` blocks of d // heads, attended
-    independently, re-concatenated, and mixed by ``wo``.  When ``capture``
-    is a list, the (pre-dropout) weight stack (..., heads, n, n) is
-    appended as a plain array.
+    ``x`` is (..., n, d); Q, K, V come from the three square projections
+    ``wq``, ``wk`` and ``wv``, are split column-wise into ``heads`` blocks
+    of d // heads, attended independently through one
+    :func:`tensor.attention` node, re-concatenated, and mixed by ``wo``.
+    When ``capture`` is a list, the (pre-dropout) weight stack
+    (..., heads, n, n) is appended as a plain array.
     """
     x = T._wrap(x)
     n, d = x.shape[-2], x.shape[-1]
@@ -134,21 +107,21 @@ def mhsa(x, params: MhsaParams, heads: int, *, attn_dropout=0.0, rng=None,
     dh = d // heads
     lead = x.shape[:-2]
     nl = len(lead)
-    to_heads = tuple(range(nl)) + (nl + 1, nl, nl + 2)  # (..., n, h, dh) -> (..., h, n, dh)
-    from_heads = tuple(range(nl)) + (nl + 1, nl, nl + 2)  # inverse is the same swap
+    # (..., n, h, dh) <-> (..., h, n, dh): the swap is its own inverse
+    swap = tuple(range(nl)) + (nl + 1, nl, nl + 2)
 
     def split(t):
-        return T.transpose(t.reshape(*lead, n, heads, dh), to_heads)
+        return T.transpose(t.reshape(*lead, n, heads, dh), swap)
 
-    qh = split(T.matmul(x, params.wq))
-    kh = split(T.matmul(x, params.wk))
-    vh = split(T.matmul(x, params.wv))
-    out, weights = scaled_dot_product_attention(qh, kh, vh, attn_dropout=attn_dropout, rng=rng,
-                                                keep_weights=capture is not None)
+    qh = split(T.matmul(x, wq))
+    kh = split(T.matmul(x, wk))
+    vh = split(T.matmul(x, wv))
+    out, weights = T.attention(qh, kh, vh, 1.0 / math.sqrt(dh), attn_dropout, rng,
+                               keep_weights=capture is not None)
     if capture is not None:
-        capture.append(weights.copy())
-    merged = T.transpose(out, from_heads).reshape(*lead, n, d)
-    return T.matmul(merged, params.wo)
+        capture.append(weights)
+    merged = T.transpose(out, swap).reshape(*lead, n, d)
+    return T.matmul(merged, wo)
 
 
 class SttfModel:
@@ -199,10 +172,7 @@ class SttfModel:
         normed = T.layer_norm(x, p[f"{prefix}.norm1.g"], p[f"{prefix}.norm1.b"])
         attn = mhsa(
             normed,
-            MhsaParams(
-                p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wk"],
-                p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wo"],
-            ),
+            *(p[f"{prefix}.attn.{name}"] for name in ("wq", "wk", "wv", "wo")),
             cfg.heads,
             attn_dropout=cfg.dropout,
             rng=rng,

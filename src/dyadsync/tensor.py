@@ -87,7 +87,7 @@ class Tape:
     constants) and a backward callable mapping the node's output gradient
     to one gradient array per parent.  Leaf nodes (parameters, inputs)
     have no backward callable.  Operation nodes are recorded only through
-    :func:`_record`; leaves through :meth:`leaf` and :meth:`named_leaf`.
+    :func:`_record`; leaves only through :meth:`named_leaf`.
 
     Backward callables must close over bare numpy arrays, never Tensor
     objects: tensors point back at the tape, so capturing one would make
@@ -109,11 +109,6 @@ class Tape:
         self._parents.append(parents)
         self._backwards.append(backward)
         return len(self._parents) - 1
-
-    def leaf(self, data) -> Tensor:
-        """Register raw data as a tracked leaf tensor."""
-        arr = np.asarray(data, dtype=np.float64)
-        return Tensor(arr, self, self.record((), None))
 
     def named_leaf(self, name: str, data) -> Tensor:
         """The leaf registered under ``name``, recorded on first use."""
@@ -229,9 +224,6 @@ class ParamStore:
     def load_values(self, mapping) -> None:
         for name, data in mapping.items():
             self.replace(name, np.array(data, dtype=np.float64))
-
-    def total_size(self) -> int:
-        return sum(v.size for v in self._values.values())
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +492,26 @@ def _keep_mask(rng, shape: tuple, rate: float) -> np.ndarray:
     return rng.random(shape) >= rate
 
 
+def _dropped(x: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
+    """``x * scale`` zeroed where ``keep`` is False, as a fresh array.
+
+    Scaling first, then multiplying by the boolean mask, gives the same
+    bits as one multiply by a float mask of 0 and ``scale``.  The result
+    is C-ordered, as the product with a C-ordered float mask was,
+    whatever the layout of ``x``.
+    """
+    out = np.multiply(x, scale, order="C")
+    out *= keep
+    return out
+
+
 def dropout_apply(x, rate: float, rng=None) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors.
 
     Dropout is on exactly when a generator is passed, so every active
     mask is reproducible from its stream.  With ``rng=None`` (eval) or at
     rate 0 the input tensor is returned unchanged, bit for bit.  The node
-    keeps a boolean mask; scaling first, then multiplying by the mask,
-    gives the same bits as one multiply by a float mask of 0 and scale.
+    keeps a boolean mask.
     """
     _check_rate(rate)
     x = _wrap(x)
@@ -515,16 +519,11 @@ def dropout_apply(x, rate: float, rng=None) -> Tensor:
         return x
     scale = 1.0 / (1.0 - rate)
     keep = _keep_mask(rng, x.data.shape, rate)
-    # C order, as the product with a C-ordered float mask was, whatever x's layout
-    out = np.multiply(x.data, scale, order="C")
-    out *= keep
 
     def backward(g):
-        gx = np.multiply(g, scale, order="C")
-        gx *= keep
-        return (gx,)
+        return (_dropped(g, keep, scale),)
 
-    return _record(out, (x,), backward)
+    return _record(_dropped(x.data, keep, scale), (x,), backward)
 
 
 # Bytes of attention probabilities computed per block; a block holds
@@ -574,6 +573,12 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
     array unless ``keep_weights`` asks for it.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.shape != k.shape:
+        raise ContractError(f"Q {q.shape} and K {k.shape} must match")
+    if q.data.ndim < 2:
+        raise ContractError("attention operands need ndim >= 2")
+    if v.shape[:-1] != k.shape[:-1]:
+        raise ContractError(f"V {v.shape} does not align with K {k.shape}")
     _check_rate(rate)
     qd, kd, vd = q.data, k.data, v.data
     kt = kd.swapaxes(-1, -2)
@@ -593,8 +598,7 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
             mask = _keep_mask(rng, w.shape, rate)
             if keep is not None:
                 keep[idx] = mask
-            w = w * keep_scale
-            w *= mask
+            w = _dropped(w, mask, keep_scale)
         np.matmul(w, vd[idx], out=out[idx])
     weights = probs if keep_weights else None
     if not taped:
@@ -604,15 +608,11 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
         gq, gkt, gv = np.empty(qd.shape), np.empty(kt.shape), np.empty(vd.shape)
         for idx in _lead_blocks(lead, item_bytes):
             p = probs[idx]
-            w = p
-            if keep is not None:
-                w = p * keep_scale
-                w *= keep[idx]
+            w = p if keep is None else _dropped(p, keep[idx], keep_scale)
             np.matmul(w.swapaxes(-1, -2), g[idx], out=gv[idx])
             gw = g[idx] @ vd[idx].swapaxes(-1, -2)
             if keep is not None:
-                gw *= keep_scale
-                gw *= keep[idx]
+                gw = _dropped(gw, keep[idx], keep_scale)
             gs = _softmax_rows_grad(gw, p)
             gs *= scale
             np.matmul(gs, kd[idx], out=gq[idx])

@@ -219,10 +219,13 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
             else:
                 loss = mse_loss(out, targets[idx])
             step_loss = loss.item()
+            where = f"training diverged at epoch {epoch}, step {start // cfg.batch_size}"
             if not math.isfinite(step_loss):
-                raise NumericalError(f"training diverged at epoch {epoch}, "
-                                     f"step {start // cfg.batch_size}: loss is {step_loss}")
+                raise NumericalError(f"{where}: loss is {step_loss}")
             grads = T.gradient_of(loss, model.params)
+            for name, grad in grads.items():  # name order, as gradient_of builds it
+                if not np.isfinite(grad.data).all():
+                    raise NumericalError(f"{where}: gradient of {name!r} is not finite")
             adam_step(model.params, grads, state, lr)
             total += step_loss * len(idx)
         train_loss = total / len(order)

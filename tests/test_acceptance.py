@@ -62,7 +62,7 @@ def test_criterion_01_gradient_suite():
     errors["softmax-ce"] = check_gradients(
         lambda ps, tape: cross_entropy_loss(ps.tracked(tape)["logits"], labels), p)
 
-    from dyadsync.sttf import MhsaParams, mhsa
+    from dyadsync.sttf import mhsa
 
     d = 8
     p = ParamStore(1)
@@ -72,7 +72,7 @@ def test_criterion_01_gradient_suite():
 
     def mhsa_loss(ps, tape):
         t = ps.tracked(tape)
-        out = mhsa(t["x"], MhsaParams(t["wq"], t["wk"], t["wv"], t["wo"]), heads=2)
+        out = mhsa(t["x"], t["wq"], t["wk"], t["wv"], t["wo"], heads=2)
         return (out * out).mean()
 
     errors["mhsa"] = check_gradients(mhsa_loss, p)

@@ -3,7 +3,7 @@ import pytest
 
 from dyadsync.checkpoint import load_model, model_kind, save_model
 from dyadsync.csm_branch import CsmConfig, CsmModel
-from dyadsync.errors import DataError
+from dyadsync.errors import DataError, NumericalError
 from dyadsync.sttf import ModelConfig, SttfModel
 
 SMALL = ModelConfig(f=4, num_joints=2, d_joint=4, layers=1, heads=2, dropout=0.0)
@@ -176,3 +176,16 @@ def test_non_finite_parameter_is_data_error(tmp_path, where, value, param):
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match=rf"poisoned\.bin: parameter '{param}'"):
         load_model(path)
+
+
+def test_save_refuses_non_finite_parameter(tmp_path):
+    model = CsmModel(CsmConfig(side=8, hidden=5), seed=0)
+    w1 = model.params["w1"].data.copy()
+    w1[2, 3] = np.inf
+    model.params.replace("w1", w1)
+    model.params.replace("w2", np.full(model.params["w2"].shape, np.nan))
+    path = tmp_path / "model.bin"
+    # parameters are checked name-sorted: w1 comes before w2
+    with pytest.raises(NumericalError, match=r"model\.bin: parameter 'w1' holds a non-finite value"):
+        save_model(model, path)
+    assert not path.exists()

@@ -11,13 +11,11 @@ from dyadsync.pose_io import SkeletonSequence
 from dyadsync.rng import stream
 from dyadsync.similarity import SimilarityMatrix, normalize_minmax
 from dyadsync.sttf import (
-    MhsaParams,
     ModelConfig,
     SttfModel,
     expected_param_count,
     export_attention,
     mhsa,
-    scaled_dot_product_attention,
 )
 from dyadsync.tensor import Tensor
 
@@ -53,7 +51,7 @@ def naive_attention(q, k, v):
 def test_attention_single_token():
     q = k = Tensor(np.array([[0.3, -0.7]]))
     v = Tensor(np.array([[5.0, 6.0]]))
-    out, w = scaled_dot_product_attention(q, k, v, keep_weights=True)
+    out, w = T.attention(q, k, v, 1 / math.sqrt(2), keep_weights=True)
     assert np.array_equal(w, [[1.0]])
     assert np.array_equal(out.data, v.data)
 
@@ -62,7 +60,7 @@ def test_attention_zero_queries_give_uniform_weights():
     rng = np.random.default_rng(20)
     v = rng.normal(size=(5, 3))
     zeros = Tensor(np.zeros((5, 3)))
-    out, w = scaled_dot_product_attention(zeros, zeros, Tensor(v), keep_weights=True)
+    out, w = T.attention(zeros, zeros, Tensor(v), 1 / math.sqrt(3), keep_weights=True)
     assert np.allclose(w, 1.0 / 5.0)
     assert np.allclose(out.data, np.tile(v.mean(axis=0), (5, 1)))
 
@@ -71,7 +69,7 @@ def test_attention_matches_naive_oracle():
     rng = np.random.default_rng(21)
     for _ in range(10):
         q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
-        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), keep_weights=True)
+        out, w = T.attention(Tensor(q), Tensor(k), Tensor(v), 1 / math.sqrt(4), keep_weights=True)
         want_out, want_w = naive_attention(q, k, v)
         assert np.max(np.abs(out.data - want_out)) < 1e-12
         assert np.max(np.abs(w - want_w)) < 1e-12
@@ -80,7 +78,7 @@ def test_attention_matches_naive_oracle():
 def test_attention_rows_sum_to_one_batched():
     rng = np.random.default_rng(22)
     q, k, v = (Tensor(rng.normal(size=(2, 3, 6, 4))) for _ in range(3))
-    _, w = scaled_dot_product_attention(q, k, v, keep_weights=True)
+    _, w = T.attention(q, k, v, 1 / math.sqrt(4), keep_weights=True)
     assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -100,9 +98,11 @@ def test_attention_scaling_invariance():
 
 def test_attention_shape_validation():
     with pytest.raises(ContractError, match=r"Q \(3, 4\) and K \(2, 4\) must match"):
-        scaled_dot_product_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))))
+        T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), 1 / math.sqrt(4),
+                    keep_weights=True)
     with pytest.raises(ContractError, match=r"V \(2, 4\) does not align with K \(3, 4\)"):
-        scaled_dot_product_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))))
+        T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), 1 / math.sqrt(4),
+                    keep_weights=True)
 
 
 # ---------------------------------------------------------------------------
@@ -111,32 +111,32 @@ def test_attention_shape_validation():
 
 
 def random_mhsa_params(rng, d):
-    return MhsaParams(*(Tensor(rng.normal(size=(d, d)) * 0.3) for _ in range(4)))
+    return tuple(Tensor(rng.normal(size=(d, d)) * 0.3) for _ in range(4))
 
 
 def test_mhsa_single_head_reduces_to_plain_attention():
     rng = np.random.default_rng(24)
     x = rng.normal(size=(5, 6))
-    params = random_mhsa_params(rng, 6)
-    got = mhsa(Tensor(x), params, 1).data
-    attn, _ = scaled_dot_product_attention(
-        Tensor(x @ params.wq.data), Tensor(x @ params.wk.data), Tensor(x @ params.wv.data)
+    wq, wk, wv, wo = random_mhsa_params(rng, 6)
+    got = mhsa(Tensor(x), wq, wk, wv, wo, 1).data
+    attn, _ = T.attention(
+        Tensor(x @ wq.data), Tensor(x @ wk.data), Tensor(x @ wv.data), 1 / math.sqrt(6), keep_weights=True
     )
-    assert np.max(np.abs(got - attn.data @ params.wo.data)) < 1e-12
+    assert np.max(np.abs(got - attn.data @ wo.data)) < 1e-12
 
 
 def test_mhsa_two_heads_matches_manual_split():
     rng = np.random.default_rng(25)
     x = rng.normal(size=(3, 4))
-    params = random_mhsa_params(rng, 4)
-    q, k, v = x @ params.wq.data, x @ params.wk.data, x @ params.wv.data
+    wq, wk, wv, wo = random_mhsa_params(rng, 4)
+    q, k, v = x @ wq.data, x @ wk.data, x @ wv.data
     halves = []
     for h in range(2):
         cols = slice(2 * h, 2 * h + 2)
         _, w = naive_attention(q[:, cols], k[:, cols], v[:, cols])
         halves.append(w @ v[:, cols])
-    want = np.concatenate(halves, axis=1) @ params.wo.data
-    got = mhsa(Tensor(x), params, 2).data
+    want = np.concatenate(halves, axis=1) @ wo.data
+    got = mhsa(Tensor(x), wq, wk, wv, wo, 2).data
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -144,15 +144,15 @@ def test_mhsa_shape_law_and_head_validation():
     rng = np.random.default_rng(26)
     for n, d, h in [(3, 6, 1), (4, 6, 2), (2, 6, 3), (5, 8, 4)]:
         x = Tensor(rng.normal(size=(n, d)))
-        assert mhsa(x, random_mhsa_params(rng, d), h).shape == (n, d)
+        assert mhsa(x, *random_mhsa_params(rng, d), h).shape == (n, d)
     with pytest.raises(ConfigError, match=r"heads \(4\) must divide model dim \(6\)"):
-        mhsa(Tensor(rng.normal(size=(3, 6))), random_mhsa_params(rng, 6), 4)
+        mhsa(Tensor(rng.normal(size=(3, 6))), *random_mhsa_params(rng, 6), 4)
 
 
 def test_mhsa_capture_is_row_stochastic():
     rng = np.random.default_rng(27)
     cap = []
-    mhsa(Tensor(rng.normal(size=(4, 6))), random_mhsa_params(rng, 6), 3, capture=cap)
+    mhsa(Tensor(rng.normal(size=(4, 6))), *random_mhsa_params(rng, 6), 3, capture=cap)
     (w,) = cap
     assert w.shape == (3, 4, 4)
     assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
@@ -184,14 +184,14 @@ def test_param_count_matches_closed_form():
         ModelConfig(f=4, num_joints=2, d_joint=8, layers=1, heads=2, dropout=0.0),
     ]:
         model = SttfModel(cfg, seed=1)
-        assert model.params.total_size() == expected_param_count(cfg)
+        assert sum(value.size for _, value in model.params.items()) == expected_param_count(cfg)
 
 
 def test_reference_config_count_and_shape():
     cfg = ModelConfig()
     assert expected_param_count(cfg) == 14_327_731
     model = SttfModel(cfg, seed=0)
-    assert model.params.total_size() == 14_327_731
+    assert sum(value.size for _, value in model.params.items()) == 14_327_731
     seq = SkeletonSequence(frames=np.random.default_rng(1).uniform(0, 1, (81, 2, 17, 2)))
     z = model._spatial_stack(seq.frames[None]).data[0]
     assert z.shape == (81, 544)

@@ -35,7 +35,7 @@ def numeric_grad(f, x, eps=1e-6):
 def analytic_grad(op, x, weight=None):
     """Gradient of sum(weight * op(x)) via the tape."""
     tape = T.Tape()
-    xt = tape.leaf(x)
+    xt = tape.named_leaf("x", x)
     out = op(xt)
     w = np.ones_like(out.data) if weight is None else weight
     loss = (out * T.Tensor(w)).sum()
@@ -150,7 +150,7 @@ def test_gelu_in_place_matches_unfused_expression():
 
     assert T.gelu(T.Tensor(v)).data.tobytes() == want_out.tobytes()
     tape = T.Tape()
-    xt = tape.leaf(v)
+    xt = tape.named_leaf("v", v)
     out = T.gelu(xt)
     grads = tape.backward((out * T.Tensor(g)).sum())
     assert out.data.tobytes() == want_out.tobytes()
@@ -204,7 +204,7 @@ def test_scaled_softmax_gradients_match_multiply_then_softmax():
 
     def run(fused):
         tape = T.Tape()
-        qt, kt, vt = tape.leaf(q), tape.leaf(k), tape.leaf(v)
+        qt, kt, vt = tape.named_leaf("q", q), tape.named_leaf("k", k), tape.named_leaf("v", v)
         if fused:
             out, probs = T.attention(qt, kt, vt, scale, keep_weights=True)
         else:
@@ -273,7 +273,7 @@ def test_matmul_gradients_both_sides():
         return float((w * (a @ v)).sum())
 
     tape = T.Tape()
-    at, bt = tape.leaf(a), tape.leaf(b)
+    at, bt = tape.named_leaf("a", a), tape.named_leaf("b", b)
     loss = (T.matmul(at, bt) * T.Tensor(w)).sum()
     grads = tape.backward(loss)
     assert np.allclose(grads[at.node_id], numeric_grad(loss_a, a), atol=1e-6)
@@ -290,7 +290,7 @@ def test_batched_matmul_gradient_with_broadcast():
         return float((x @ v).sum())
 
     tape = T.Tape()
-    wt = tape.leaf(w)
+    wt = tape.named_leaf("w", w)
     loss = T.matmul(T.Tensor(x), wt).sum()
     grads = tape.backward(loss)
     assert grads[wt.node_id].shape == w.shape
@@ -306,7 +306,7 @@ def test_broadcast_add_gradient_reduces():
         return float(((x + v) ** 2).sum())
 
     tape = T.Tape()
-    bt = tape.leaf(bias)
+    bt = tape.named_leaf("bias", bias)
     s = T.add(T.Tensor(x), bt)
     loss = (s * s).sum()
     grads = tape.backward(loss)
@@ -319,12 +319,12 @@ def test_reduce_gradients():
     x = rng.normal(size=(3, 4, 2))
     for op, factor in [(T.reduce_sum, 1.0), (T.reduce_mean, 1.0 / x.size)]:
         tape = T.Tape()
-        xt = tape.leaf(x)
+        xt = tape.named_leaf("x", x)
         grads = tape.backward(op(xt))
         assert np.allclose(grads[xt.node_id], np.full_like(x, factor))
     # axis variant
     tape = T.Tape()
-    xt = tape.leaf(x)
+    xt = tape.named_leaf("x", x)
     grads = tape.backward(T.reduce_mean(xt, axis=1).sum())
     assert np.allclose(grads[xt.node_id], np.full_like(x, 0.25))
 
@@ -342,7 +342,7 @@ def test_layer_norm_gradients_all_three_inputs():
         return float((mix * (gv * (xv - mu) / np.sqrt(var + 1e-5) + sv)).sum())
 
     tape = T.Tape()
-    xt, gt, st = tape.leaf(x), tape.leaf(gain), tape.leaf(shift)
+    xt, gt, st = tape.named_leaf("x", x), tape.named_leaf("gain", gain), tape.named_leaf("shift", shift)
     loss = (T.layer_norm(xt, gt, st) * T.Tensor(mix)).sum()
     grads = tape.backward(loss)
     assert np.allclose(grads[xt.node_id], numeric_grad(lambda v: value(v, gain, shift), x), atol=1e-6)
@@ -355,7 +355,7 @@ def test_transpose_reshape_gradients_are_permutations():
     x = rng.normal(size=(2, 3, 4))
     w = rng.normal(size=(4, 2, 3))
     tape = T.Tape()
-    xt = tape.leaf(x)
+    xt = tape.named_leaf("x", x)
     loss = (T.transpose(xt, (2, 0, 1)) * T.Tensor(w)).sum()
     grads = tape.backward(loss)
     assert np.allclose(grads[xt.node_id], w.transpose(1, 2, 0))
@@ -365,7 +365,7 @@ def test_gradient_accumulates_across_reuse():
     # y = x*x + x: dy/dx = 2x + 1, exercised through two tape paths
     x = np.array([[1.5, -2.0, 0.5]])
     tape = T.Tape()
-    xt = tape.leaf(x)
+    xt = tape.named_leaf("x", x)
     loss = (xt * xt + xt).sum()
     grads = tape.backward(loss)
     assert np.allclose(grads[xt.node_id], 2 * x + 1)
@@ -374,7 +374,7 @@ def test_gradient_accumulates_across_reuse():
 def test_backward_keeps_only_leaf_gradients():
     x = np.array([[0.5, -1.0, 2.0]])
     tape = T.Tape()
-    xt, wt = tape.leaf(x), tape.leaf(2 * x)
+    xt, wt = tape.named_leaf("x", x), tape.named_leaf("w", 2 * x)
     hidden = T.gelu(xt * wt)
     loss = hidden.sum()
     grads = tape.backward(loss)
@@ -409,7 +409,7 @@ def test_dropout_gradient_uses_same_mask():
     rng = stream(5, "dropout")
     x = np.ones((50, 50))
     tape = T.Tape()
-    xt = tape.leaf(x)
+    xt = tape.named_leaf("x", x)
     out = T.dropout_apply(xt, 0.4, rng=rng)
     grads = tape.backward(out.sum())
     assert np.array_equal(grads[xt.node_id], out.data)  # mask*scale both times
@@ -501,7 +501,7 @@ def test_attention_matches_the_five_node_chain(case):
 
     def run(attend):
         tape = T.Tape()
-        leaves = [tape.leaf(a) for a in (q, k, v)]
+        leaves = [tape.named_leaf(name, a) for name, a in zip("qkv", (q, k, v))]
         out, weights = attend(*leaves, scale, rate, stream(seed, "dropout"))
         grads = tape.backward((out * T.Tensor(upstream)).sum())
         return [out.data, weights] + [grads[t.node_id] for t in leaves]
@@ -523,7 +523,7 @@ def test_taped_attention_retains_weights_and_a_bool_mask():
 
     def retained(attend):
         tape = T.Tape()
-        leaves = [tape.leaf(a) for a in (q, k, v)]
+        leaves = [tape.named_leaf(name, a) for name, a in zip("qkv", (q, k, v))]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -641,7 +641,7 @@ def test_check_gradients_flags_a_wrong_derivative():
 
 def test_tensors_from_different_tapes_refuse_to_mix():
     t1, t2 = T.Tape(), T.Tape()
-    a = t1.leaf(np.ones(2))
-    b = t2.leaf(np.ones(2))
+    a = t1.named_leaf("a", np.ones(2))
+    b = t2.named_leaf("b", np.ones(2))
     with pytest.raises(ContractError):
         T.add(a, b)

@@ -63,7 +63,7 @@ def test_cross_entropy_gradient_matches_finite_differences():
         return -np.mean(ls[np.arange(5), labels])
 
     tape = Tape()
-    lt = tape.leaf(logits)
+    lt = tape.named_leaf("logits", logits)
     grads = tape.backward(cross_entropy_loss(lt, labels))
     eps = 1e-6
     numeric = np.zeros_like(logits)
@@ -174,7 +174,7 @@ def test_lr_schedule_exact_values():
 def test_csm_model_param_count_and_shapes():
     cfg = CsmConfig(side=8, hidden=16, dropout=0.0)
     model = CsmModel(cfg, seed=1)
-    assert model.params.total_size() == expected_param_count(cfg) == 64 * 16 + 16 + 16 * 3 + 3
+    assert sum(value.size for _, value in model.params.items()) == expected_param_count(cfg) == 64 * 16 + 16 + 16 * 3 + 3
     out = model.predict_batch(np.zeros((5, 8, 8)))
     assert out.shape == (5, 3)
 
@@ -286,6 +286,19 @@ def test_fit_stops_on_non_finite_loss():
     model = CsmModel(CsmConfig(side=8, hidden=8, dropout=0.0), seed=4)
     with pytest.raises(NumericalError, match="epoch 0, step 0: loss is nan"):
         fit(model, (images, labels), TrainConfig(epochs=2, batch_size=4, seed=0))
+
+
+def test_fit_stops_on_non_finite_gradient():
+    # for |v| > ~1.3e154 gelu's backward multiplies v**2 = inf by 1 - tanh**2 = 0:
+    # the loss stays finite (ln 3, with w2 zero) while w1's and b1's gradients are NaN
+    model = CsmModel(CsmConfig(side=4, hidden=3, dropout=0.0), seed=0)
+    model.params.replace("w1", np.full(model.params["w1"].shape, 1e160))
+    model.params.replace("w2", np.zeros(model.params["w2"].shape))
+    images = np.random.default_rng(53).uniform(size=(3, 4, 4))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match="epoch 0, step 0: gradient of 'b1' is not finite"):
+        fit(model, (images, np.array([0, 1, 2])), TrainConfig(epochs=1, batch_size=8))
+    assert np.all(model.params["w1"].data == 1e160)  # no update reached the parameters
 
 
 def test_frozen_loss_invariant_to_batch_partition():
