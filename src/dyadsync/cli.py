@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -104,20 +105,22 @@ def _map_ordered(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _load_entry(task):
-    return load_entry(*task)
-
-
-def _matrix_entry(task):
-    entry, target_f, kind = task
+def _matrix_entry(entry, target_f: int, kind: str):
     seq = load_entry(entry, target_f)
     if kind == "cross":
         return seq.source_id, compute_csm(seq)
     return seq.source_id, compute_ssm(seq.person(int(kind[-1])))
 
 
-def _entry_tasks(manifest_path, target_f: int, extra=()) -> list:
-    return [(entry, target_f, *extra) for entry in load_manifest(manifest_path)]
+def _report(rows, labels, decisions, out_dir: Path, **mse) -> None:
+    """Score decisions against labels, write predictions.csv and metrics.json, print
+    the report; ``mse`` passes a regression head's raw ``preds`` and ``targets``."""
+    cm = confusion_normalized(labels, decisions)
+    report = compute_metrics(cm, **mse)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_predictions(rows, out_dir / "predictions.csv")
+    save_metrics(report, cm, out_dir / "metrics.json")
+    print(format_report(report, cm))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +138,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    tasks = _entry_tasks(args.data, args.frames)
-    sequences = _map_ordered(_load_entry, tasks, args.workers)
+    sequences = _map_ordered(partial(load_entry, target_f=args.frames),
+                             load_manifest(args.data), args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -158,8 +161,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_csm(args) -> int:
-    tasks = _entry_tasks(args.data, args.frames, extra=(args.kind,))
-    results = _map_ordered(_matrix_entry, tasks, args.workers)
+    results = _map_ordered(partial(_matrix_entry, target_f=args.frames, kind=args.kind),
+                           load_manifest(args.data), args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     savers = {"bin": save_binary, "csv": save_csv, "pgm": save_pgm}
@@ -189,12 +192,8 @@ def cmd_baseline(args) -> int:
         margins = linear_scores(clf, test_feats)
         preds = [BranchPrediction(args.method, seq.source_id, logits=row)
                  for seq, row in zip(test_seqs, margins)]
-        save_predictions(preds, out_dir / "predictions.csv")
-        cm = confusion_normalized(targets_from_sequences(test_seqs, "cross_entropy"),
-                                  predicted_classes(preds))
-        report = compute_metrics(cm)
-        save_metrics(report, cm, out_dir / "metrics.json")
-        print(format_report(report, cm))
+        _report(preds, targets_from_sequences(test_seqs, "cross_entropy"),
+                predicted_classes(preds), out_dir)
     return 0
 
 
@@ -280,6 +279,7 @@ def cmd_eval(args) -> int:
     if len(heads) > 1:
         raise ConfigError(f"regression source {heads['regress']} cannot be fused with "
                           f"classification source {heads['classify']}")
+    regress = "regress" in heads
     frames = [_model_frames(model, path, DataError)
               for path, model in zip(args.ckpt or [], models)]
     names = []
@@ -299,42 +299,24 @@ def cmd_eval(args) -> int:
     for model, name, f in zip(models, names, frames):
         out = _batched_logits(model, model.prepare_inputs(datasets[f]))
         for seq, row in zip(sequences, out):
-            if out.shape[1] == 1:
+            if regress:
                 predictions.append(BranchPrediction(name, seq.source_id, score=float(row[0])))
             else:
                 predictions.append(BranchPrediction(name, seq.source_id, logits=row))
     predictions.extend(external)
 
     fused = fuse_predictions(predictions)
-    regress = fused[0].score is not None
-    decisions = predicted_classes(fused)
-
     by_id = {seq.source_id: seq for seq in sequences}
-    labels = []
-    targets = []
-    for pred in fused:
-        seq = by_id[pred.source_id]
-        if regress:
-            if seq.label_score is None:
-                raise DataError(f"{seq.source_id}: score label required")
-            targets.append(seq.label_score)
-            labels.append(CLASS_NAMES.index(seq.label_class) if seq.label_class
-                          else bin_score(seq.label_score))
-        else:
-            if seq.label_class is None:
-                raise DataError(f"{seq.source_id}: class label required")
-            labels.append(CLASS_NAMES.index(seq.label_class))
-
-    cm = confusion_normalized(labels, decisions)
+    fused_seqs = [by_id[pred.source_id] for pred in fused]
     if regress:
-        report = compute_metrics(cm, preds=[p.score for p in fused], targets=targets)
+        mse = {"preds": [p.score for p in fused],
+               "targets": targets_from_sequences(fused_seqs, "mse")}
+        labels = [CLASS_NAMES.index(seq.label_class) if seq.label_class
+                  else bin_score(seq.label_score) for seq in fused_seqs]
     else:
-        report = compute_metrics(cm)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_predictions(predictions + fused, out_dir / "predictions.csv")
-    save_metrics(report, cm, out_dir / "metrics.json")
-    print(format_report(report, cm))
+        mse = {}
+        labels = targets_from_sequences(fused_seqs, "cross_entropy")
+    _report(predictions + fused, labels, predicted_classes(fused), Path(args.out), **mse)
     return 0
 
 
@@ -445,12 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", required=True, type=int,
                    help="clips to generate for each of the three classes")
     p.add_argument("--seed", type=int, help=f"generator seed (default ${SEED_ENV} or 0)")
-    p.add_argument("--frames", type=int, default=148, help="frames per clip")
-    p.add_argument("--lag", type=int, default=10,
+    p.add_argument("--frames", type=int, default=SynthConfig.f, help="frames per clip")
+    p.add_argument("--lag", type=int, default=SynthConfig.lag,
                    help="frame lag applied to the moderately synchronized class")
-    p.add_argument("--amp-mismatch", type=float, default=1.15,
+    p.add_argument("--amp-mismatch", type=float, default=SynthConfig.amp_mismatch,
                    help="amplitude ratio for the moderately synchronized class")
-    p.add_argument("--jitter", type=float, default=0.004,
+    p.add_argument("--jitter", type=float, default=SynthConfig.jitter,
                    help="noise added to the second person's joints")
 
     p = add("preprocess", cmd_preprocess, "filter, resample, and normalize clips")

@@ -56,21 +56,16 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None) -> "Tensor":
+        return reduce_sum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None) -> "Tensor":
+        return reduce_mean(self, axis=axis)
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -279,16 +274,6 @@ def add(a, b) -> Tensor:
     return _record(a.data + b.data, (a, b), backward)
 
 
-def subtract(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    a_shape, b_shape = a.data.shape, b.data.shape
-
-    def backward(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _record(a.data - b.data, (a, b), backward)
-
-
 def multiply(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
@@ -340,38 +325,30 @@ def transpose(x, axes) -> Tensor:
     return _record(x.data.transpose(axes), (x,), backward)
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    axes = tuple(a % len(shape) for a in axes)
-    if not keepdims:
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape)
+def _expand_reduced(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x, axis=None) -> Tensor:
     x = _wrap(x)
     in_shape = x.data.shape
 
     def backward(g):
-        return (_expand_reduced(g, in_shape, axis, keepdims),)
+        return (_expand_reduced(g, in_shape, axis),)
 
-    return _record(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
+    return _record(x.data.sum(axis=axis), (x,), backward)
 
 
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(x, axis=None) -> Tensor:
     x = _wrap(x)
     in_shape = x.data.shape
+    out = x.data.mean(axis=axis)
+    count = x.data.size // out.size
 
     def backward(g):
-        count = math.prod(in_shape) if axis is None else np.prod(
-            [in_shape[a % len(in_shape)] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        return (_expand_reduced(g, in_shape, axis, keepdims) / count,)
+        return (_expand_reduced(g, in_shape, axis) / count,)
 
-    return _record(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward)
+    return _record(out, (x,), backward)
 
 
 def linear_apply(x, weight, bias) -> Tensor:
@@ -450,7 +427,10 @@ def gelu(x) -> Tensor:
     out *= 1.0 + t
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * v**2)
+        # past |v| ~ 1.3e154 v**2 is inf where 1 - t**2 is 0, and inf * 0 is NaN; tanh
+        # is exactly +-1 from |v| ~ 19, so squaring |v| capped at 1e150 changes nothing
+        vc = np.clip(v, -1e150, 1e150)
+        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (vc * vc))
         deriv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
         return (g * deriv,)
 

@@ -71,7 +71,7 @@ def mse_loss(pred: Tensor, target) -> Tensor:
     flat = pred.reshape(-1) if pred.data.ndim > 1 else pred
     if flat.shape != target.shape:
         raise ContractError(f"prediction shape {flat.shape} != target shape {target.shape}")
-    diff = flat - Tensor(target)
+    diff = flat + Tensor(-target)  # x + (-y) is x - y bit for bit
     return (diff * diff).mean()
 
 
@@ -132,8 +132,14 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_loss_kind(loss_kind: str) -> None:
+    if loss_kind not in ("cross_entropy", "mse"):
+        raise ContractError(f"loss kind must be 'cross_entropy' or 'mse', got {loss_kind!r}")
+
+
 def targets_from_sequences(sequences, loss_kind: str) -> np.ndarray:
-    """Pull class ids or scores out of labeled sequences."""
+    """Pull class ids (``"cross_entropy"``) or scores (``"mse"``) out of labeled sequences."""
+    _check_loss_kind(loss_kind)
     if loss_kind == "cross_entropy":
         out = np.empty(len(sequences), dtype=np.int64)
         for i, seq in enumerate(sequences):
@@ -161,6 +167,7 @@ def _batched_logits(model, inputs: np.ndarray, batch_size: int = 64) -> np.ndarr
 def eval_metric(model, inputs: np.ndarray, targets: np.ndarray, loss_kind: str,
                 batch_size: int = 64) -> float:
     """Accuracy for classification, MSE for regression (eval mode)."""
+    _check_loss_kind(loss_kind)
     out = _batched_logits(model, inputs, batch_size)
     if loss_kind == "cross_entropy":
         return float(np.mean(out.argmax(axis=1) == targets))

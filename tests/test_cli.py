@@ -13,6 +13,7 @@ from dyadsync.csm_branch import CsmConfig, CsmModel
 from dyadsync.pose_io import load_dataset, load_manifest
 from dyadsync.similarity import load_binary
 from dyadsync.sttf import ModelConfig, SttfModel
+from dyadsync.synthgen import SynthConfig
 
 
 def run(*argv):
@@ -63,6 +64,13 @@ def test_seed_env_var_matches_flag(tmp_path, monkeypatch):
     assert run("synth", "--out", str(out_flag), "--per-class", "2",
                "--seed", "21", "--frames", "40", "--lag", "4") == 0
     assert dir_bytes(out_env) == dir_bytes(out_flag)
+
+
+def test_synth_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["synth", "--out", "x", "--per-class", "1"])
+    cfg = SynthConfig()
+    assert (args.frames, args.lag, args.amp_mismatch, args.jitter) == (
+        cfg.f, cfg.lag, cfg.amp_mismatch, cfg.jitter)
 
 
 def test_bad_seed_env_var_is_config_error(tmp_path, monkeypatch):
@@ -642,6 +650,23 @@ def test_eval_mixed_heads_is_config_error_naming_both(tmp_path, capsys, order):
     assert run("eval", *sources, "--data", str(manifest), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert regress in err and classify in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("head,label", [("classify", "class"), ("regress", "score")])
+def test_eval_clip_without_the_heads_label_is_data_error_naming_it(tmp_path, capsys,
+                                                                   head, label):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    entries = json.loads(manifest.read_text())
+    del entries[1][f"label_{label}"]
+    manifest.write_text(json.dumps(entries))
+    ckpt = save_untrained(tmp_path, head, SttfModel(
+        ModelConfig(f=12, d_joint=2, layers=1, heads=1, head_kind=head), seed=1))
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", "--ckpt", ckpt, "--data", str(manifest), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert Path(entries[1]["path"]).stem in err and f"{label} label" in err
     assert not out.exists()
 
 

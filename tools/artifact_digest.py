@@ -6,11 +6,15 @@ Usage, from the repository root:
 
 OUT_DIR must not exist yet.  The script runs, in one process through
 ``dyadsync.cli.main``: ``synth`` (train set seed 7, test set seed 8),
-``preprocess``, ``csm --format bin``, ``baseline --test`` for ``dtw``,
-``corr2d`` and ``crossrec``, ``train`` for both branches with a two-epoch
-training config and a small transformer config, ``eval`` of both
-checkpoints and ``export-attn``.  It then prints ``sha256  relative/path``
-for every file under OUT_DIR, sorted by path.
+``preprocess`` on one and on two workers, ``csm`` for the cross kind
+(``--format bin``) and both self-similarity kinds (``self0`` resized,
+normalized and written as PGM, ``self1`` as CSV), ``baseline --test`` for
+``dtw``, ``corr2d`` and ``crossrec``, ``train`` for both branches with a
+two-epoch training config and a small transformer config, ``eval`` of
+both checkpoints, ``eval`` of the CSM checkpoint fused with the DTW
+baseline's predictions through ``--external``, ``export-attn``, and a
+regression-head transformer's ``train`` and ``eval``.  It then prints
+``sha256  relative/path`` for every file under OUT_DIR, sorted by path.
 
 Every artifact is deterministic, so two checkouts that should produce the
 same bytes can be compared by running the script against each one's
@@ -33,6 +37,7 @@ from dyadsync.cli import main
 
 TRAIN_CONFIG = {"epochs": 2, "batch_size": 8}
 MODEL_CONFIG = {"d_joint": 4, "layers": 1, "heads": 2, "dropout": 0.1}
+REGRESS_CONFIG = {**MODEL_CONFIG, "head_kind": "regress"}
 
 
 def run_pipeline(out: Path) -> None:
@@ -43,6 +48,7 @@ def run_pipeline(out: Path) -> None:
     configs.mkdir(parents=True)
     (configs / "train.json").write_text(json.dumps(TRAIN_CONFIG))
     (configs / "model.json").write_text(json.dumps(MODEL_CONFIG))
+    (configs / "model_regress.json").write_text(json.dumps(REGRESS_CONFIG))
 
     steps = [
         ["synth", "--out", str(train), "--per-class", "4", "--seed", "7"],
@@ -63,6 +69,23 @@ def run_pipeline(out: Path) -> None:
          "--data", test_manifest, "--out", str(out / "eval")],
         ["export-attn", "--ckpt", str(tfn / "model.bin"), "--data", test_manifest,
          "--out", str(out / "attn")],
+        ["csm", "--data", test_manifest, "--out", str(out / "csm_self0"), "--kind", "self0",
+         "--format", "pgm", "--size", "40", "--normalize"],
+        ["csm", "--data", test_manifest, "--out", str(out / "csm_self1"), "--kind", "self1",
+         "--format", "csv"],
+        ["preprocess", "--data", test_manifest, "--out", str(out / "clean_workers2"),
+         "--workers", "2"],
+        ["eval", "--ckpt", str(csm / "model.bin"),
+         "--external", str(out / "baseline" / "dtw" / "predictions.csv"),
+         "--data", test_manifest, "--out", str(out / "eval_external")],
+    ]
+    tfn_regress = out / "runs" / "tfn_regress"
+    steps += [
+        ["train", "--data", train_manifest, "--out", str(tfn_regress), "--branch", "tfn",
+         "--seed", "3", "--config", str(configs / "train.json"),
+         "--model-config", str(configs / "model_regress.json")],
+        ["eval", "--ckpt", str(tfn_regress / "model.bin"), "--data", test_manifest,
+         "--out", str(out / "eval_regress")],
     ]
     for argv in steps:
         with contextlib.redirect_stdout(sys.stderr):  # keep stdout for the digests
