@@ -76,26 +76,48 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         raise DataError("dtw_distance needs nonempty sequences")
     if a.shape[2] != b.shape[2]:
         raise DataError(f"frame dims differ: {a.shape[2]} vs {b.shape[2]}")
-    # D padded with a row and a column of +inf before index 0 and D(-1,-1) = 0;
-    # the costs fill the interior and each diagonal adds its min onto them
-    dp = np.full((k, n + 1, m + 1), np.inf)
-    dp[:, 0, 0] = 0.0
-    np.sqrt(((a[:, :, None] - b[:, None]) ** 2).sum(axis=-1), out=dp[:, 1:, 1:])
-    # flattened, cell (i, j) sits at (i+1)(m+1) + j+1: a diagonal is a slice of
-    # step m, and its up, left and up-left neighbours are that slice shifted
-    # back by m+1, 1 and m+2
-    dp = dp.reshape(k, (n + 1) * (m + 1))
-    best = np.empty((k, min(n, m)))
+    cost = _pair_costs(a, b)  # (n, m, k)
+    # diagonal-major table: row t + 2 holds diagonal t, column i + 1 its cell
+    # (i, t - i), so each diagonal is one contiguous (cells, k) block.  Row 0
+    # and column 0 are the +inf border before index 0, except D(-1,-1) = 0
+    table = np.full((n + m + 1, n + 2, k), np.inf)
+    table[0, 0] = 0.0
+    i, j = np.arange(n)[:, None], np.arange(m)
+    table[i + j + 2, i + 1] = cost
+    best = np.empty((min(n, m), k))
     for t in range(n + m - 1):
         lo, hi = max(0, t - m + 1), min(n - 1, t)  # rows i of the diagonal's cells
-        start = (lo + 1) * (m + 1) + t - lo + 1
-        stop = start + (hi - lo) * m + 1
-        low = best[:, :hi - lo + 1]
-        np.minimum(dp[:, start - m - 1:stop - m - 1:m], dp[:, start - 1:stop - 1:m], out=low)
-        np.minimum(low, dp[:, start - m - 2:stop - m - 2:m], out=low)
-        cells = dp[:, start:stop:m]
+        low = best[:hi - lo + 1]
+        prev = table[t + 1]
+        np.minimum(prev[lo:hi + 1], prev[lo + 1:hi + 2], out=low)  # up, left
+        np.minimum(low, table[t, lo:hi + 1], out=low)  # up-left
+        cells = table[t + 2, lo + 1:hi + 2]
         np.add(cells, low, out=cells)
-    return dp[:, -1].copy() if batched else float(dp[0, -1])
+    return table[-1, n].copy() if batched else float(table[-1, n, 0])
+
+
+def _pair_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m, k) Euclidean frame costs of k pairs of (n, d) and (m, d) sequences.
+
+    Each cost sums its d squares in the order numpy's last-axis sum uses,
+    so the bits match ``sqrt(((a[:, :, None] - b[:, None]) ** 2).sum(-1))``:
+    one after another for d < 8, where the sum runs over a leading axis of
+    contiguous (n, m, k) planes, and pairwise over a contiguous last axis
+    for d >= 8.
+    """
+    if a.shape[2] < 8:
+        a = np.ascontiguousarray(a.transpose(2, 1, 0))  # (d, n, k)
+        b = np.ascontiguousarray(b.transpose(2, 1, 0))
+        diff = a[:, :, None] - b[:, None]  # (d, n, m, k)
+        np.multiply(diff, diff, out=diff)
+        cost = diff.sum(axis=0)
+    else:
+        a = np.ascontiguousarray(a.transpose(1, 0, 2))  # (n, k, d)
+        b = np.ascontiguousarray(b.transpose(1, 0, 2))
+        diff = a[:, None] - b[None]  # (n, m, k, d)
+        np.multiply(diff, diff, out=diff)
+        cost = diff.sum(axis=-1)
+    return np.sqrt(cost, out=cost)
 
 
 def dtw_features(seq: SkeletonSequence) -> BaselineFeatures:

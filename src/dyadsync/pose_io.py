@@ -92,6 +92,8 @@ def _parse_person(entry, where: str, keypoints: np.ndarray, detected: np.ndarray
         joints = np.asarray(kp, dtype=np.float64)
     except (TypeError, ValueError):
         raise DataError(f"{where}: keypoints are not a numeric array") from None
+    except OverflowError:  # a JSON integer beyond the float64 range
+        raise DataError(f"{where}: non-finite coordinate or confidence outside [0, 1]") from None
     if joints.shape != (NUM_JOINTS, 3):
         raise DataError(f"{where}: expected {NUM_JOINTS}x3 keypoints, got shape {joints.shape}")
     if not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all():
@@ -103,6 +105,66 @@ def _parse_person(entry, where: str, keypoints: np.ndarray, detected: np.ndarray
     detected[slot] = True
 
 
+def _walk_records(records, path, keypoints: np.ndarray, detected: np.ndarray) -> list:
+    """Check and place the records one person at a time; returns the frame indices.
+
+    This is the one place that words an error in a frame or person
+    record: it stops at the first bad record and names it.
+    """
+    indices = []
+    for t, record in enumerate(records):
+        try:
+            frame_index = record["index"]
+            persons = record["persons"]
+        except (TypeError, KeyError):
+            raise DataError(f"{path}: malformed frame record {record!r}") from None
+        if type(persons) is not list:
+            raise DataError(f"{path}: malformed frame record {record!r}")
+        if type(frame_index) is not int:  # JSON integers only: no bool, float or string
+            raise DataError(f"{path}: frame index {frame_index!r} is not an integer")
+        where = f"{path}: frame {frame_index}"
+        if len(persons) > 2:
+            raise DataError(f"{where}: {len(persons)} persons present; dyad selection is upstream")
+        for entry in persons:
+            _parse_person(entry, where, keypoints[t], detected[t])
+        indices.append(frame_index)
+    return indices
+
+
+def _gather_records(records, keypoints: np.ndarray, detected: np.ndarray):
+    """Place well-formed records with one conversion and one bounds check.
+
+    Returns the frame indices, or None, having written nothing, when any
+    record breaks a rule of :func:`_walk_records`, which then finds it.
+    """
+    indices, cells, lists = [], [], []  # cells: rows of the (n * 2, J, 3) keypoints
+    try:
+        for t, record in enumerate(records):
+            frame_index, persons = record["index"], record["persons"]
+            if type(frame_index) is not int or type(persons) is not list or len(persons) > 2:
+                return None
+            indices.append(frame_index)
+            for entry in persons:
+                pid = entry["id"]
+                if pid not in (0, 1):
+                    return None
+                cells.append(2 * t + int(pid))
+                lists.append(entry["keypoints"])
+        if not lists:
+            return indices
+        joints = np.array(lists, dtype=np.float64)
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return None
+    if (joints.shape != (len(lists), NUM_JOINTS, 3)
+            or not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all()):
+        return None
+    if len(set(cells)) != len(cells):  # a duplicate person id
+        return None
+    keypoints.reshape(-1, NUM_JOINTS, 3)[cells] = joints
+    detected.reshape(-1)[cells] = True
+    return indices
+
+
 def load_keypoint_file(path) -> KeypointClip:
     """Parse one clip's keypoint JSON into a KeypointClip, sorted by index.
 
@@ -110,7 +172,8 @@ def load_keypoint_file(path) -> KeypointClip:
     b); a missing person stays zeros and undetected.  More than two
     persons in a frame is refused outright — selecting the dyad out of a
     crowd is the tracker's job, not ours.  An empty file is a clip of no
-    frames.
+    frames.  Frame indices and both ``image_size`` entries must be JSON
+    integers.
     """
     path = Path(path)
     if not path.exists():
@@ -124,31 +187,20 @@ def load_keypoint_file(path) -> KeypointClip:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise DataError(f"{path}: expected an object with a 'frames' list")
-    try:
-        width, height = doc["image_size"]
-        image_size = (int(width), int(height))
-    except (KeyError, TypeError, ValueError):
-        raise DataError(f"{path}: missing or malformed 'image_size'") from None
+    size = doc.get("image_size")
+    if type(size) is not list or len(size) != 2 or any(type(v) is not int for v in size):
+        raise DataError(f"{path}: missing or malformed 'image_size' {size!r}; "
+                        "expected two JSON integers")
+    image_size = tuple(size)
     if min(image_size) <= 0:
         raise DataError(f"{path}: non-positive image_size {image_size}")
 
     records = doc["frames"]
     keypoints = np.zeros((len(records), 2, NUM_JOINTS, 3))
     detected = np.zeros((len(records), 2), dtype=bool)
-    indices = []
-    for t, record in enumerate(records):
-        try:
-            frame_index = int(record["index"])
-            persons = record["persons"]
-            count = len(persons)
-        except (TypeError, KeyError, ValueError):
-            raise DataError(f"{path}: malformed frame record {record!r}") from None
-        where = f"{path}: frame {frame_index}"
-        if count > 2:
-            raise DataError(f"{where}: {count} persons present; dyad selection is upstream")
-        for entry in persons:
-            _parse_person(entry, where, keypoints[t], detected[t])
-        indices.append(frame_index)
+    indices = _gather_records(records, keypoints, detected)
+    if indices is None:
+        indices = _walk_records(records, path, keypoints, detected)
     order = np.argsort(indices, kind="stable")
     return KeypointClip(keypoints[order], detected[order], image_size)
 

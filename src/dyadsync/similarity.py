@@ -33,15 +33,20 @@ class SimilarityMatrix:
 
 
 def frame_distance_matrix(track_a: np.ndarray, track_b: np.ndarray) -> np.ndarray:
-    """All-pairs Frobenius distance between (f, J, 2) pose tracks."""
-    a = np.asarray(track_a, dtype=np.float64)
-    b = np.asarray(track_b, dtype=np.float64)
+    """All-pairs Frobenius distance between (f, J, 2) pose tracks.
+
+    The tracks are copied contiguous (a person's track is a strided view
+    of its sequence) and the one difference array is squared in place.
+    """
+    a = np.ascontiguousarray(track_a, dtype=np.float64)
+    b = np.ascontiguousarray(track_b, dtype=np.float64)
     if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]:
         raise DataError(f"incompatible tracks: {a.shape} vs {b.shape}")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise DataError("empty track")
     diff = a[:, None] - b[None, :]  # (fa, fb, J, 2)
-    return np.sqrt((diff**2).sum(axis=(2, 3)))
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(diff.sum(axis=(2, 3)))
 
 
 def compute_csm(seq: SkeletonSequence) -> SimilarityMatrix:

@@ -171,6 +171,21 @@ def test_dtw_batched_matches_per_pair_loop():
         assert got.tobytes() == want.tobytes(), (n, m, d, k)
 
 
+@pytest.mark.parametrize("d", [7, 8, 9])
+def test_dtw_strided_batches_match_the_loop_around_eight_dims(d):
+    # below 8 dims the costs sum over a leading axis, from 8 over the last
+    # one; both must give numpy's last-axis sum bit for bit, also on views
+    rng = np.random.default_rng(80 + d)
+    for n, m, k in [(1, 2, 2), (3, 2, 2), (9, 6, 3), (6, 9, 17)]:
+        a = rng.normal(size=(n, 2 * d, k)).transpose(2, 0, 1)[:, :, ::2]  # (k, n, d) view
+        b = rng.uniform(-1e3, 1e3, size=(m, k, d)).transpose(1, 0, 2)
+        assert not a.flags.c_contiguous and not b.flags.c_contiguous
+        got = dtw_distance(a, b)
+        want = np.array([loop_dtw_distance(a[i], b[i]) for i in range(k)])
+        assert (got == want).all(), (n, m, k)
+        assert got.tobytes() == want.tobytes(), (n, m, k)
+
+
 def test_dtw_features_matches_per_joint_assembly():
     rng = np.random.default_rng(78)
     for f in (1, 2, 15, 81):

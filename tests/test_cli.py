@@ -599,6 +599,19 @@ def test_non_positive_image_size_names_the_clip(tmp_path, capsys):
     assert clip.name in capsys.readouterr().err
 
 
+def test_infinite_image_size_exits_3_naming_the_clip(tmp_path, capsys):
+    # json.loads reads 1e400 as inf, which int() cannot take
+    manifest = make_dataset(tmp_path, per_class=1)
+    clip = load_manifest(manifest)[0].path
+    doc = json.loads(clip.read_text())
+    doc["image_size"] = "SIZE"
+    clip.write_text(json.dumps(doc).replace('"SIZE"', "[1e400, 480]"))
+    capsys.readouterr()
+    assert run("preprocess", "--data", str(manifest), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert str(clip) in err and "image_size" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["preprocess", "baseline"])
 @pytest.mark.parametrize("case", ["no-dyad", "empty-file"])
 def test_clip_without_valid_frames_names_the_clip(tmp_path, capsys, case, command):

@@ -158,12 +158,183 @@ def test_load_rejects_duplicate_ids_and_bad_json(tmp_path):
 @pytest.mark.parametrize("frames,message", [
     (5, "'frames' list"),
     ([{"index": 3, "persons": 5}], "malformed frame record"),
-], ids=["frames-not-a-list", "persons-not-a-list"])
+    ([{"index": 3, "persons": "ab"}], "malformed frame record"),
+    ([{"index": 3, "persons": {"id": 0}}], "malformed frame record"),
+], ids=["frames-not-a-list", "persons-not-a-list", "persons-a-string", "persons-an-object"])
 def test_load_refuses_records_that_are_not_lists(tmp_path, frames, message):
     p = tmp_path / "odd.json"
     p.write_text(json.dumps({"image_size": [320, 240], "frames": frames}))
     with pytest.raises(DataError, match=message):
         load_keypoint_file(p)
+
+
+@pytest.mark.parametrize("index", ["3", 2.7, 2.0, True, None])
+def test_load_refuses_a_frame_index_that_is_not_an_integer(tmp_path, index):
+    p = write_clip(tmp_path / "clip.json", [(0, [0, 1]), (1, [0, 1])])
+    doc = json.loads(p.read_text())
+    doc["frames"][1]["index"] = index
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"frame index {index!r} is not an integer") as err:
+        load_keypoint_file(p)
+    assert str(p) in str(err.value)
+
+
+@pytest.mark.parametrize("size", ['["640", 480]', "[640.9, 480]", "[640.0, 480]", "[true, true]",
+                                  "[1e400, 480]", "[640]", "[640, 480, 3]", '"64"', "null"])
+def test_load_refuses_an_image_size_that_is_not_two_integers(tmp_path, size):
+    p = write_clip(tmp_path / "clip.json", [(0, [0, 1])])
+    p.write_text(p.read_text().replace("[320, 240]", size))
+    with pytest.raises(DataError, match="'image_size'") as err:
+        load_keypoint_file(p)
+    assert str(p) in str(err.value)
+
+
+def test_load_refuses_a_keypoint_integer_beyond_float64(tmp_path):
+    p = write_clip(tmp_path / "clip.json", [(4, [0, 1])])
+    doc = json.loads(p.read_text())
+    doc["frames"][0]["persons"][1]["keypoints"][3][0] = 10**400
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="frame 4: non-finite coordinate"):
+        load_keypoint_file(p)
+
+
+# ---------------------------------------------------------------------------
+# the gathered parse against the per-person loop it replaced
+# ---------------------------------------------------------------------------
+
+_LOW = np.array([-np.finfo(np.float64).max] * 2 + [0.0])
+_HIGH = np.array([np.finfo(np.float64).max] * 2 + [1.0])
+
+
+def per_person_load(path):
+    """The loader before the gathered parse, kept as an oracle: one
+    conversion and one bounds check per person record."""
+    text = path.read_text()
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
+        raise DataError(f"{path}: expected an object with a 'frames' list")
+    image_size = tuple(doc["image_size"])
+    records = doc["frames"]
+    keypoints = np.zeros((len(records), 2, NUM_JOINTS, 3))
+    detected = np.zeros((len(records), 2), dtype=bool)
+    indices = []
+    for t, record in enumerate(records):
+        try:
+            frame_index = int(record["index"])
+            persons = record["persons"]
+            count = len(persons)
+        except (TypeError, KeyError, ValueError):
+            raise DataError(f"{path}: malformed frame record {record!r}") from None
+        where = f"{path}: frame {frame_index}"
+        if count > 2:
+            raise DataError(f"{where}: {count} persons present; dyad selection is upstream")
+        for entry in persons:
+            try:
+                pid = entry["id"]
+                kp = entry["keypoints"]
+            except (TypeError, KeyError) as exc:
+                raise DataError(f"{where}: person record missing {exc}") from None
+            if pid not in (0, 1):
+                raise DataError(f"{where}: person id must be 0 or 1, got {pid!r}")
+            try:
+                joints = np.asarray(kp, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise DataError(f"{where}: keypoints are not a numeric array") from None
+            if joints.shape != (NUM_JOINTS, 3):
+                raise DataError(f"{where}: expected {NUM_JOINTS}x3 keypoints, "
+                                f"got shape {joints.shape}")
+            if not ((joints >= _LOW) & (joints <= _HIGH)).all():
+                raise DataError(f"{where}: non-finite coordinate or confidence outside [0, 1]")
+            slot = int(pid)
+            if detected[t, slot]:
+                raise DataError(f"{where}: duplicate person id {pid}")
+            keypoints[t, slot] = joints
+            detected[t, slot] = True
+        indices.append(frame_index)
+    order = np.argsort(indices, kind="stable")
+    return KeypointClip(keypoints[order], detected[order], image_size)
+
+
+# values a mutated field may take; none is a frame index the oracle reads
+# differently from the loader (a non-integer one), nor an integer too large
+# for float64, on which the oracle raises OverflowError
+ODD_IDS = [0, 1, 2, -1, 0.0, 1.0, 0.5, True, False, "0", None, [1], {"id": 0}]
+ODD_VALUES = [float("nan"), float("inf"), -float("inf"), -0.5, 1.5, 1e308, -1e308, 0, 7,
+              "x", "1.5", None, True, [1.0], {}]
+MUTATIONS = ("id", "value", "rows", "persons", "index", "nan", "duplicate", "key")
+
+
+@st.composite
+def mutated_clips(draw):
+    """A valid clip document with at most one field changed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for t in range(draw(st.integers(1, 6))):
+        ids = [[], [0], [1], [0, 1], [1, 0]][rng.integers(5)]
+        persons = []
+        for pid in ids:
+            xy = rng.uniform(-50.0, 400.0, (NUM_JOINTS, 2))
+            conf = rng.choice([0.0, 1.0, rng.random()], size=(NUM_JOINTS, 1))
+            rows = np.concatenate([xy, conf], axis=1).tolist()
+            persons.append({"id": pid, "keypoints": rows})
+        frames.append({"index": int(rng.integers(-3, 9)), "persons": persons})
+    doc = {"image_size": [320, 240], "frames": frames}
+    mutation = draw(st.sampled_from(MUTATIONS + ("none",)))
+    frame = frames[draw(st.integers(0, len(frames) - 1))]
+    persons = frame["persons"]
+    person = persons[draw(st.integers(0, len(persons) - 1))] if persons else None
+    if mutation == "index":
+        other = frames[draw(st.integers(0, len(frames) - 1))]["index"]
+        frame["index"] = draw(st.sampled_from([other, -1, 2**40, 0]))
+    elif mutation == "persons":
+        extra = {"id": 1, "keypoints": [[1.0, 2.0, 0.5]] * NUM_JOINTS}
+        frame["persons"] = draw(st.sampled_from([[], persons[:1], persons + [extra],
+                                                 persons + [extra, extra]]))
+    elif person is None:
+        pass
+    elif mutation == "id":
+        person["id"] = draw(st.sampled_from(ODD_IDS))
+    elif mutation in ("value", "nan"):
+        row, col = draw(st.integers(0, NUM_JOINTS - 1)), draw(st.integers(0, 2))
+        value = float("nan") if mutation == "nan" else draw(st.sampled_from(ODD_VALUES))
+        person["keypoints"][row][col] = value
+    elif mutation == "rows":
+        rows = person["keypoints"]
+        person["keypoints"] = draw(st.sampled_from([
+            rows[:-1], rows + rows[:1], [rows[0][:2]] + rows[1:], [rows[0] + [0.5]] + rows[1:],
+            rows[0], [rows], sum(rows, [])]))
+    elif mutation == "duplicate" and len(persons) == 2:
+        persons[1]["id"] = persons[0]["id"]
+    elif mutation == "key":
+        del person[draw(st.sampled_from(["id", "keypoints"]))]
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutated_clips())
+def test_gathered_parse_matches_the_per_person_loop(tmp_path_factory, doc):
+    p = tmp_path_factory.mktemp("gather") / "clip.json"
+    p.write_text(json.dumps(doc))
+    try:
+        want = per_person_load(p)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_keypoint_file(p)
+        assert str(err.value) == str(exc)
+        gathered = None
+    else:
+        got = load_keypoint_file(p)
+        assert got.keypoints.tobytes() == want.keypoints.tobytes()
+        assert got.keypoints.shape == want.keypoints.shape
+        assert got.detected.tobytes() == want.detected.tobytes()
+        assert got.image_size == want.image_size
+        gathered = want
+    # the one-pass gather takes exactly the clips the walk accepts, so a
+    # valid clip never reaches the per-person walk
+    records = json.loads(p.read_text())["frames"]
+    shape = (len(records), 2, NUM_JOINTS, 3)
+    accepted = pose_io._gather_records(records, np.zeros(shape), np.zeros(shape[:2], bool))
+    assert (accepted is not None) == (gathered is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from dyadsync.similarity import (
     SimilarityMatrix,
     compute_csm,
     compute_ssm,
+    frame_distance_matrix,
     load_binary,
     normalize_minmax,
     resize_nearest,
@@ -34,6 +35,21 @@ def naive_csm(track_a, track_b):
 
 def random_sequence(rng, f=12, J=17):
     return SkeletonSequence(frames=rng.uniform(0, 1, size=(f, 2, J, 2)))
+
+
+def test_frame_distances_of_person_views_match_the_broadcast_expression():
+    # person(i) is a strided view; the contiguous, squared-in-place kernel
+    # must give the bytes of the one-expression form it replaced
+    rng = np.random.default_rng(101)
+    for fa, fb in [(1, 1), (1, 7), (12, 5), (81, 81)]:
+        a = random_sequence(rng, f=fa)
+        b = random_sequence(rng, f=fb)
+        for x, y in [(a.person(0), a.person(1)), (a.person(1), b.person(0)),
+                     (b.person(1), b.person(1))]:
+            want = np.sqrt(((x[:, None] - y[None]) ** 2).sum(axis=(2, 3)))
+            assert frame_distance_matrix(x, y).tobytes() == want.tobytes(), (fa, fb)
+        want = -np.sqrt(((a.person(0)[:, None] - a.person(1)[None]) ** 2).sum(axis=(2, 3))) / 17
+        assert compute_csm(a).values.tobytes() == want.tobytes()
 
 
 def test_csm_matches_double_loop_oracle():
