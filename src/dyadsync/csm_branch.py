@@ -53,19 +53,23 @@ class CsmModel:
         self.params.add_zeros("b2", (config.out_dim,))
 
     def forward(self, images: np.ndarray, tape=None, rng=None):
-        """(B, side, side) CSM images -> (B, out_dim) tensor; dropout iff ``rng``."""
+        """(B, side, side) CSM images -> (B, out_dim) tensor; dropout iff ``rng``.
+
+        It computes in the dtype of ``images``, float32 or else float64.
+        """
         cfg = self.config
-        images = np.asarray(images, dtype=np.float64)
+        images = T.as_array(images)
         if images.ndim != 3 or images.shape[1:] != (cfg.side, cfg.side):
             raise ContractError(f"expected (B, {cfg.side}, {cfg.side}) images, got {images.shape}")
-        p = self.params.tracked(tape)
+        p = self.params.tracked(tape, images.dtype)
         x = Tensor(images.reshape(len(images), cfg.side * cfg.side))
         h = T.gelu(T.linear_apply(x, p["w1"], p["b1"]))
         h = T.dropout_apply(h, cfg.dropout, rng)
         return T.linear_apply(h, p["w2"], p["b2"])
 
     def predict_batch(self, images: np.ndarray) -> np.ndarray:
-        return self.forward(images).data
+        """Gradient-free eval-mode forward in float32; returns float64 (B, out_dim) logits."""
+        return self.forward(np.asarray(images, dtype=np.float32)).data.astype(np.float64)
 
     def prepare_inputs(self, sequences) -> np.ndarray:
         """Sequences -> (B, side, side) stack of normalized, coarsened CSMs."""

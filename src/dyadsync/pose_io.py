@@ -13,7 +13,8 @@ one ``(n, 2, J, 3)`` array of pixel x, y and confidence with an
 attention model and the similarity computations.  Frames where either
 person is undetected are discarded; out-of-frame joints are clamped into
 the image and tallied.  A non-finite coordinate or a confidence outside
-[0, 1] is refused at parse time.
+[0, 1] is refused at parse time, as is a person id other than the JSON
+integers 0 and 1 or a keypoint value that is not a JSON number.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _parse_person(entry, where: str, keypoints: np.ndarray, detected: np.ndarray
         kp = entry["keypoints"]
     except (TypeError, KeyError) as exc:
         raise DataError(f"{where}: person record missing {exc}") from None
-    if pid not in (0, 1):
-        raise DataError(f"{where}: person id must be 0 or 1, got {pid!r}")
+    if type(pid) is not int or pid not in (0, 1):  # JSON integers only: no bool or float
+        raise DataError(f"{where}: person id must be the JSON integer 0 or 1, got {pid!r}")
     try:
         joints = np.asarray(kp, dtype=np.float64)
     except (TypeError, ValueError):
@@ -96,13 +97,15 @@ def _parse_person(entry, where: str, keypoints: np.ndarray, detected: np.ndarray
         raise DataError(f"{where}: non-finite coordinate or confidence outside [0, 1]") from None
     if joints.shape != (NUM_JOINTS, 3):
         raise DataError(f"{where}: expected {NUM_JOINTS}x3 keypoints, got shape {joints.shape}")
+    for value in (v for row in kp for v in row):  # np.asarray took "1.5", true and null
+        if type(value) not in (int, float):
+            raise DataError(f"{where}: keypoint value {json.dumps(value)} is not a number")
     if not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all():
         raise DataError(f"{where}: non-finite coordinate or confidence outside [0, 1]")
-    slot = int(pid)  # a JSON true or 1.0 names person 1, as it always has
-    if detected[slot]:
+    if detected[pid]:
         raise DataError(f"{where}: duplicate person id {pid}")
-    keypoints[slot] = joints
-    detected[slot] = True
+    keypoints[pid] = joints
+    detected[pid] = True
 
 
 def _walk_records(records, path, keypoints: np.ndarray, detected: np.ndarray) -> list:
@@ -131,11 +134,23 @@ def _walk_records(records, path, keypoints: np.ndarray, detected: np.ndarray) ->
     return indices
 
 
+def _may_gather(text: str) -> bool:
+    """False when a clip's JSON text may hold a literal true, false or null.
+
+    ``np.array`` reads true and false among numbers as 1.0 and 0.0, so the
+    gathered parse cannot see them.  Each literal spells a "u" or an "l",
+    which no number and no key of a clip does; a text with either letter
+    is walked instead, which words the error.
+    """
+    return "u" not in text and "l" not in text
+
+
 def _gather_records(records, keypoints: np.ndarray, detected: np.ndarray):
     """Place well-formed records with one conversion and one bounds check.
 
     Returns the frame indices, or None, having written nothing, when any
     record breaks a rule of :func:`_walk_records`, which then finds it.
+    The records must come from a text that :func:`_may_gather` passed.
     """
     indices, cells, lists = [], [], []  # cells: rows of the (n * 2, J, 3) keypoints
     try:
@@ -146,15 +161,18 @@ def _gather_records(records, keypoints: np.ndarray, detected: np.ndarray):
             indices.append(frame_index)
             for entry in persons:
                 pid = entry["id"]
-                if pid not in (0, 1):
+                if type(pid) is not int or pid not in (0, 1):
                     return None
-                cells.append(2 * t + int(pid))
+                cells.append(2 * t + pid)
                 lists.append(entry["keypoints"])
         if not lists:
             return indices
-        joints = np.array(lists, dtype=np.float64)
+        joints = np.array(lists)  # str dtype for a string, object for an int beyond int64
     except (TypeError, KeyError, ValueError, OverflowError):
         return None
+    if joints.dtype.kind not in "fi":
+        return None
+    joints = joints.astype(np.float64, copy=False)
     if (joints.shape != (len(lists), NUM_JOINTS, 3)
             or not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all()):
         return None
@@ -173,7 +191,8 @@ def load_keypoint_file(path) -> KeypointClip:
     persons in a frame is refused outright — selecting the dyad out of a
     crowd is the tracker's job, not ours.  An empty file is a clip of no
     frames.  Frame indices and both ``image_size`` entries must be JSON
-    integers.
+    integers, person ids the JSON integers 0 and 1, and keypoint values
+    JSON numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -198,7 +217,7 @@ def load_keypoint_file(path) -> KeypointClip:
     records = doc["frames"]
     keypoints = np.zeros((len(records), 2, NUM_JOINTS, 3))
     detected = np.zeros((len(records), 2), dtype=bool)
-    indices = _gather_records(records, keypoints, detected)
+    indices = _gather_records(records, keypoints, detected) if _may_gather(text) else None
     if indices is None:
         indices = _walk_records(records, path, keypoints, detected)
     order = np.argsort(indices, kind="stable")

@@ -185,16 +185,21 @@ class SttfModel:
         out = T.dropout_apply(out, cfg.dropout, rng)
         return x + out
 
-    def _spatial_stack(self, frames: np.ndarray, tape=None, rng=None,
+    def _spatial_stack(self, frames: np.ndarray, p: Optional[dict] = None, rng=None,
                        capture: Optional[list] = None):
-        """(B, f, 2, J, 2) pose batch -> (B, f, c_temp) frame vectors."""
+        """(B, f, 2, J, 2) pose batch -> (B, f, c_temp) frame vectors.
+
+        ``p`` is the parameter map that :meth:`forward` builds once per
+        call; without one, this stage, like the two after it, uses the
+        untracked float64 parameters.
+        """
         cfg = self.config
         if frames.ndim != 5 or frames.shape[2:] != (2, cfg.num_joints, 2):
             raise ContractError(f"expected (B, f, 2, {cfg.num_joints}, 2) poses, got {frames.shape}")
         if frames.shape[1] != cfg.f:
             raise ConfigError(f"sequence has {frames.shape[1]} frames, model expects {cfg.f}")
         batch = frames.shape[0]
-        p = self.params.tracked(tape)
+        p = self.params.tracked(None) if p is None else p
         tokens = Tensor(np.ascontiguousarray(frames).reshape(batch * cfg.f, cfg.tokens_spatial, 2))
         x = T.linear_apply(tokens, p["joint_proj.w"], p["joint_proj.b"])
         x = x + p["spatial.pos"]
@@ -204,35 +209,41 @@ class SttfModel:
         x = x.reshape(batch, cfg.f, cfg.c_temp)
         return x + p["frame.pos"]
 
-    def _temporal_stack(self, z, tape=None, rng=None, capture: Optional[list] = None):
+    def _temporal_stack(self, z, p: Optional[dict] = None, rng=None,
+                        capture: Optional[list] = None):
         """(B, f, c_temp) -> (B, f, c_temp) after the frame-attention stack."""
         cfg = self.config
         if z.shape[-2:] != (cfg.f, cfg.c_temp):
             raise ContractError(f"expected (..., {cfg.f}, {cfg.c_temp}), got {z.shape}")
-        p = self.params.tracked(tape)
+        p = self.params.tracked(None) if p is None else p
         y = z + p["temporal.pos"]
         y = T.dropout_apply(y, cfg.dropout, rng)
         for l in range(cfg.layers):
             y = self._layer(y, p, f"temporal.{l}", rng, capture)
         return y
 
-    def _head(self, y, tape=None):
+    def _head(self, y, p: Optional[dict] = None):
         """(B, f, c_temp) -> (B, out_dim) via mean-pool + linear."""
-        p = self.params.tracked(tape)
+        p = self.params.tracked(None) if p is None else p
         pooled = y.mean(axis=-2)
         return T.linear_apply(pooled, p["head.w"], p["head.b"])
 
     def forward(self, frames: np.ndarray, tape=None, rng=None,
                 capture_spatial: Optional[list] = None,
                 capture_temporal: Optional[list] = None):
-        """Full pass over a (B, f, 2, J, 2) batch -> (B, out_dim) tensor; dropout iff ``rng``."""
-        z = self._spatial_stack(frames, tape, rng, capture_spatial)
-        y = self._temporal_stack(z, tape, rng, capture_temporal)
-        return self._head(y, tape)
+        """Full pass over a (B, f, 2, J, 2) batch -> (B, out_dim) tensor; dropout iff ``rng``.
+
+        It computes in the dtype of ``frames``, float32 or else float64.
+        """
+        frames = T.as_array(frames)
+        p = self.params.tracked(tape, frames.dtype)
+        z = self._spatial_stack(frames, p, rng, capture_spatial)
+        y = self._temporal_stack(z, p, rng, capture_temporal)
+        return self._head(y, p)
 
     def predict_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Gradient-free eval-mode forward; returns plain (B, out_dim) logits."""
-        return self.forward(frames).data
+        """Gradient-free eval-mode forward in float32; returns float64 (B, out_dim) logits."""
+        return self.forward(np.asarray(frames, dtype=np.float32)).data.astype(np.float64)
 
     def prepare_inputs(self, sequences) -> np.ndarray:
         """Stack sequences into the (B, f, 2, J, 2) batch this model eats."""

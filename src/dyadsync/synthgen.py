@@ -129,20 +129,14 @@ def generate_sequences(cfg: SynthConfig, n_per_class: int, start_index: int = 0)
 
 
 def sequence_to_document(seq: SkeletonSequence, image_size) -> dict:
+    """The clip's keypoint document: pixel x and y and a confidence of 1.0 per joint."""
     width, height = image_size
-    scale = np.array([width, height], dtype=np.float64)
-    frames = []
-    for t in range(seq.num_frames):
-        persons = []
-        for pid in range(2):
-            pixels = seq.frames[t, pid] * scale
-            persons.append(
-                {
-                    "id": pid,
-                    "keypoints": [[float(x), float(y), 1.0] for x, y in pixels],
-                }
-            )
-        frames.append({"index": t, "persons": persons})
+    pixels = seq.frames * np.array([width, height], dtype=np.float64)
+    rows = np.concatenate([pixels, np.ones(pixels.shape[:-1] + (1,))], axis=-1).tolist()
+    frames = [
+        {"index": t, "persons": [{"id": pid, "keypoints": rows[t][pid]} for pid in range(2)]}
+        for t in range(seq.num_frames)
+    ]
     return {"image_size": [width, height], "frames": frames}
 
 

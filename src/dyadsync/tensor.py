@@ -1,7 +1,7 @@
-"""Dense float64 tensors with a reverse-mode gradient tape.
+"""Dense float tensors with a reverse-mode gradient tape.
 
 The engine is deliberately small.  A :class:`Tensor` wraps a numpy
-float64 array plus an optional handle into a :class:`Tape`; the tape
+array plus an optional handle into a :class:`Tape`; the tape
 records one node per primitive operation during the forward pass
 (define-by-run, a fresh tape per training step) and ``Tape.backward``
 walks the records in reverse order to accumulate gradients.  Because
@@ -13,6 +13,12 @@ with its inputs and its backward closure.  That one function decides
 whether a node is recorded: when no input lives on a tape the output
 comes back untracked, so an eval forward records nothing.  Dropout is
 on exactly when a random generator is passed.
+
+A tensor holds float64 or float32 data: float32 input stays float32 and
+anything else becomes float64 (:func:`as_array`).  Every primitive's
+output follows its operands' dtype, so a float32 input and float32
+parameters run a whole forward pass in float32.  Training and gradient
+checks run in float64.
 
 Everything the transformer and the classifier heads need is expressible
 with the primitives below; broadcasting follows numpy semantics with
@@ -32,13 +38,19 @@ from .errors import ConfigError, ContractError, NumericalError
 from .rng import stream
 
 
+def as_array(data) -> np.ndarray:
+    """``data`` as an array in a compute dtype: float32 stays, anything else is float64."""
+    dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+    return np.asarray(data, dtype=dtype)
+
+
 class Tensor:
-    """Immutable dense float64 array, optionally tracked on a tape."""
+    """Immutable dense float64 or float32 array, optionally tracked on a tape."""
 
     __slots__ = ("data", "tape", "node_id")
 
     def __init__(self, data, tape: Optional["Tape"] = None, node_id: Optional[int] = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_array(data)
         self.tape = tape
         self.node_id = node_id
 
@@ -145,7 +157,7 @@ class Tape:
 
 
 class ParamStore:
-    """Named parameter tensors with deterministic (name-sorted) iteration.
+    """Named float64 parameter tensors with deterministic (name-sorted) iteration.
 
     Initialization draws come from the ``init/<scope>`` stream of the
     store's seed, so the same construction order reproduces the same
@@ -170,7 +182,7 @@ class ParamStore:
     def add(self, name: str, data) -> Tensor:
         if name in self._values:
             raise ContractError(f"parameter {name!r} already exists")
-        t = Tensor(data)
+        t = Tensor(np.asarray(data, dtype=np.float64))
         self._values[name] = t
         return t
 
@@ -196,21 +208,23 @@ class ParamStore:
         """Swap in a new value for an existing parameter (functional update)."""
         if name not in self._values:
             raise ContractError(f"unknown parameter {name!r}")
-        self._values[name] = Tensor(data)
+        self._values[name] = Tensor(np.asarray(data, dtype=np.float64))
 
-    def tracked(self, tape: Optional[Tape]):
-        """Map of name -> tensor; tracked leaves when a tape is given.
+    def tracked(self, tape: Optional[Tape], dtype=np.float64):
+        """Map of name -> tensor in ``dtype``; tracked leaves when a tape is given.
 
-        With ``tape=None`` the raw (untracked) tensors are returned, which
-        gives a gradient-free forward pass.  Leaves are registered on the
-        tape under their parameter names so :func:`gradient_of` can find
-        them.  Use a fresh tape per forward pass.
+        With ``tape=None`` the values are untracked, which gives a
+        gradient-free forward pass.  Leaves are registered on the tape
+        under their parameter names so :func:`gradient_of` can find them.
+        Use a fresh tape per forward pass.  The stored values stay
+        float64; a float32 map casts every one of them afresh per call.
         """
-        if tape is None:
+        if dtype == np.float64 and tape is None:
             return dict(self._values)
         out = {}
         for name, value in self._values.items():
-            out[name] = tape.named_leaf(name, value.data)
+            data = value.data.astype(dtype, copy=False)
+            out[name] = Tensor(data) if tape is None else tape.named_leaf(name, data)
         return out
 
     def copy_values(self) -> dict:
@@ -427,9 +441,11 @@ def gelu(x) -> Tensor:
     out *= 1.0 + t
 
     def backward(g):
-        # past |v| ~ 1.3e154 v**2 is inf where 1 - t**2 is 0, and inf * 0 is NaN; tanh
-        # is exactly +-1 from |v| ~ 19, so squaring |v| capped at 1e150 changes nothing
-        vc = np.clip(v, -1e150, 1e150)
+        # past |v| ~ sqrt(max) v**2 is inf where 1 - t**2 is 0, and inf * 0 is NaN;
+        # tanh is exactly +-1 from |v| ~ 19 (float64) or ~ 9 (float32), so
+        # squaring |v| capped at max**0.25 changes nothing
+        cap = np.finfo(v.dtype).max ** 0.25  # 1.2e77 in float64, 1.4e9 in float32
+        vc = np.clip(v, -cap, cap)
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (vc * vc))
         deriv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
         return (g * deriv,)
@@ -563,12 +579,12 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
     qd, kd, vd = q.data, k.data, v.data
     kt = kd.swapaxes(-1, -2)
     lead, n = qd.shape[:-2], qd.shape[-2]
-    item_bytes = n * n * 8
+    item_bytes = n * n * qd.itemsize
     taped = any(t.tape is not None for t in (q, k, v))
     drop = rng is not None and rate > 0.0
     keep_scale = 1.0 / (1.0 - rate)
-    out = np.empty(lead + (n, vd.shape[-1]))
-    probs = np.empty(lead + (n, n)) if taped or keep_weights else None
+    out = np.empty(lead + (n, vd.shape[-1]), dtype=qd.dtype)
+    probs = np.empty(lead + (n, n), dtype=qd.dtype) if taped or keep_weights else None
     keep = np.empty(lead + (n, n), dtype=bool) if taped and drop else None
     for idx in _lead_blocks(lead, item_bytes):
         w = np.matmul(qd[idx], kt[idx], out=None if probs is None else probs[idx])
@@ -585,7 +601,7 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
         return Tensor(out), weights
 
     def backward(g):
-        gq, gkt, gv = np.empty(qd.shape), np.empty(kt.shape), np.empty(vd.shape)
+        gq, gkt, gv = (np.empty(a.shape, dtype=qd.dtype) for a in (qd, kt, vd))
         for idx in _lead_blocks(lead, item_bytes):
             p = probs[idx]
             w = p if keep is None else _dropped(p, keep[idx], keep_scale)
@@ -633,13 +649,15 @@ GRADCHECK_STEP = 1e-5  # central-difference step
 def check_gradients(f, point: ParamStore) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    ``f(params, tape)`` must return a scalar tensor and be deterministic
-    (no dropout generator).  With ``tape=None`` it is evaluated value-only.
-    The relative error per parameter element is
+    ``f(params, tape)`` must return a scalar float64 tensor and be
+    deterministic (no dropout generator).  With ``tape=None`` it is
+    evaluated value-only.  The relative error per parameter element is
     ``|analytic - numeric| / max(1, |numeric|)``.
     """
     tape = Tape()
     loss = f(point, tape)
+    if loss.data.dtype != np.float64:
+        raise ContractError(f"gradient checks run in float64, got a {loss.data.dtype} loss")
     analytic = gradient_of(loss, point)
 
     worst = 0.0

@@ -4,10 +4,13 @@
 across this package: a ``params`` ParamStore, a ``config`` dataclass
 whose ``head_kind`` picks the loss, ``forward(inputs, tape, rng)``
 returning an (B, out) tensor, with dropout on exactly when a generator
-``rng`` is passed, and ``prepare_inputs`` mapping
-SkeletonSequences to its input array.  Runs are deterministic in
-the seed: shuffling, the validation split, and dropout each draw from
-their own named stream, so equal seeds give bit-identical histories.
+``rng`` is passed, ``predict_batch(inputs)`` returning float64 (B, out)
+logits computed in float32, and ``prepare_inputs`` mapping
+SkeletonSequences to its input array.  Training steps run in float64;
+validation scores through ``predict_batch``, as ``dyadsync eval`` does.
+Runs are deterministic in the seed: shuffling, the validation split, and
+dropout each draw from their own named stream, so equal seeds give
+bit-identical histories.
 """
 
 from __future__ import annotations
@@ -156,9 +159,9 @@ def targets_from_sequences(sequences, loss_kind: str) -> np.ndarray:
 
 
 def _batched_logits(model, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode forward in chunks, so peak memory follows a chunk, not the inputs."""
+    """``model.predict_batch`` in chunks, so peak memory follows a chunk, not the inputs."""
     chunks = [
-        model.forward(inputs[start : start + batch_size]).data
+        model.predict_batch(inputs[start : start + batch_size])
         for start in range(0, len(inputs), batch_size)
     ]
     return np.concatenate(chunks, axis=0)
@@ -189,6 +192,7 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
     loss_kind = "cross_entropy" if classify else "mse"
     if isinstance(dataset, tuple):
         inputs, targets = dataset
+        inputs = np.asarray(inputs, dtype=np.float64)  # training runs in float64
         targets = np.asarray(targets)
     else:
         if not dataset:

@@ -612,6 +612,27 @@ def test_infinite_image_size_exits_3_naming_the_clip(tmp_path, capsys):
     assert str(clip) in err and "image_size" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("json_value,message", [
+    ("true", "person id must be the JSON integer 0 or 1, got True"),
+    ('["1.5", true, 0.5]', 'keypoint value "1.5" is not a number'),
+], ids=["id-true", "keypoint-row"])
+def test_non_number_person_field_exits_3_naming_clip_and_frame(tmp_path, capsys, json_value,
+                                                                message):
+    manifest = make_dataset(tmp_path, per_class=1)
+    clip = load_manifest(manifest)[0].path
+    doc = json.loads(clip.read_text())
+    person = doc["frames"][2]["persons"][1]
+    if json_value == "true":
+        person["id"] = "FIELD"
+    else:
+        person["keypoints"][0] = "FIELD"
+    clip.write_text(json.dumps(doc).replace('"FIELD"', json_value))
+    capsys.readouterr()
+    assert run("preprocess", "--data", str(manifest), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert f"{clip}: frame 2: {message}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["preprocess", "baseline"])
 @pytest.mark.parametrize("case", ["no-dyad", "empty-file"])
 def test_clip_without_valid_frames_names_the_clip(tmp_path, capsys, case, command):

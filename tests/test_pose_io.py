@@ -198,6 +198,58 @@ def test_load_refuses_a_keypoint_integer_beyond_float64(tmp_path):
         load_keypoint_file(p)
 
 
+def gathered(doc, text):
+    """What the gathered parse, behind its text screen, makes of a clip."""
+    shape = (len(doc["frames"]), 2, NUM_JOINTS, 3)
+    if not pose_io._may_gather(text):
+        return None
+    return pose_io._gather_records(doc["frames"], np.zeros(shape), np.zeros(shape[:2], bool))
+
+
+@pytest.mark.parametrize("pid", [True, False, 0.0, 1.0])
+def test_load_refuses_a_person_id_that_is_not_a_json_integer(tmp_path, pid):
+    p = write_clip(tmp_path / "clip.json", [(0, [0, 1]), (3, [0, 1])])
+    doc = json.loads(p.read_text())
+    doc["frames"][1]["persons"][1]["id"] = pid
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"frame 3: person id must be the JSON integer 0 or 1, "
+                                        f"got {pid!r}") as err:
+        load_keypoint_file(p)
+    assert str(p) in str(err.value)
+    # the gather refuses it by itself, not only behind the text screen
+    shape = (2, 2, NUM_JOINTS, 3)
+    assert pose_io._gather_records(doc["frames"], np.zeros(shape), np.zeros(shape[:2], bool)) is None
+
+
+@pytest.mark.parametrize("row,shown", [
+    (["1.5", True, 0.5], '"1.5"'),
+    ([1.5, True, 0.5], "true"),
+    ([1.5, 2.0, False], "false"),
+    ([None, 2.0, 0.5], "null"),
+    ([1.5, "2", 0.5], '"2"'),
+])
+def test_load_refuses_a_keypoint_value_that_is_not_a_number(tmp_path, row, shown):
+    p = write_clip(tmp_path / "clip.json", [(0, [0, 1]), (6, [0, 1])])
+    doc = json.loads(p.read_text())
+    doc["frames"][1]["persons"][0]["keypoints"][2] = row
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"frame 6: keypoint value {shown} is not a number") as err:
+        load_keypoint_file(p)
+    assert str(p) in str(err.value)
+    assert gathered(doc, p.read_text()) is None
+
+
+def test_load_takes_integer_keypoints_through_the_gather(tmp_path):
+    p = write_clip(tmp_path / "clip.json", [(0, [0, 1]), (1, [1, 0])])
+    doc = json.loads(p.read_text())
+    for frame in doc["frames"]:
+        for person in frame["persons"]:
+            person["keypoints"] = [[int(x), int(y), 1] for x, y, _ in person["keypoints"]]
+    p.write_text(json.dumps(doc))
+    assert gathered(doc, p.read_text()) == [0, 1]
+    assert load_keypoint_file(p).keypoints.tobytes() == per_person_load(p).keypoints.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the gathered parse against the per-person loop it replaced
 # ---------------------------------------------------------------------------
@@ -208,7 +260,8 @@ _HIGH = np.array([np.finfo(np.float64).max] * 2 + [1.0])
 
 def per_person_load(path):
     """The loader before the gathered parse, kept as an oracle: one
-    conversion and one bounds check per person record."""
+    conversion and one bounds check per person record.  Person ids must
+    be the JSON integers 0 and 1, and keypoint values JSON numbers."""
     text = path.read_text()
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
@@ -234,8 +287,8 @@ def per_person_load(path):
                 kp = entry["keypoints"]
             except (TypeError, KeyError) as exc:
                 raise DataError(f"{where}: person record missing {exc}") from None
-            if pid not in (0, 1):
-                raise DataError(f"{where}: person id must be 0 or 1, got {pid!r}")
+            if type(pid) is not int or pid not in (0, 1):
+                raise DataError(f"{where}: person id must be the JSON integer 0 or 1, got {pid!r}")
             try:
                 joints = np.asarray(kp, dtype=np.float64)
             except (TypeError, ValueError):
@@ -243,13 +296,16 @@ def per_person_load(path):
             if joints.shape != (NUM_JOINTS, 3):
                 raise DataError(f"{where}: expected {NUM_JOINTS}x3 keypoints, "
                                 f"got shape {joints.shape}")
+            for value in (v for row in kp for v in row):
+                if type(value) not in (int, float):
+                    raise DataError(f"{where}: keypoint value {json.dumps(value)} "
+                                    "is not a number")
             if not ((joints >= _LOW) & (joints <= _HIGH)).all():
                 raise DataError(f"{where}: non-finite coordinate or confidence outside [0, 1]")
-            slot = int(pid)
-            if detected[t, slot]:
+            if detected[t, pid]:
                 raise DataError(f"{where}: duplicate person id {pid}")
-            keypoints[t, slot] = joints
-            detected[t, slot] = True
+            keypoints[t, pid] = joints
+            detected[t, pid] = True
         indices.append(frame_index)
     order = np.argsort(indices, kind="stable")
     return KeypointClip(keypoints[order], detected[order], image_size)
@@ -321,20 +377,18 @@ def test_gathered_parse_matches_the_per_person_loop(tmp_path_factory, doc):
         with pytest.raises(DataError) as err:
             load_keypoint_file(p)
         assert str(err.value) == str(exc)
-        gathered = None
+        accepted = None
     else:
         got = load_keypoint_file(p)
         assert got.keypoints.tobytes() == want.keypoints.tobytes()
         assert got.keypoints.shape == want.keypoints.shape
         assert got.detected.tobytes() == want.detected.tobytes()
         assert got.image_size == want.image_size
-        gathered = want
-    # the one-pass gather takes exactly the clips the walk accepts, so a
-    # valid clip never reaches the per-person walk
-    records = json.loads(p.read_text())["frames"]
-    shape = (len(records), 2, NUM_JOINTS, 3)
-    accepted = pose_io._gather_records(records, np.zeros(shape), np.zeros(shape[:2], bool))
-    assert (accepted is not None) == (gathered is not None)
+        accepted = want
+    # the one-pass gather, behind its text screen, takes exactly the clips
+    # the walk accepts, so a valid clip never reaches the per-person walk
+    text = p.read_text()
+    assert (gathered(json.loads(text), text) is not None) == (accepted is not None)
 
 
 # ---------------------------------------------------------------------------

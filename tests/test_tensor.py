@@ -8,6 +8,7 @@ triple-loop implementation.
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,23 @@ def unfused_softmax_node(x):
         return ((g - inner) * out,)
 
     return T.Tensor(out, x.tape, x.tape.record((x.node_id,), backward))
+
+
+def test_gelu_backward_cap_follows_the_dtype():
+    # a float64 cap such as 1e150 is inf in float32, and v**2 past |v| ~ 1.8e19
+    # is inf there too; the float32 cap keeps the backward finite and silent
+    v = np.array([-3e38, -1e20, -50.0, -3.0, 0.0, 0.5, 3.0, 50.0, 1e20, 3e38], dtype=np.float32)
+    tape = T.Tape()
+    xt = tape.named_leaf("v", v)
+    with np.errstate(over="ignore"):  # the forward's own cube overflows, as in float64
+        loss = T.gelu(xt).sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads = tape.backward(loss)[xt.node_id]
+    assert grads.dtype == np.float32
+    assert grads[[0, 1, 2]].tolist() == [0.0, 0.0, 0.0]
+    assert grads[[-3, -2, -1]].tolist() == [1.0, 1.0, 1.0]
+    assert np.isfinite(grads).all()
 
 
 def test_softmax_rows_matches_unfused_formula():
@@ -651,6 +669,61 @@ def test_check_gradients_flags_a_wrong_derivative():
         return (p["w"] * p["w"] * p["w"]).sum()  # value path of w^3
 
     assert T.check_gradients(f, store) > 1e-2
+
+
+def test_check_gradients_refuses_a_float32_loss():
+    store = T.ParamStore(seed=5)
+    store.add("w", np.array([[0.7, -0.3]]))
+
+    def f(params, tape):
+        w = params.tracked(tape, np.float32)["w"]
+        return (w * w).sum()
+
+    with pytest.raises(ContractError, match="gradient checks run in float64, got a float32 loss"):
+        T.check_gradients(f, store)
+
+
+def test_tensor_keeps_float32_and_makes_the_rest_float64():
+    for data, dtype in [(np.ones(2, np.float32), np.float32), (np.float32(2.0), np.float32),
+                        (np.ones(2), np.float64), (np.ones(2, np.float16), np.float64),
+                        (np.arange(2), np.float64), ([1, 2], np.float64), (True, np.float64)]:
+        assert T.Tensor(data).data.dtype == dtype
+
+
+def test_param_store_stays_float64_and_casts_a_float32_map():
+    store = T.ParamStore(seed=6)
+    store.add("w", np.full((2, 2), 0.1, dtype=np.float32))
+    store.add_uniform("u", (3,))
+    store.replace("u", np.ones(3, dtype=np.float32))
+    assert {value.data.dtype for _, value in store.items()} == {np.dtype(np.float64)}
+    for tape in (None, T.Tape()):
+        p = store.tracked(tape, np.float32)
+        assert {t.data.dtype for t in p.values()} == {np.dtype(np.float32)}
+        assert p["w"].data.tolist() == np.float32(store["w"].data).tolist()
+    assert store.tracked(None)["u"] is store["u"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_primitive_keeps_its_operands_dtype(dtype):
+    rng = np.random.default_rng(48)
+    tape = T.Tape()
+    leaves = {name: tape.named_leaf(name, rng.normal(size=shape).astype(dtype))
+              for name, shape in [("x", (2, 3, 4)), ("w", (4, 4)), ("b", (4,)), ("g", (4,)),
+                                  ("s", (4,))]}
+    x, w, b, g, s = leaves.values()
+    outs = [T.linear_apply(x, w, b)]
+    outs.append(T.gelu(outs[-1]))
+    outs.append(T.layer_norm(outs[-1], g, s))
+    outs.append(T.dropout_apply(outs[-1], 0.2, stream(0, "dropout")))
+    outs.append(T.attention(outs[-1], outs[-1], outs[-1], 0.5, 0.1, stream(1, "dropout"))[0])
+    outs.append(T.softmax_rows(outs[-1]))
+    outs.append(T.log_softmax(T.transpose(outs[-1], (0, 2, 1)).reshape(2, 12)))
+    outs.append(outs[-1] * outs[-1] + outs[-1])
+    outs.append(T.reduce_sum(outs[-1], axis=0))
+    outs.append(T.reduce_mean(outs[-1]))
+    assert [o.data.dtype for o in outs] == [np.dtype(dtype)] * len(outs)
+    grads = tape.backward(outs[-1])
+    assert [grads[t.node_id].dtype for t in leaves.values()] == [np.dtype(dtype)] * 5
 
 
 def test_tensors_from_different_tapes_refuse_to_mix():

