@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, read_input
 from .pose_io import CLASS_NAMES, SkeletonSequence
 from .similarity import SimilarityMatrix, compute_csm
 
@@ -305,9 +305,7 @@ def save_classifier(clf: LinearClassifier, path) -> None:
 
 def load_classifier(path) -> LinearClassifier:
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"classifier file not found: {path}") from None
+        doc = json.loads(read_input(Path(path), "classifier file"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import config_from_dict
 from .csm_branch import CsmConfig, CsmModel
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, read_input
 from .sttf import ModelConfig, SttfModel
 
 _KINDS = {"sttf": (SttfModel, ModelConfig), "csm": (CsmModel, CsmConfig)}
@@ -59,9 +59,7 @@ def _is_manifest_entry(entry) -> bool:
 
 def load_model(path):
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
+    raw = read_input(path, "checkpoint", binary=True)
     if len(raw) < 8:
         raise DataError(f"{path}: too short to hold a header length")
     (header_len,) = struct.unpack_from("<Q", raw)

@@ -8,6 +8,9 @@
   malformed, ambiguous or out of range
 - ``ContractError``, exit 4: a caller broke an internal contract
 - ``NumericalError``, exit 4: a value went non-finite
+
+Every loader reads its file through :func:`read_input`, so a file it
+cannot read is a ``DataError`` as well.
 """
 
 
@@ -29,3 +32,16 @@ class ContractError(DyadsyncError):
 
 class NumericalError(DyadsyncError):
     """A computation produced non-finite values."""
+
+
+def read_input(path, what: str, binary: bool = False):
+    """The UTF-8 text, or the bytes, of the input file at pathlib ``path``;
+    a missing, unreadable or non-UTF-8 file is a DataError naming it."""
+    try:
+        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise DataError(f"{what} not found: {path}") from None
+    except OSError as exc:  # a directory, or no permission to read
+        raise DataError(f"{path}: cannot read {what} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not UTF-8 text ({exc})") from None

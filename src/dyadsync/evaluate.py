@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, read_input
 from .pose_io import ALPHA, BETA, CLASS_NAMES
 
 
@@ -182,9 +182,7 @@ def save_predictions(preds: list, path) -> None:
 def load_predictions(path) -> list:
     """Rows of a ``save_predictions`` CSV; a malformed or non-finite value is a DataError."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"predictions file not found: {path}")
-    lines = path.read_text().strip().split("\n")
+    lines = read_input(path, "predictions file").strip().split("\n")
     if not lines or lines[0] not in ("source_id,branch,p0,p1,p2", "source_id,branch,score"):
         raise DataError(f"{path}: unrecognized predictions header")
     is_logits = lines[0].endswith("p2")

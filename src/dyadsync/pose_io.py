@@ -14,7 +14,9 @@ attention model and the similarity computations.  Frames where either
 person is undetected are discarded; out-of-frame joints are clamped into
 the image and tallied.  A non-finite coordinate or a confidence outside
 [0, 1] is refused at parse time, as is a person id other than the JSON
-integers 0 and 1 or a keypoint value that is not a JSON number.
+integers 0 and 1 or a keypoint value that is not a JSON number.  One pass
+over the records checks their structure and one batched check their
+keypoints; a per-person check only words the first faulty record.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_input
 
 logger = logging.getLogger(__name__)
 
@@ -80,15 +82,8 @@ _KEYPOINT_LOW = np.array([-_FLOAT_MAX, -_FLOAT_MAX, 0.0])
 _KEYPOINT_HIGH = np.array([_FLOAT_MAX, _FLOAT_MAX, 1.0])
 
 
-def _parse_person(entry, where: str, keypoints: np.ndarray, detected: np.ndarray) -> None:
-    """Check one person record and write it into one frame's (2, J, 3) and (2,) rows."""
-    try:
-        pid = entry["id"]
-        kp = entry["keypoints"]
-    except (TypeError, KeyError) as exc:
-        raise DataError(f"{where}: person record missing {exc}") from None
-    if type(pid) is not int or pid not in (0, 1):  # JSON integers only: no bool or float
-        raise DataError(f"{where}: person id must be the JSON integer 0 or 1, got {pid!r}")
+def _check_keypoints(kp, where: str) -> np.ndarray:
+    """One person's keypoints as a (J, 3) float64 array, or the DataError that words its fault."""
     try:
         joints = np.asarray(kp, dtype=np.float64)
     except (TypeError, ValueError):
@@ -102,85 +97,75 @@ def _parse_person(entry, where: str, keypoints: np.ndarray, detected: np.ndarray
             raise DataError(f"{where}: keypoint value {json.dumps(value)} is not a number")
     if not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all():
         raise DataError(f"{where}: non-finite coordinate or confidence outside [0, 1]")
-    if detected[pid]:
-        raise DataError(f"{where}: duplicate person id {pid}")
-    keypoints[pid] = joints
-    detected[pid] = True
+    return joints
 
 
-def _walk_records(records, path, keypoints: np.ndarray, detected: np.ndarray) -> list:
-    """Check and place the records one person at a time; returns the frame indices.
+def _check_each(path, indices: list, cells: list, lists: list) -> np.ndarray:
+    """:func:`_check_keypoints` over the gathered persons in file order; their (k, J, 3) rows."""
+    joints = [_check_keypoints(kp, f"{path}: frame {indices[cell // 2]}")
+              for cell, kp in zip(cells, lists)]
+    return np.array(joints).reshape(-1, NUM_JOINTS, 3)
 
-    This is the one place that words an error in a frame or person
-    record: it stops at the first bad record and names it.
+
+def _read_records(records, path):
+    """Check the structure of every frame and person record in one pass.
+
+    Returns the frame indices, each person's cell among the (n * 2) rows
+    of the clip's keypoints and each person's unchecked keypoint list.  A
+    structural fault is raised only once the keypoints of every person
+    before it are checked, so the error names the first faulty record.
     """
-    indices = []
-    for t, record in enumerate(records):
-        try:
-            frame_index = record["index"]
-            persons = record["persons"]
-        except (TypeError, KeyError):
-            raise DataError(f"{path}: malformed frame record {record!r}") from None
-        if type(persons) is not list:
-            raise DataError(f"{path}: malformed frame record {record!r}")
-        if type(frame_index) is not int:  # JSON integers only: no bool, float or string
-            raise DataError(f"{path}: frame index {frame_index!r} is not an integer")
-        where = f"{path}: frame {frame_index}"
-        if len(persons) > 2:
-            raise DataError(f"{where}: {len(persons)} persons present; dyad selection is upstream")
-        for entry in persons:
-            _parse_person(entry, where, keypoints[t], detected[t])
-        indices.append(frame_index)
-    return indices
-
-
-def _may_gather(text: str) -> bool:
-    """False when a clip's JSON text may hold a literal true, false or null.
-
-    ``np.array`` reads true and false among numbers as 1.0 and 0.0, so the
-    gathered parse cannot see them.  Each literal spells a "u" or an "l",
-    which no number and no key of a clip does; a text with either letter
-    is walked instead, which words the error.
-    """
-    return "u" not in text and "l" not in text
-
-
-def _gather_records(records, keypoints: np.ndarray, detected: np.ndarray):
-    """Place well-formed records with one conversion and one bounds check.
-
-    Returns the frame indices, or None, having written nothing, when any
-    record breaks a rule of :func:`_walk_records`, which then finds it.
-    The records must come from a text that :func:`_may_gather` passed.
-    """
-    indices, cells, lists = [], [], []  # cells: rows of the (n * 2, J, 3) keypoints
+    indices, cells, lists = [], [], []
     try:
         for t, record in enumerate(records):
-            frame_index, persons = record["index"], record["persons"]
-            if type(frame_index) is not int or type(persons) is not list or len(persons) > 2:
-                return None
+            try:
+                frame_index, persons = record["index"], record["persons"]
+            except (TypeError, KeyError):
+                raise DataError(f"{path}: malformed frame record {record!r}") from None
+            if type(persons) is not list:
+                raise DataError(f"{path}: malformed frame record {record!r}")
+            if type(frame_index) is not int:  # JSON integers only: no bool, float or string
+                raise DataError(f"{path}: frame index {frame_index!r} is not an integer")
+            if len(persons) > 2:
+                raise DataError(f"{path}: frame {frame_index}: {len(persons)} persons "
+                                "present; dyad selection is upstream")
             indices.append(frame_index)
             for entry in persons:
-                pid = entry["id"]
+                try:
+                    pid, kp = entry["id"], entry["keypoints"]
+                except (TypeError, KeyError) as exc:
+                    raise DataError(f"{path}: frame {frame_index}: person record "
+                                    f"missing {exc}") from None
+                # JSON integers only: no bool or float
                 if type(pid) is not int or pid not in (0, 1):
-                    return None
+                    raise DataError(f"{path}: frame {frame_index}: person id must be "
+                                    f"the JSON integer 0 or 1, got {pid!r}")
                 cells.append(2 * t + pid)
-                lists.append(entry["keypoints"])
-        if not lists:
-            return indices
+                lists.append(kp)
+            # a record holds at most two persons, so a repeat is of its previous cell
+            if len(persons) == 2 and cells[-1] == cells[-2]:
+                raise DataError(f"{path}: frame {frame_index}: duplicate person id {pid}")
+    except DataError as exc:
+        fault = exc
+    else:
+        return indices, cells, lists
+    _check_each(path, indices, cells, lists)  # a keypoint fault before it comes first
+    raise fault
+
+
+def _batched_keypoints(lists: list) -> Optional[np.ndarray]:
+    """Every person's keypoints with one conversion and one bounds check, or
+    None when any is faulty; it cannot tell a JSON true or false from 1 or 0."""
+    try:
         joints = np.array(lists)  # str dtype for a string, object for an int beyond int64
-    except (TypeError, KeyError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         return None
-    if joints.dtype.kind not in "fi":
+    if joints.dtype.kind not in "fi" or joints.shape != (len(lists), NUM_JOINTS, 3):
         return None
     joints = joints.astype(np.float64, copy=False)
-    if (joints.shape != (len(lists), NUM_JOINTS, 3)
-            or not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all()):
+    if not ((joints >= _KEYPOINT_LOW) & (joints <= _KEYPOINT_HIGH)).all():
         return None
-    if len(set(cells)) != len(cells):  # a duplicate person id
-        return None
-    keypoints.reshape(-1, NUM_JOINTS, 3)[cells] = joints
-    detected.reshape(-1)[cells] = True
-    return indices
+    return joints
 
 
 def load_keypoint_file(path) -> KeypointClip:
@@ -195,9 +180,7 @@ def load_keypoint_file(path) -> KeypointClip:
     JSON numbers.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"keypoint file not found: {path}")
-    text = path.read_text()
+    text = read_input(path, "keypoint file")
     if not text.strip():
         return KeypointClip(np.zeros((0, 2, NUM_JOINTS, 3)), np.zeros((0, 2), dtype=bool), None)
     try:
@@ -215,11 +198,16 @@ def load_keypoint_file(path) -> KeypointClip:
         raise DataError(f"{path}: non-positive image_size {image_size}")
 
     records = doc["frames"]
+    indices, cells, lists = _read_records(records, path)
+    # each of true, false and null spells a "u" or an "l", which no number
+    # and no key of a clip does; the per-person check words such a value
+    joints = None if "u" in text or "l" in text else _batched_keypoints(lists)
+    if joints is None:
+        joints = _check_each(path, indices, cells, lists)
     keypoints = np.zeros((len(records), 2, NUM_JOINTS, 3))
     detected = np.zeros((len(records), 2), dtype=bool)
-    indices = _gather_records(records, keypoints, detected) if _may_gather(text) else None
-    if indices is None:
-        indices = _walk_records(records, path, keypoints, detected)
+    keypoints.reshape(-1, NUM_JOINTS, 3)[cells] = joints
+    detected.reshape(-1)[cells] = True
     order = np.argsort(indices, kind="stable")
     return KeypointClip(keypoints[order], detected[order], image_size)
 
@@ -298,10 +286,8 @@ def load_manifest(path) -> list:
     every artifact and prediction row of the clip.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_input(path, "manifest"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, list):

@@ -427,8 +427,9 @@ def gelu(x) -> Tensor:
     """Smooth gated nonlinearity, tanh form: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
     x = _wrap(x)
     v = x.data
-    t = v * v  # one scratch array: c*(a*v*v*v + v), then its tanh
-    t *= v
+    with np.errstate(over="ignore"):  # an infinite cube is harmless: tanh(+-inf) = +-1
+        t = v * v  # one scratch array: c*(a*v*v*v + v), then its tanh
+        t *= v
     t *= _GELU_A
     t += v
     t *= _GELU_C

@@ -652,6 +652,82 @@ def test_clip_without_valid_frames_names_the_clip(tmp_path, capsys, case, comman
     assert f"{clip}: no valid frames" in err
 
 
+@pytest.mark.parametrize("loader, case", [
+    ("clip", "directory"), ("clip", "not-utf8"),
+    ("manifest", "directory"), ("manifest", "not-utf8"),
+    ("external", "directory"), ("external", "not-utf8"),
+    ("ckpt", "directory"),
+])
+def test_unreadable_input_exits_3_naming_the_file(tmp_path, capsys, loader, case):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    bad = {"clip": load_manifest(manifest)[1].path, "manifest": manifest,
+           "external": tmp_path / "flow.csv", "ckpt": tmp_path / "model.bin"}[loader]
+    if loader == "external":
+        bad.write_text("source_id,branch,p0,p1,p2\n" + external_rows(["sync_0000"]))
+    if case == "directory":
+        bad.unlink(missing_ok=True)
+        bad.mkdir()
+    else:  # a Latin-1 byte in the middle of the text
+        data = bad.read_bytes()
+        bad.write_bytes(data[:10] + b"\xe9" + data[10:])
+    out = tmp_path / "out"
+    argv = {"clip": ["preprocess"], "manifest": ["preprocess"],
+            "external": ["eval", "--external", str(bad)], "ckpt": ["eval", "--ckpt", str(bad)]}
+    capsys.readouterr()
+    assert run(*argv[loader], "--data", str(manifest), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error (data): ") and str(bad) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def small_dataset(folder):
+    """Two three-frame clips and their manifest, written compactly so that a
+    random byte of a clip lands in its structure as well as in its numbers."""
+    rows = [[10 + j, 20 + j, 0.5] for j in range(17)]
+    persons = [{"id": 0, "keypoints": rows}, {"id": 1, "keypoints": rows}]
+    clip = {"image_size": [320, 240],
+            "frames": [{"index": t, "persons": persons} for t in range(3)]}
+    for name in ("a", "b"):
+        (folder / f"{name}.json").write_text(json.dumps(clip, separators=(",", ":")))
+    manifest = folder / "manifest.json"
+    manifest.write_text(json.dumps([{"path": "a.json", "label_class": "Sync"},
+                                    {"path": "b.json", "label_score": 7.5}]))
+    return manifest
+
+
+def byte_mutants(data, rng, count):
+    """``count`` copies of ``data``, each with 1 to 3 bytes overwritten,
+    inserted or deleted; a new byte is any of 0x00-0xff."""
+    for _ in range(count):
+        out = bytearray(data)
+        for _ in range(rng.integers(1, 4)):
+            op, at, byte = rng.integers(3), rng.integers(len(out)), int(rng.integers(256))
+            if op == 0:
+                out[at] = byte
+            elif op == 1:
+                out.insert(at, byte)
+            else:
+                del out[at]
+        yield bytes(out)
+
+
+def test_byte_mutated_clip_or_manifest_exits_0_2_or_3(tmp_path, capsys):
+    manifest = small_dataset(tmp_path)
+    rng = np.random.default_rng(0)
+    codes = []
+    for target in (tmp_path / "a.json", manifest):
+        original = target.read_bytes()
+        for data in byte_mutants(original, rng, 300):
+            target.write_bytes(data)
+            code = run("preprocess", "--data", str(manifest), "--out", str(tmp_path / "out"),
+                       "--frames", "4")
+            assert code in (0, 2, 3), (target.name, data)
+            codes.append(code)
+        target.write_bytes(original)
+    capsys.readouterr()
+    assert codes.count(0) and codes.count(3)  # the fuzz reaches both outcomes
+
+
 def test_zero_epoch_train_is_config_error_and_writes_nothing(tmp_path, capsys):
     manifest = make_dataset(tmp_path, per_class=1)
     cfg = tmp_path / "zero.json"

@@ -198,12 +198,19 @@ def test_load_refuses_a_keypoint_integer_beyond_float64(tmp_path):
         load_keypoint_file(p)
 
 
-def gathered(doc, text):
-    """What the gathered parse, behind its text screen, makes of a clip."""
-    shape = (len(doc["frames"]), 2, NUM_JOINTS, 3)
-    if not pose_io._may_gather(text):
-        return None
-    return pose_io._gather_records(doc["frames"], np.zeros(shape), np.zeros(shape[:2], bool))
+def per_person_checks(path):
+    """How many per-person keypoint checks loading a clip makes, whether it
+    loads or not; a valid clip, taken by the one batched check, makes none."""
+    calls = []
+    check = pose_io._check_keypoints
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pose_io, "_check_keypoints",
+                   lambda kp, where: calls.append(where) or check(kp, where))
+        try:
+            load_keypoint_file(path)
+        except DataError:
+            pass
+    return len(calls)
 
 
 @pytest.mark.parametrize("pid", [True, False, 0.0, 1.0])
@@ -216,9 +223,9 @@ def test_load_refuses_a_person_id_that_is_not_a_json_integer(tmp_path, pid):
                                         f"got {pid!r}") as err:
         load_keypoint_file(p)
     assert str(p) in str(err.value)
-    # the gather refuses it by itself, not only behind the text screen
-    shape = (2, 2, NUM_JOINTS, 3)
-    assert pose_io._gather_records(doc["frames"], np.zeros(shape), np.zeros(shape[:2], bool)) is None
+    # the record pass refuses it by itself, not only behind the text screen
+    with pytest.raises(DataError, match="frame 3: person id must be"):
+        pose_io._read_records(doc["frames"], p)
 
 
 @pytest.mark.parametrize("row,shown", [
@@ -236,7 +243,7 @@ def test_load_refuses_a_keypoint_value_that_is_not_a_number(tmp_path, row, shown
     with pytest.raises(DataError, match=f"frame 6: keypoint value {shown} is not a number") as err:
         load_keypoint_file(p)
     assert str(p) in str(err.value)
-    assert gathered(doc, p.read_text()) is None
+    assert per_person_checks(p) > 0  # the batched check did not take it
 
 
 def test_load_takes_integer_keypoints_through_the_gather(tmp_path):
@@ -246,7 +253,7 @@ def test_load_takes_integer_keypoints_through_the_gather(tmp_path):
         for person in frame["persons"]:
             person["keypoints"] = [[int(x), int(y), 1] for x, y, _ in person["keypoints"]]
     p.write_text(json.dumps(doc))
-    assert gathered(doc, p.read_text()) == [0, 1]
+    assert per_person_checks(p) == 0
     assert load_keypoint_file(p).keypoints.tobytes() == per_person_load(p).keypoints.tobytes()
 
 
@@ -320,13 +327,13 @@ ODD_VALUES = [float("nan"), float("inf"), -float("inf"), -0.5, 1.5, 1e308, -1e30
 MUTATIONS = ("id", "value", "rows", "persons", "index", "nan", "duplicate", "key")
 
 
-@st.composite
-def mutated_clips(draw):
-    """A valid clip document with at most one field changed."""
+def valid_clip(draw, persons_everywhere=False):
+    """A valid clip document of 1 to 6 frames, or 2 to 6 with a person in each."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frames = []
-    for t in range(draw(st.integers(1, 6))):
-        ids = [[], [0], [1], [0, 1], [1, 0]][rng.integers(5)]
+    id_sets = [[], [0], [1], [0, 1], [1, 0]][int(persons_everywhere):]
+    for t in range(draw(st.integers(1 + int(persons_everywhere), 6))):
+        ids = id_sets[rng.integers(len(id_sets))]
         persons = []
         for pid in ids:
             xy = rng.uniform(-50.0, 400.0, (NUM_JOINTS, 2))
@@ -334,9 +341,11 @@ def mutated_clips(draw):
             rows = np.concatenate([xy, conf], axis=1).tolist()
             persons.append({"id": pid, "keypoints": rows})
         frames.append({"index": int(rng.integers(-3, 9)), "persons": persons})
-    doc = {"image_size": [320, 240], "frames": frames}
-    mutation = draw(st.sampled_from(MUTATIONS + ("none",)))
-    frame = frames[draw(st.integers(0, len(frames) - 1))]
+    return {"image_size": [320, 240], "frames": frames}
+
+
+def mutate(draw, frames, frame, mutation):
+    """Apply one of MUTATIONS to record ``frame`` of a clip, in place."""
     persons = frame["persons"]
     person = persons[draw(st.integers(0, len(persons) - 1))] if persons else None
     if mutation == "index":
@@ -363,7 +372,47 @@ def mutated_clips(draw):
         persons[1]["id"] = persons[0]["id"]
     elif mutation == "key":
         del person[draw(st.sampled_from(["id", "keypoints"]))]
+
+
+@st.composite
+def mutated_clips(draw):
+    """A valid clip document with at most one field changed."""
+    doc = valid_clip(draw)
+    frames = doc["frames"]
+    mutation = draw(st.sampled_from(MUTATIONS + ("none",)))
+    mutate(draw, frames, frames[draw(st.integers(0, len(frames) - 1))], mutation)
     return doc
+
+
+@st.composite
+def two_fault_clips(draw):
+    """A valid clip with a keypoint mutation in one record and a structural
+    one in another, the keypoint fault first or second in file order."""
+    doc = valid_clip(draw, persons_everywhere=True)
+    frames = doc["frames"]
+    at = draw(st.lists(st.integers(0, len(frames) - 1), min_size=2, max_size=2, unique=True))
+    mutate(draw, frames, frames[at[0]], draw(st.sampled_from(["value", "nan", "rows"])))
+    mutate(draw, frames, frames[at[1]],
+           draw(st.sampled_from(["id", "persons", "duplicate", "key"])))
+    return doc
+
+
+def loads_like_the_oracle(path):
+    """Assert the loader gives per_person_load's array bytes or exact
+    message for a clip; returns whether the clip was accepted."""
+    try:
+        want = per_person_load(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_keypoint_file(path)
+        assert str(err.value) == str(exc)
+        return False
+    got = load_keypoint_file(path)
+    assert got.keypoints.tobytes() == want.keypoints.tobytes()
+    assert got.keypoints.shape == want.keypoints.shape
+    assert got.detected.tobytes() == want.detected.tobytes()
+    assert got.image_size == want.image_size
+    return True
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -371,24 +420,19 @@ def mutated_clips(draw):
 def test_gathered_parse_matches_the_per_person_loop(tmp_path_factory, doc):
     p = tmp_path_factory.mktemp("gather") / "clip.json"
     p.write_text(json.dumps(doc))
-    try:
-        want = per_person_load(p)
-    except DataError as exc:
-        with pytest.raises(DataError) as err:
-            load_keypoint_file(p)
-        assert str(err.value) == str(exc)
-        accepted = None
-    else:
-        got = load_keypoint_file(p)
-        assert got.keypoints.tobytes() == want.keypoints.tobytes()
-        assert got.keypoints.shape == want.keypoints.shape
-        assert got.detected.tobytes() == want.detected.tobytes()
-        assert got.image_size == want.image_size
-        accepted = want
-    # the one-pass gather, behind its text screen, takes exactly the clips
-    # the walk accepts, so a valid clip never reaches the per-person walk
-    text = p.read_text()
-    assert (gathered(json.loads(text), text) is not None) == (accepted is not None)
+    accepted = loads_like_the_oracle(p)
+    # the one batched check takes every clip the per-person loop accepts,
+    # so a valid clip never reaches the per-person check
+    if accepted:
+        assert per_person_checks(p) == 0
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(two_fault_clips())
+def test_of_two_faulty_records_the_first_is_named(tmp_path_factory, doc):
+    p = tmp_path_factory.mktemp("faults") / "clip.json"
+    p.write_text(json.dumps(doc))
+    loads_like_the_oracle(p)
 
 
 # ---------------------------------------------------------------------------
