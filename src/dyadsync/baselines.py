@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, read_input
+from .errors import ConfigError, ContractError, DataError
 from .pose_io import CLASS_NAMES, SkeletonSequence
 from .similarity import SimilarityMatrix, compute_csm
 
@@ -302,19 +302,3 @@ def save_classifier(clf: LinearClassifier, path) -> None:
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-
-def load_classifier(path) -> LinearClassifier:
-    try:
-        doc = json.loads(read_input(Path(path), "classifier file"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        return LinearClassifier(
-            np.array(doc["weights"], dtype=np.float64),
-            np.array(doc["bias"], dtype=np.float64),
-            np.array(doc["mean"], dtype=np.float64),
-            np.array(doc["std"], dtype=np.float64),
-            doc["trained_on"],
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: missing field {exc}") from None

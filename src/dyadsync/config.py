@@ -24,8 +24,6 @@ def config_from_dict(cls, doc):
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(extra)}")
     for name, value in doc.items():
         field = fields[name]
-        if value is None and field.default is None:
-            continue
         if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[field.type])
                 or isinstance(value, float) and not math.isfinite(value)):
             raise ConfigError(f"{cls.__name__}.{name} must be a finite {field.type}, got {value!r}")

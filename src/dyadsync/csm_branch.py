@@ -80,8 +80,3 @@ class CsmModel:
         ]
         return np.stack(mats)
 
-
-def expected_param_count(cfg: CsmConfig) -> int:
-    """side^2*hidden + hidden + hidden*out + out, the two affine maps."""
-    d_in = cfg.side * cfg.side
-    return d_in * cfg.hidden + cfg.hidden + cfg.hidden * cfg.out_dim + cfg.out_dim

@@ -77,7 +77,7 @@ class SkeletonSequence:
 
 # per-column bounds of a keypoint row: finite x and y, confidence in [0, 1];
 # NaN fails every comparison, so one test also rejects non-finite values
-_FLOAT_MAX = np.finfo(np.float64).max
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # a Python float compares with any int, never overflows
 _KEYPOINT_LOW = np.array([-_FLOAT_MAX, -_FLOAT_MAX, 0.0])
 _KEYPOINT_HIGH = np.array([_FLOAT_MAX, _FLOAT_MAX, 1.0])
 
@@ -196,6 +196,8 @@ def load_keypoint_file(path) -> KeypointClip:
     image_size = tuple(size)
     if min(image_size) <= 0:
         raise DataError(f"{path}: non-positive image_size {image_size}")
+    if max(image_size) > _FLOAT_MAX:
+        raise DataError(f"{path}: 'image_size' entry beyond the float64 range")
 
     records = doc["frames"]
     indices, cells, lists = _read_records(records, path)

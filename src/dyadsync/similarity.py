@@ -87,7 +87,7 @@ def normalize_minmax(m: SimilarityMatrix) -> SimilarityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 # ---------------------------------------------------------------------------
 
 
@@ -96,19 +96,6 @@ def save_binary(m: SimilarityMatrix, path) -> None:
     v = m.values
     header = struct.pack("<II", v.shape[0], v.shape[1])
     Path(path).write_bytes(header + v.astype("<f4").tobytes(order="C"))
-
-
-def load_binary(path) -> SimilarityMatrix:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise DataError(f"{path}: truncated similarity file")
-    rows, cols = struct.unpack("<II", raw[:8])
-    if (len(raw) - 8) % 4:
-        raise DataError(f"{path}: body is not whole 32-bit floats")
-    body = np.frombuffer(raw[8:], dtype="<f4")
-    if body.size != rows * cols:
-        raise DataError(f"{path}: expected {rows * cols} values, found {body.size}")
-    return SimilarityMatrix(body.astype(np.float64).reshape(rows, cols))
 
 
 def save_csv(m: SimilarityMatrix, path) -> None:

@@ -185,13 +185,11 @@ class SttfModel:
         out = T.dropout_apply(out, cfg.dropout, rng)
         return x + out
 
-    def _spatial_stack(self, frames: np.ndarray, p: Optional[dict] = None, rng=None,
+    def _spatial_stack(self, frames: np.ndarray, p: dict, rng=None,
                        capture: Optional[list] = None):
         """(B, f, 2, J, 2) pose batch -> (B, f, c_temp) frame vectors.
 
-        ``p`` is the parameter map that :meth:`forward` builds once per
-        call; without one, this stage, like the two after it, uses the
-        untracked float64 parameters.
+        ``p`` is the parameter map that :meth:`forward` builds once per call.
         """
         cfg = self.config
         if frames.ndim != 5 or frames.shape[2:] != (2, cfg.num_joints, 2):
@@ -199,7 +197,6 @@ class SttfModel:
         if frames.shape[1] != cfg.f:
             raise ConfigError(f"sequence has {frames.shape[1]} frames, model expects {cfg.f}")
         batch = frames.shape[0]
-        p = self.params.tracked(None) if p is None else p
         tokens = Tensor(np.ascontiguousarray(frames).reshape(batch * cfg.f, cfg.tokens_spatial, 2))
         x = T.linear_apply(tokens, p["joint_proj.w"], p["joint_proj.b"])
         x = x + p["spatial.pos"]
@@ -209,22 +206,20 @@ class SttfModel:
         x = x.reshape(batch, cfg.f, cfg.c_temp)
         return x + p["frame.pos"]
 
-    def _temporal_stack(self, z, p: Optional[dict] = None, rng=None,
+    def _temporal_stack(self, z, p: dict, rng=None,
                         capture: Optional[list] = None):
         """(B, f, c_temp) -> (B, f, c_temp) after the frame-attention stack."""
         cfg = self.config
         if z.shape[-2:] != (cfg.f, cfg.c_temp):
             raise ContractError(f"expected (..., {cfg.f}, {cfg.c_temp}), got {z.shape}")
-        p = self.params.tracked(None) if p is None else p
         y = z + p["temporal.pos"]
         y = T.dropout_apply(y, cfg.dropout, rng)
         for l in range(cfg.layers):
             y = self._layer(y, p, f"temporal.{l}", rng, capture)
         return y
 
-    def _head(self, y, p: Optional[dict] = None):
+    def _head(self, y, p: dict):
         """(B, f, c_temp) -> (B, out_dim) via mean-pool + linear."""
-        p = self.params.tracked(None) if p is None else p
         pooled = y.mean(axis=-2)
         return T.linear_apply(pooled, p["head.w"], p["head.b"])
 
@@ -248,29 +243,6 @@ class SttfModel:
     def prepare_inputs(self, sequences) -> np.ndarray:
         """Stack sequences into the (B, f, 2, J, 2) batch this model eats."""
         return np.stack([seq.frames for seq in sequences])
-
-
-def expected_param_count(cfg: ModelConfig) -> int:
-    """Closed-form parameter count; must equal the store's actual size.
-
-    With d = d_joint, c = c_temp, t = 2J tokens, one transformer layer at
-    width w costs 4w^2 (attention) + 8w^2 + 5w (MLP) + 4w (norms).  Add
-    the 2->d token projection, the three positional tables, and the head:
-
-        (2d + d) + t*d + L*(12d^2 + 9d) + 2*f*c + L*(12c^2 + 9c)
-            + c*out + out
-    """
-    d, c, t = cfg.d_joint, cfg.c_temp, cfg.tokens_spatial
-    layer = lambda w: 12 * w * w + 9 * w
-    return (
-        3 * d
-        + t * d
-        + cfg.layers * layer(d)
-        + 2 * cfg.f * c
-        + cfg.layers * layer(c)
-        + c * cfg.out_dim
-        + cfg.out_dim
-    )
 
 
 def export_attention(model: SttfModel, seq: SkeletonSequence) -> AttentionMaps:

@@ -127,15 +127,16 @@ def test_criterion_02_attention_invariants():
         tokens = cfg.tokens_spatial
         perm = rng.permutation(tokens)
         permuted = seq.frames.reshape(cfg.f, tokens, 2)[:, perm].reshape(seq.frames.shape)
-        base = model._spatial_stack(seq.frames[None]).data.reshape(cfg.f, tokens, cfg.d_joint)
-        moved = model._spatial_stack(permuted[None]).data.reshape(
+        p = model.params.tracked(None)
+        base = model._spatial_stack(seq.frames[None], p).data.reshape(cfg.f, tokens, cfg.d_joint)
+        moved = model._spatial_stack(permuted[None], p).data.reshape(
             cfg.f, tokens, cfg.d_joint)
         worst_equiv = max(worst_equiv, float(np.abs(moved - base[:, perm]).max()))
 
         z = rng.normal(size=(cfg.f, cfg.c_temp))
         fperm = rng.permutation(cfg.f)
-        tbase = model._temporal_stack(Tensor(z[None])).data[0]
-        tmoved = model._temporal_stack(Tensor(z[fperm][None])).data[0]
+        tbase = model._temporal_stack(Tensor(z[None]), p).data[0]
+        tmoved = model._temporal_stack(Tensor(z[fperm][None]), p).data[0]
         worst_equiv = max(worst_equiv, float(np.abs(tmoved - tbase[fperm]).max()))
 
     ok = worst_row < row_tol and worst_equiv < equiv_tol

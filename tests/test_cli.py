@@ -1,17 +1,19 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyadsync
 from dyadsync import cli, errors
 from dyadsync.checkpoint import save_model
 from dyadsync.cli import build_parser, main
 from dyadsync.csm_branch import CsmConfig, CsmModel
 from dyadsync.pose_io import load_dataset, load_manifest
-from dyadsync.similarity import load_binary
 from dyadsync.sttf import ModelConfig, SttfModel
 from dyadsync.synthgen import SynthConfig
 
@@ -102,23 +104,37 @@ def test_negative_seed_is_config_error_naming_its_source(tmp_path, monkeypatch, 
     assert named in err and "non-negative" in err
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
-    import subprocess
-    import sys
-
-    import dyadsync
-
+def package_env(**extra):
+    """The environment with this dyadsync's source folder first on PYTHONPATH."""
     src = str(Path(dyadsync.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
     out = tmp_path / "raw"
     proc = subprocess.run(
         [sys.executable, "-m", "dyadsync", "synth", "--out", str(out), "--per-class", "1",
          "--frames", "20", "--seed", "4"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(out / "manifest.json")
     assert len(load_manifest(out / "manifest.json")) == 3
+
+
+def test_artifact_digest_is_identical_on_one_and_two_blas_threads(tmp_path):
+    # the only test that pins the float32 eval path, and every other stage's
+    # artifacts, across BLAS thread counts
+    script = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / f"threads{threads}")],
+            env=package_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("flag, value", [("--jitter", "nan"), ("--amp-mismatch", "inf")])
@@ -206,9 +222,10 @@ def test_csm_binary_artifacts(tmp_path):
                "--size", "16", "--normalize") == 0
     files = sorted(out.glob("*.bin"))
     assert len(files) == 6
-    m = load_binary(files[0])
-    assert m.values.shape == (16, 16)
-    assert m.values.min() >= 0 and m.values.max() <= 1
+    raw = files[0].read_bytes()
+    assert raw[:8] == (16).to_bytes(4, "little") * 2 and len(raw) == 8 + 16 * 16 * 4
+    values = np.frombuffer(raw[8:], dtype="<f4")
+    assert values.min() >= 0 and values.max() <= 1
 
 
 def test_csm_pgm_and_self_kinds(tmp_path):
@@ -789,8 +806,9 @@ def test_eval_clip_without_the_heads_label_is_data_error_naming_it(tmp_path, cap
     ("tfn", '{"layers": 1.5}'),
     ("csm", '{"side": 8, "width": 9}'),
     ("csm", '{"dropout": NaN}'),
+    ("tfn", '{"dropout": null}'),
 ], ids=["missing", "invalid-json", "not-object", "unknown-key", "wrong-type",
-        "float-for-int", "csm-unknown-key", "csm-nan"])
+        "float-for-int", "csm-unknown-key", "csm-nan", "null"])
 def test_bad_model_config_is_config_error(tmp_path, capsys, branch, content):
     manifest = make_dataset(tmp_path, per_class=1)
     mc = tmp_path / "mc.json"

@@ -180,7 +180,8 @@ def test_load_refuses_a_frame_index_that_is_not_an_integer(tmp_path, index):
 
 
 @pytest.mark.parametrize("size", ['["640", 480]', "[640.9, 480]", "[640.0, 480]", "[true, true]",
-                                  "[1e400, 480]", "[640]", "[640, 480, 3]", '"64"', "null"])
+                                  "[1e400, 480]", "[640]", "[640, 480, 3]", '"64"', "null",
+                                  pytest.param(f"[1{'0' * 400}, 480]", id="int-beyond-float64")])
 def test_load_refuses_an_image_size_that_is_not_two_integers(tmp_path, size):
     p = write_clip(tmp_path / "clip.json", [(0, [0, 1])])
     p.write_text(p.read_text().replace("[320, 240]", size))

@@ -13,7 +13,6 @@ from dyadsync.similarity import SimilarityMatrix, normalize_minmax
 from dyadsync.sttf import (
     ModelConfig,
     SttfModel,
-    expected_param_count,
     export_attention,
     mhsa,
 )
@@ -176,6 +175,29 @@ def test_config_validation():
     assert (cfg.tokens_spatial, cfg.c_temp, cfg.c_temp // cfg.heads) == (34, 544, 68)
 
 
+def expected_param_count(cfg: ModelConfig) -> int:
+    """Closed-form parameter count; must equal the store's actual size.
+
+    With d = d_joint, c = c_temp, t = 2J tokens, one transformer layer at
+    width w costs 4w^2 (attention) + 8w^2 + 5w (MLP) + 4w (norms).  Add
+    the 2->d token projection, the three positional tables, and the head:
+
+        (2d + d) + t*d + L*(12d^2 + 9d) + 2*f*c + L*(12c^2 + 9c)
+            + c*out + out
+    """
+    d, c, t = cfg.d_joint, cfg.c_temp, cfg.tokens_spatial
+    layer = lambda w: 12 * w * w + 9 * w
+    return (
+        3 * d
+        + t * d
+        + cfg.layers * layer(d)
+        + 2 * cfg.f * c
+        + cfg.layers * layer(c)
+        + c * cfg.out_dim
+        + cfg.out_dim
+    )
+
+
 def test_param_count_matches_closed_form():
     for cfg in [
         small_config(),
@@ -193,7 +215,7 @@ def test_reference_config_count_and_shape():
     model = SttfModel(cfg, seed=0)
     assert sum(value.size for _, value in model.params.items()) == 14_327_731
     seq = SkeletonSequence(frames=np.random.default_rng(1).uniform(0, 1, (81, 2, 17, 2)))
-    z = model._spatial_stack(seq.frames[None]).data[0]
+    z = model._spatial_stack(seq.frames[None], model.params.tracked(None)).data[0]
     assert z.shape == (81, 544)
 
 
@@ -217,8 +239,9 @@ def test_spatial_permutation_equivariance_with_zero_positions():
     permuted = seq.frames.reshape(cfg.f, cfg.tokens_spatial, 2)[:, perm].reshape(seq.frames.shape)
 
     shape = (cfg.f, cfg.tokens_spatial, cfg.d_joint)
-    base = model._spatial_stack(seq.frames[None]).data.reshape(shape)
-    moved = model._spatial_stack(permuted[None]).data.reshape(shape)
+    p = model.params.tracked(None)
+    base = model._spatial_stack(seq.frames[None], p).data.reshape(shape)
+    moved = model._spatial_stack(permuted[None], p).data.reshape(shape)
     assert np.max(np.abs(moved - base[:, perm])) < 1e-12
 
 
@@ -228,7 +251,7 @@ def test_spatial_identical_frames_give_identical_rows():
     zero_positions(model, ["frame.pos"])  # isolate the per-frame content term
     pose = np.random.default_rng(29).uniform(0, 1, size=(2, cfg.num_joints, 2))
     frames = np.tile(pose, (cfg.f, 1, 1, 1))
-    z = model._spatial_stack(frames[None]).data[0]
+    z = model._spatial_stack(frames[None], model.params.tracked(None)).data[0]
     assert np.max(np.abs(z - z[0])) < 1e-12
 
 
@@ -237,7 +260,7 @@ def test_spatial_rejects_wrong_frame_count():
     model = SttfModel(cfg, seed=0)
     bad = np.zeros((1, cfg.f + 1, 2, cfg.num_joints, 2))
     with pytest.raises(ConfigError):
-        model._spatial_stack(bad)
+        model._spatial_stack(bad, model.params.tracked(None))
 
 
 def test_temporal_shape_and_row_permutation_equivariance():
@@ -247,8 +270,9 @@ def test_temporal_shape_and_row_permutation_equivariance():
     zero_positions(model, ["temporal.pos"])
     z = rng.normal(size=(cfg.f, cfg.c_temp))
     perm = rng.permutation(cfg.f)
-    base = model._temporal_stack(Tensor(z[None])).data[0]
-    moved = model._temporal_stack(Tensor(z[perm][None])).data[0]
+    p = model.params.tracked(None)
+    base = model._temporal_stack(Tensor(z[None]), p).data[0]
+    moved = model._temporal_stack(Tensor(z[perm][None]), p).data[0]
     assert base.shape == (cfg.f, cfg.c_temp)
     assert np.max(np.abs(moved - base[perm])) < 1e-12
 
@@ -257,14 +281,14 @@ def test_temporal_empty_stack_is_position_add():
     cfg = small_config(layers=0, dropout=0.0)
     model = SttfModel(cfg, seed=6)
     z = np.random.default_rng(31).normal(size=(cfg.f, cfg.c_temp))
-    out = model._temporal_stack(Tensor(z[None])).data[0]
+    out = model._temporal_stack(Tensor(z[None]), model.params.tracked(None)).data[0]
     assert np.array_equal(out, z + model.params["temporal.pos"].data)
 
 
 def test_temporal_rejects_bad_shapes():
     model = SttfModel(small_config(), seed=0)
     with pytest.raises(ContractError, match=r"expected \(\.\.\., \d+, \d+\), got \(3, 7\)"):
-        model._temporal_stack(Tensor(np.zeros((3, 7))))
+        model._temporal_stack(Tensor(np.zeros((3, 7))), model.params.tracked(None))
 
 
 def test_head_pooling_and_bias():
@@ -274,13 +298,13 @@ def test_head_pooling_and_bias():
     model.params.replace("head.w", np.zeros((cfg.c_temp, 3)))
     model.params.replace("head.b", bias)
     y = np.random.default_rng(32).normal(size=(cfg.f, cfg.c_temp))
-    assert np.array_equal(model._head(Tensor(y[None])).data[0], bias)
+    assert np.array_equal(model._head(Tensor(y[None]), model.params.tracked(None)).data[0], bias)
 
     # constant rows: pooling returns the row itself
     model2 = SttfModel(cfg, seed=8)
     row = np.random.default_rng(33).normal(size=cfg.c_temp)
     const = np.tile(row, (cfg.f, 1))
-    logits = model2._head(Tensor(const[None])).data[0]
+    logits = model2._head(Tensor(const[None]), model2.params.tracked(None)).data[0]
     direct = row @ model2.params["head.w"].data + model2.params["head.b"].data
     assert np.max(np.abs(logits - direct)) < 1e-12
 
@@ -289,7 +313,7 @@ def test_regress_head_returns_scalar():
     cfg = small_config(head_kind="regress", dropout=0.0)
     model = SttfModel(cfg, seed=9)
     y = np.random.default_rng(34).normal(size=(cfg.f, cfg.c_temp))
-    out = model._head(Tensor(y[None]))
+    out = model._head(Tensor(y[None]), model.params.tracked(None))
     assert out.shape == (1, 1)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from dyadsync import tensor as T
 from dyadsync.config import load_config
-from dyadsync.csm_branch import CsmConfig, CsmModel, expected_param_count
+from dyadsync.csm_branch import CsmConfig, CsmModel
 from dyadsync.errors import ConfigError, ContractError, DataError, NumericalError
 from dyadsync.pose_io import SkeletonSequence
 from dyadsync.rng import stream
@@ -170,6 +170,12 @@ def test_lr_schedule_exact_values():
 # ---------------------------------------------------------------------------
 # csm branch model
 # ---------------------------------------------------------------------------
+
+
+def expected_param_count(cfg: CsmConfig) -> int:
+    """side^2*hidden + hidden + hidden*out + out, the two affine maps."""
+    d_in = cfg.side * cfg.side
+    return d_in * cfg.hidden + cfg.hidden + cfg.hidden * cfg.out_dim + cfg.out_dim
 
 
 def test_csm_model_param_count_and_shapes():
