@@ -5,6 +5,10 @@ vector; a one-vs-rest linear hinge classifier (max-margin, like the SVM
 it stands in for) makes the 3-way call.  Feature extraction is pure per
 sequence; classifier training is deterministic full-batch gradient
 descent from zero weights, so no seed is needed anywhere in this module.
+
+DTW and cross-recurrence measure the same frame-to-frame pose distances
+as the CSM: the DTW cost tables come from ``similarity.frame_distances``,
+and cross-recurrence thresholds the CSM itself.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .pose_io import CLASS_NAMES, SkeletonSequence
-from .similarity import SimilarityMatrix, compute_csm
+from .similarity import SimilarityMatrix, compute_csm, frame_distances
 
 FEATURE_METHODS = ("dtw", "corr2d", "crossrec")
 HINGE_REG = 1e-3  # L2 penalty of the linear hinge classifier
@@ -52,15 +56,15 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     D(n-1,m-1).  Inputs are (n, d) and (m, d) sequences of frame vectors
     ((n,) and (m,) count as d = 1) and the answer is a float.  A batch of
     k pairs is given as (k, n, d) and (k, m, d) arrays and gives a (k,)
-    array of distances.
+    array of distances.  The frame costs are ``similarity.frame_distances``,
+    the kernel of the CSM.
 
     The table is filled one anti-diagonal i + j = t at a time: its cells
     depend only on diagonals t-1 and t-2, so each diagonal is a few numpy
     calls over all k pairs.  Every cell gets the same add and mins as in
     a cell-by-cell loop, so finite inputs give bit-identical distances.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a), np.asarray(b)
     batched = a.ndim == 3
     if a.ndim > 3 or a.shape[:-2] != b.shape[:-2]:
         raise DataError(f"expected (n, d) and (m, d) or (k, n, d) and (k, m, d) inputs, "
@@ -71,12 +75,10 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         b = b[:, None]
     if not batched:
         a, b = a[None], b[None]
-    k, n, m = a.shape[0], a.shape[1], b.shape[1]
-    if n == 0 or m == 0:
-        raise DataError("dtw_distance needs nonempty sequences")
     if a.shape[2] != b.shape[2]:
         raise DataError(f"frame dims differ: {a.shape[2]} vs {b.shape[2]}")
-    cost = _pair_costs(a, b)  # (n, m, k)
+    cost = frame_distances(a, b)  # (n, m, k); refuses an empty sequence
+    n, m, k = cost.shape
     # diagonal-major table: row t + 2 holds diagonal t, column i + 1 its cell
     # (i, t - i), so each diagonal is one contiguous (cells, k) block.  Row 0
     # and column 0 are the +inf border before index 0, except D(-1,-1) = 0
@@ -94,30 +96,6 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         cells = table[t + 2, lo + 1:hi + 2]
         np.add(cells, low, out=cells)
     return table[-1, n].copy() if batched else float(table[-1, n, 0])
-
-
-def _pair_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m, k) Euclidean frame costs of k pairs of (n, d) and (m, d) sequences.
-
-    Each cost sums its d squares in the order numpy's last-axis sum uses,
-    so the bits match ``sqrt(((a[:, :, None] - b[:, None]) ** 2).sum(-1))``:
-    one after another for d < 8, where the sum runs over a leading axis of
-    contiguous (n, m, k) planes, and pairwise over a contiguous last axis
-    for d >= 8.
-    """
-    if a.shape[2] < 8:
-        a = np.ascontiguousarray(a.transpose(2, 1, 0))  # (d, n, k)
-        b = np.ascontiguousarray(b.transpose(2, 1, 0))
-        diff = a[:, :, None] - b[:, None]  # (d, n, m, k)
-        np.multiply(diff, diff, out=diff)
-        cost = diff.sum(axis=0)
-    else:
-        a = np.ascontiguousarray(a.transpose(1, 0, 2))  # (n, k, d)
-        b = np.ascontiguousarray(b.transpose(1, 0, 2))
-        diff = a[:, None] - b[None]  # (n, m, k, d)
-        np.multiply(diff, diff, out=diff)
-        cost = diff.sum(axis=-1)
-    return np.sqrt(cost, out=cost)
 
 
 def dtw_features(seq: SkeletonSequence) -> BaselineFeatures:

@@ -67,7 +67,7 @@ def load_model(path):
         raise DataError(f"{path}: truncated header")
     try:
         header = json.loads(raw[8:8 + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, bad JSON, or an integer beyond the digit limit
         raise DataError(f"{path}: bad checkpoint header: {exc}") from None
     if not isinstance(header, dict):
         raise DataError(f"{path}: checkpoint header must be a JSON object")

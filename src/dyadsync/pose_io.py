@@ -185,7 +185,7 @@ def load_keypoint_file(path) -> KeypointClip:
         return KeypointClip(np.zeros((0, 2, NUM_JOINTS, 3)), np.zeros((0, 2), dtype=bool), None)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer beyond the digit limit
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise DataError(f"{path}: expected an object with a 'frames' list")
@@ -290,7 +290,7 @@ def load_manifest(path) -> list:
     path = Path(path)
     try:
         doc = json.loads(read_input(path, "manifest"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer beyond the digit limit
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, list):
         raise DataError(f"{path}: manifest must be a JSON list")

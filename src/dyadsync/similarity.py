@@ -8,7 +8,9 @@ joints:
 
 so entries are <= 0 with 0 meaning identical poses.  The self-similarity
 variant applies the same kernel to one person against themselves
-(symmetric, zero diagonal).  Matrices can be min-max normalized,
+(symmetric, zero diagonal).  That kernel, ``frame_distances``, also
+fills the DTW cost tables of ``baselines``, so every method compares
+poses through one sum order.  Matrices can be min-max normalized,
 upsampled by exact nearest-neighbor replication to an image-like side
 (224 by default), and exported as raw binary, CSV, or PGM for eyeballs.
 """
@@ -32,36 +34,49 @@ class SimilarityMatrix:
     values: np.ndarray
 
 
-def frame_distance_matrix(track_a: np.ndarray, track_b: np.ndarray) -> np.ndarray:
-    """All-pairs Frobenius distance between (f, J, 2) pose tracks.
+def frame_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m, k) Euclidean frame distances of k pairs of (n, d) and (m, d) sequences.
 
-    The tracks are copied contiguous (a person's track is a strided view
-    of its sequence) and the one difference array is squared in place.
+    Each distance sums its d squares in the order numpy's last-axis sum
+    uses, so the bits match ``sqrt(((a[:, :, None] - b[:, None]) ** 2).sum(-1))``:
+    one after another for d < 8, where the sum runs over a leading axis of
+    contiguous (n, m, k) planes, and pairwise over a contiguous last axis
+    for d >= 8.  Both operands are copied contiguous as float64 first; an
+    empty sequence is a DataError.
     """
-    a = np.ascontiguousarray(track_a, dtype=np.float64)
-    b = np.ascontiguousarray(track_b, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]:
-        raise DataError(f"incompatible tracks: {a.shape} vs {b.shape}")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise DataError("empty track")
-    diff = a[:, None] - b[None, :]  # (fa, fb, J, 2)
-    np.multiply(diff, diff, out=diff)
-    return np.sqrt(diff.sum(axis=(2, 3)))
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        raise DataError("frame distances need nonempty sequences")
+    if a.shape[2] < 8:
+        a = np.ascontiguousarray(a.transpose(2, 1, 0), dtype=np.float64)  # (d, n, k)
+        b = np.ascontiguousarray(b.transpose(2, 1, 0), dtype=np.float64)
+        diff = a[:, :, None] - b[:, None]  # (d, n, m, k)
+        np.multiply(diff, diff, out=diff)
+        dist = diff.sum(axis=0)
+    else:
+        a = np.ascontiguousarray(a.transpose(1, 0, 2), dtype=np.float64)  # (n, k, d)
+        b = np.ascontiguousarray(b.transpose(1, 0, 2), dtype=np.float64)
+        diff = a[:, None] - b[None]  # (n, m, k, d)
+        np.multiply(diff, diff, out=diff)
+        dist = diff.sum(axis=-1)
+    return np.sqrt(dist, out=dist)
+
+
+def _pose_similarity(track_a: np.ndarray, track_b: np.ndarray) -> SimilarityMatrix:
+    """-(1/J) times the frame distances of two (f, J, 2) tracks."""
+    num_joints, coords = track_a.shape[1:]
+    dist = frame_distances(track_a.reshape(1, len(track_a), num_joints * coords),
+                           track_b.reshape(1, len(track_b), num_joints * coords))
+    return SimilarityMatrix(-dist[..., 0] / num_joints)
 
 
 def compute_csm(seq: SkeletonSequence) -> SimilarityMatrix:
     """Eq-style cross-similarity between the two persons of a sequence."""
-    num_joints = seq.frames.shape[2]
-    dist = frame_distance_matrix(seq.person(0), seq.person(1))
-    return SimilarityMatrix(-dist / num_joints)
+    return _pose_similarity(seq.person(0), seq.person(1))
 
 
 def compute_ssm(track: np.ndarray) -> SimilarityMatrix:
     """Self-similarity of a single (f, J, 2) track; symmetric, zero diagonal."""
-    track = np.asarray(track, dtype=np.float64)
-    num_joints = track.shape[1]
-    dist = frame_distance_matrix(track, track)
-    return SimilarityMatrix(-dist / num_joints)
+    return _pose_similarity(track, track)
 
 
 def resize_nearest(m: SimilarityMatrix, target: int = IMAGE_SIDE) -> SimilarityMatrix:
@@ -104,13 +119,8 @@ def save_csv(m: SimilarityMatrix, path) -> None:
 
 def save_pgm(m: SimilarityMatrix, path) -> None:
     """8-bit binary PGM, min-max scaled so the most-similar entry is white."""
-    v = m.values
-    lo, hi = v.min(), v.max()
-    if hi == lo:
-        pixels = np.zeros(v.shape, dtype=np.uint8)
-    else:
-        pixels = np.rint((v - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    height, width = v.shape
+    pixels = np.rint(normalize_minmax(m).values * 255.0).astype(np.uint8)
+    height, width = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes(order="C"))

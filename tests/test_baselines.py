@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadsync.baselines import (
     HINGE_REG,
@@ -187,6 +189,23 @@ def test_dtw_strided_batches_match_the_loop_around_eight_dims(d):
         assert got.tobytes() == want.tobytes(), (n, m, k)
 
 
+@st.composite
+def dtw_batches(draw):
+    """k pairs of (n, d) and (m, d) sequences; d on both sides of the layout switch at 8."""
+    k, n, m = draw(st.integers(1, 6)), draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    return k, n, m, draw(st.integers(1, 16)), draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(dtw_batches())
+def test_batched_dtw_equals_the_per_pair_calls(case):
+    k, n, m, d, seed = case
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(k, n, d)), rng.normal(size=(k, m, d))
+    want = np.array([dtw_distance(a[i], b[i]) for i in range(k)])
+    assert dtw_distance(a, b).tobytes() == want.tobytes()
+
+
 def test_dtw_features_matches_per_joint_assembly():
     rng = np.random.default_rng(78)
     for f in (1, 2, 15, 81):
@@ -333,6 +352,13 @@ def test_crossrec_matches_run_loop_oracle():
         csm = SimilarityMatrix(np.where(r, -0.1, -1.0))
         got = cross_recurrence_features(csm, eps=0.5).vector
         assert got.tobytes() == loop_crossrec_vector(r).tobytes(), r.shape
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 14), st.floats(0, 1), st.integers(0, 2**16))
+def test_diagonal_runs_equal_the_run_loop(n, m, density, seed):
+    r = np.random.default_rng(seed).uniform(size=(n, m)) < density
+    assert _diagonal_runs(r).tolist() == list(loop_diagonal_runs(r))
 
 
 def test_crossrec_eps_validation_and_default():

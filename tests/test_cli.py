@@ -697,6 +697,38 @@ def test_unreadable_input_exits_3_naming_the_file(tmp_path, capsys, loader, case
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["manifest-score", "clip-index", "ckpt-seed"])
+def test_json_integer_beyond_the_digit_limit_exits_3_naming_the_file(tmp_path, capsys, case):
+    # json.loads refuses an integer of more than 4,300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    huge = "1" * 5000
+    argv = ["preprocess"]
+    if case == "manifest-score":
+        bad = manifest
+        entries = json.loads(bad.read_text())
+        entries[1]["label_score"] = "HUGE"
+        bad.write_text(json.dumps(entries).replace('"HUGE"', huge))
+    elif case == "clip-index":
+        bad = load_manifest(manifest)[1].path
+        doc = json.loads(bad.read_text())
+        doc["frames"][3]["index"] = "HUGE"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', huge))
+    else:
+        import struct
+
+        bad = tmp_path / "model.bin"
+        header = f'{{"config":{{}},"kind":"csm","manifest":[],"seed":{huge}}}'.encode()
+        bad.write_bytes(struct.pack("<Q", len(header)) + header)
+        argv = ["eval", "--ckpt", str(bad)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--data", str(manifest), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error (data): ") and str(bad) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def small_dataset(folder):
     """Two three-frame clips and their manifest, written compactly so that a
     random byte of a clip lands in its structure as well as in its numbers."""

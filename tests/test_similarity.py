@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadsync.errors import ConfigError, DataError
 from dyadsync.pose_io import SkeletonSequence
@@ -9,7 +11,7 @@ from dyadsync.similarity import (
     SimilarityMatrix,
     compute_csm,
     compute_ssm,
-    frame_distance_matrix,
+    frame_distances,
     normalize_minmax,
     resize_nearest,
     save_binary,
@@ -38,7 +40,7 @@ def random_sequence(rng, f=12, J=17):
 
 def test_frame_distances_of_person_views_match_the_broadcast_expression():
     # person(i) is a strided view; the contiguous, squared-in-place kernel
-    # must give the bytes of the one-expression form it replaced
+    # must give the bytes of the one-expression form, for one (1, f, 2J) pair
     rng = np.random.default_rng(101)
     for fa, fb in [(1, 1), (1, 7), (12, 5), (81, 81)]:
         a = random_sequence(rng, f=fa)
@@ -46,7 +48,8 @@ def test_frame_distances_of_person_views_match_the_broadcast_expression():
         for x, y in [(a.person(0), a.person(1)), (a.person(1), b.person(0)),
                      (b.person(1), b.person(1))]:
             want = np.sqrt(((x[:, None] - y[None]) ** 2).sum(axis=(2, 3)))
-            assert frame_distance_matrix(x, y).tobytes() == want.tobytes(), (fa, fb)
+            got = frame_distances(x.reshape(1, len(x), -1), y.reshape(1, len(y), -1))[..., 0]
+            assert got.tobytes() == want.tobytes(), (fa, fb)
         want = -np.sqrt(((a.person(0)[:, None] - a.person(1)[None]) ** 2).sum(axis=(2, 3))) / 17
         assert compute_csm(a).values.tobytes() == want.tobytes()
 
@@ -108,6 +111,37 @@ def test_ssm_symmetric_zero_diagonal():
 def test_ssm_frozen_pose_is_all_zeros():
     track = np.tile(np.random.default_rng(105).uniform(0, 1, size=(1, 17, 2)), (7, 1, 1))
     assert np.array_equal(compute_ssm(track).values, np.zeros((7, 7)))
+
+
+@st.composite
+def sequence_cases(draw):
+    """Frames, joints, coordinate scale and seed of a random (f, 2, J, 2) sequence."""
+    f, joints = draw(st.integers(1, 40)), draw(st.integers(1, 19))
+    return f, joints, draw(st.sampled_from([1e-3, 1.0, 1e3])), draw(st.integers(0, 2**16))
+
+
+def drawn_sequence(case):
+    f, joints, scale, seed = case
+    return SkeletonSequence(frames=np.random.default_rng(seed).normal(scale=scale,
+                                                                      size=(f, 2, joints, 2)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(sequence_cases())
+def test_ssm_is_symmetric_with_an_exact_zero_diagonal(case):
+    m = compute_ssm(drawn_sequence(case).person(1)).values  # a strided view, as the CLI passes
+    assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
+    assert (np.diag(m) == 0).all()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(sequence_cases())
+def test_csm_is_non_positive_and_the_swapped_dyad_gives_its_transpose(case):
+    seq = drawn_sequence(case)
+    m = compute_csm(seq).values
+    assert (m <= 0).all()
+    swapped = compute_csm(SkeletonSequence(frames=seq.frames[:, ::-1])).values
+    assert swapped.tobytes() == np.ascontiguousarray(m.T).tobytes()
 
 
 def test_empty_sequence_is_an_error():
