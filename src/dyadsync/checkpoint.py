@@ -31,30 +31,24 @@ def model_kind(model) -> str:
     raise DataError(f"cannot checkpoint a {type(model).__name__}")
 
 
+def _manifest(model) -> list:
+    """The header's parameter manifest: each parameter's name and shape, in order."""
+    return [{"name": name, "shape": list(value.shape)} for name, value in model.params.items()]
+
+
 def save_model(model, path) -> None:
     """Write ``model`` to ``path``; a non-finite parameter writes nothing."""
     for name, value in model.params.items():
         if not np.isfinite(value.data).all():
             raise NumericalError(f"{path}: parameter {name!r} holds a non-finite value")
-    header = {
-        "kind": model_kind(model),
-        "seed": model.seed,
-        "config": dataclasses.asdict(model.config),
-        "manifest": [{"name": name, "shape": list(value.shape)}
-                     for name, value in model.params.items()],
-    }
+    header = {"kind": model_kind(model), "seed": model.seed,
+              "config": dataclasses.asdict(model.config), "manifest": _manifest(model)}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for _, value in model.params.items():
             fh.write(np.ascontiguousarray(value.data, dtype="<f8").tobytes())
-
-
-def _is_manifest_entry(entry) -> bool:
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(type(dim) is int for dim in entry["shape"]))
 
 
 def load_model(path):
@@ -81,31 +75,23 @@ def load_model(path):
         config = config_from_dict(config_cls, header["config"])
     except ConfigError as exc:
         raise DataError(f"{path}: bad model config in header: {exc}") from None
-    seed, manifest = header["seed"], header["manifest"]
+    seed = header["seed"]
     if type(seed) is not int or seed < 0:
         raise DataError(f"{path}: seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(manifest, list) or not all(map(_is_manifest_entry, manifest)):
-        raise DataError(f"{path}: manifest must be a list of {{'name', 'shape'}} entries")
     model = model_cls(config, seed=seed)
-
-    manifest_names = [entry["name"] for entry in manifest]
-    if manifest_names != model.params.names():
+    # compared as JSON text, which tells 4, 4.0 and true apart and sees an extra key
+    manifest = json.dumps(header["manifest"], sort_keys=True)
+    if manifest != json.dumps(_manifest(model), sort_keys=True):
         raise DataError(f"{path}: manifest does not match the model's parameters")
     offset = 8 + header_len
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        expected = model.params[entry["name"]].shape
-        if shape != expected:
-            raise DataError(f"{path}: {entry['name']} has shape {shape}, expected {expected}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
-        if end > len(raw):
-            raise DataError(f"{path}: truncated at parameter {entry['name']!r}")
-        values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    body = 8 * sum(value.data.size for _, value in model.params.items())
+    if len(raw) - offset != body:
+        raise DataError(f"{path}: parameters take {len(raw) - offset} bytes, expected {body}")
+    for name, value in model.params.items():
+        # one parameter copied at a time: a copy of the whole body would double the peak
+        values = np.frombuffer(raw, dtype="<f8", count=value.data.size, offset=offset)
         if not np.isfinite(values).all():
-            raise DataError(f"{path}: parameter {entry['name']!r} holds a non-finite value")
-        model.params.replace(entry["name"], values.reshape(shape).astype(np.float64))
-        offset = end
-    if offset != len(raw):
-        raise DataError(f"{path}: {len(raw) - offset} trailing bytes after last parameter")
+            raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
+        model.params.replace(name, values.reshape(value.shape).astype(np.float64))
+        offset += values.nbytes
     return model

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -32,7 +31,7 @@ from .baselines import (
 from .checkpoint import load_model, model_kind, save_model
 from .config import load_config
 from .csm_branch import CsmConfig, CsmModel
-from .errors import ConfigError, ContractError, DataError, DyadsyncError
+from .errors import ConfigError, ContractError, DataError, DyadsyncError, output_dir
 from .evaluate import (
     BranchPrediction,
     bin_score,
@@ -46,7 +45,7 @@ from .evaluate import (
     save_predictions,
 )
 from .pose_io import (CLASS_NAMES, NUM_JOINTS, TARGET_FRAMES, load_dataset, load_entry,
-                      load_manifest)
+                      load_manifest, write_dataset)
 from .similarity import (
     SimilarityMatrix,
     compute_csm,
@@ -58,7 +57,7 @@ from .similarity import (
     save_pgm,
 )
 from .sttf import ModelConfig, SttfModel, export_attention, mhsa
-from .synthgen import SynthConfig, generate_dataset, sequence_to_document
+from .synthgen import SynthConfig, generate_dataset
 from .tensor import ParamStore, Tensor, check_gradients, linear_apply, reduce_mean
 from .training import (
     TrainConfig,
@@ -117,7 +116,6 @@ def _report(rows, labels, decisions, out_dir: Path, **mse) -> None:
     the report; ``mse`` passes a regression head's raw ``preds`` and ``targets``."""
     cm = confusion_normalized(labels, decisions)
     report = compute_metrics(cm, **mse)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_predictions(rows, out_dir / "predictions.csv")
     save_metrics(report, cm, out_dir / "metrics.json")
     print(format_report(report, cm))
@@ -140,21 +138,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     sequences = _map_ordered(partial(load_entry, target_f=args.frames),
                              load_manifest(args.data), args.workers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for seq in sequences:
-        name = f"{seq.source_id}.json"
-        doc = sequence_to_document(seq, (1, 1))
-        (out_dir / name).write_text(json.dumps(doc, separators=(",", ":")))
-        record = {"path": name}
-        if seq.label_class is not None:
-            record["label_class"] = seq.label_class
-        if seq.label_score is not None:
-            record["label_score"] = seq.label_score
-        entries.append(record)
-    manifest = out_dir / "manifest.json"
-    manifest.write_text(json.dumps(entries, indent=1))
+    manifest = write_dataset(sequences, args.out, (1, 1))
     log.info("preprocessed %d clips to %d frames", len(sequences), args.frames)
     print(manifest)
     return 0
@@ -163,8 +147,7 @@ def cmd_preprocess(args) -> int:
 def cmd_csm(args) -> int:
     results = _map_ordered(partial(_matrix_entry, target_f=args.frames, kind=args.kind),
                            load_manifest(args.data), args.workers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(args.out)
     savers = {"bin": save_binary, "csv": save_csv, "pgm": save_pgm}
     for source_id, matrix in results:
         if args.size is not None:
@@ -181,8 +164,7 @@ def cmd_baseline(args) -> int:
     feats = [extract_features(seq, args.method) for seq in train_seqs]
     labels = targets_from_sequences(train_seqs, "cross_entropy")
     clf = train_linear_hinge(feats, labels)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(args.out)
     save_features(feats, out_dir / "train_features.csv")
     save_classifier(clf, out_dir / "classifier.json")
     log.info("trained %s baseline on %d clips", args.method, len(train_seqs))
@@ -224,9 +206,8 @@ def cmd_train(args) -> int:
     model = _build_model(args.branch, args.model_config, seed)
     sequences = load_dataset(args.data,
                              target_f=_model_frames(model, args.model_config, ConfigError))
+    out_dir = output_dir(args.out)  # a bad --out is refused before training, not after
     history = fit(model, sequences, train_cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.bin")
     save_history(history, out_dir / "history.csv")
     best = (max if model.config.head_kind == "classify" else min)(
@@ -316,7 +297,7 @@ def cmd_eval(args) -> int:
     else:
         mse = {}
         labels = targets_from_sequences(fused_seqs, "cross_entropy")
-    _report(predictions + fused, labels, predicted_classes(fused), Path(args.out), **mse)
+    _report(predictions + fused, labels, predicted_classes(fused), output_dir(args.out), **mse)
     return 0
 
 
@@ -386,8 +367,7 @@ def cmd_export_attn(args) -> int:
         raise ConfigError(f"--index {args.index} outside dataset of {len(sequences)}")
     seq = sequences[args.index]
     maps = export_attention(model, seq)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(args.out)
     savers = {"pgm": save_pgm, "csv": save_csv}
     count = 0
     for branch, stack in (("spatial", maps.spatial), ("temporal", maps.temporal)):

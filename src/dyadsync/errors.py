@@ -10,8 +10,12 @@
 - ``NumericalError``, exit 4: a value went non-finite
 
 Every loader reads its file through :func:`read_input`, so a file it
-cannot read is a ``DataError`` as well.
+cannot read is a ``DataError`` as well.  Every command makes its output
+directory through :func:`output_dir`, so an ``--out`` that cannot be a
+directory is a ``ConfigError`` naming it.
 """
+
+import pathlib
 
 
 class DyadsyncError(Exception):
@@ -45,3 +49,14 @@ def read_input(path, what: str, binary: bool = False):
         raise DataError(f"{path}: cannot read {what} ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {what} is not UTF-8 text ({exc})") from None
+
+
+def output_dir(path) -> pathlib.Path:
+    """The directory at ``path``, made with its parents if missing; a path
+    that cannot be a directory is a ConfigError naming it."""
+    path = pathlib.Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, a path under one, or no permission
+        raise ConfigError(f"{path}: cannot make the output directory ({exc.strerror})") from None
+    return path

@@ -1,4 +1,4 @@
-"""Loading and preprocessing of dyadic 2D keypoint sequences.
+"""Reading, preprocessing and writing of dyadic 2D keypoint sequences.
 
 A recording arrives as one JSON document per clip holding per-frame
 keypoints for up to two people (COCO-17 joint order).  The pipeline is:
@@ -17,6 +17,9 @@ the image and tallied.  A non-finite coordinate or a confidence outside
 integers 0 and 1 or a keypoint value that is not a JSON number.  One pass
 over the records checks their structure and one batched check their
 keypoints; a per-person check only words the first faulty record.
+
+:func:`load_dataset` reads a manifest and its clips, and its inverse
+:func:`write_dataset` writes them: this module alone knows the layout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_input
+from .errors import ConfigError, DataError, output_dir, read_input
 
 logger = logging.getLogger(__name__)
 
@@ -333,5 +336,35 @@ def load_entry(entry: ManifestEntry, target_f: int = TARGET_FRAMES) -> SkeletonS
 
 
 def load_dataset(manifest_path, target_f: int = TARGET_FRAMES) -> list:
-    """Load and preprocess every clip referenced by a manifest."""
-    return [load_entry(entry, target_f) for entry in load_manifest(manifest_path)]
+    """Load and preprocess every clip referenced by a manifest; a manifest
+    that lists no clip is a DataError naming it."""
+    entries = load_manifest(manifest_path)
+    if not entries:
+        raise DataError(f"{manifest_path}: manifest lists no clips")
+    return [load_entry(entry, target_f) for entry in entries]
+
+
+def write_dataset(sequences, out_dir, image_size) -> Path:
+    """Write each sequence as a clip plus one manifest; returns the manifest path.
+
+    The inverse of :func:`load_dataset`: a clip, named by its source id,
+    holds the frames scaled to ``image_size`` = (width, height) pixels with
+    a confidence of 1.0 per joint; a manifest entry omits a missing label.
+    """
+    out_dir = output_dir(out_dir)
+    scale = np.array(image_size, dtype=np.float64)
+    entries = []
+    for seq in sequences:
+        pixels = seq.frames * scale
+        rows = np.concatenate([pixels, np.ones(pixels.shape[:-1] + (1,))], axis=-1).tolist()
+        frames = [{"index": t, "persons": [{"id": pid, "keypoints": rows[t][pid]}
+                                           for pid in range(2)]}
+                  for t in range(seq.num_frames)]
+        doc = {"image_size": list(image_size), "frames": frames}
+        name = f"{seq.source_id}.json"
+        (out_dir / name).write_text(json.dumps(doc, separators=(",", ":")))
+        entry = {"path": name, "label_class": seq.label_class, "label_score": seq.label_score}
+        entries.append({key: value for key, value in entry.items() if value is not None})
+    manifest = out_dir / "manifest.json"
+    manifest.write_text(json.dumps(entries, indent=2) + "\n")
+    return manifest

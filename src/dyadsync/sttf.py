@@ -54,10 +54,6 @@ class ModelConfig:
             raise ConfigError(
                 f"heads ({self.heads}) must divide the joint embed dim ({self.d_joint})"
             )
-        if self.c_temp % self.heads:
-            raise ConfigError(
-                f"heads ({self.heads}) must divide the temporal dim ({self.c_temp})"
-            )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.head_kind not in ("classify", "regress"):

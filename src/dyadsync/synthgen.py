@@ -12,12 +12,13 @@ Both persons share the anchor skeleton, so a zero-jitter Sync pair is
 bitwise identical and its cross-similarity diagonal is exactly zero.
 Generation is pure given (seed, class, index): every sequence draws from
 its own named stream, so files can be produced in any order or in
-parallel and still come out byte-for-byte reproducible.
+parallel and still come out byte-for-byte reproducible.  The files
+themselves are written by :func:`pose_io.write_dataset`, beside the
+reader of the same layout.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +27,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .pose_io import ALPHA, BETA, CLASS_NAMES, NUM_JOINTS, SCORE_RANGE, SkeletonSequence
+from .pose_io import (ALPHA, BETA, CLASS_NAMES, NUM_JOINTS, SCORE_RANGE, SkeletonSequence,
+                      write_dataset)
 from .rng import stream
 
 # Roughly human joint layout (COCO order: nose, eyes, ears, shoulders,
@@ -128,18 +130,6 @@ def generate_sequences(cfg: SynthConfig, n_per_class: int, start_index: int = 0)
     )
 
 
-def sequence_to_document(seq: SkeletonSequence, image_size) -> dict:
-    """The clip's keypoint document: pixel x and y and a confidence of 1.0 per joint."""
-    width, height = image_size
-    pixels = seq.frames * np.array([width, height], dtype=np.float64)
-    rows = np.concatenate([pixels, np.ones(pixels.shape[:-1] + (1,))], axis=-1).tolist()
-    frames = [
-        {"index": t, "persons": [{"id": pid, "keypoints": rows[t][pid]} for pid in range(2)]}
-        for t in range(seq.num_frames)
-    ]
-    return {"image_size": [width, height], "frames": frames}
-
-
 def generate_dataset(cfg: SynthConfig, n_per_class: int, out_dir) -> Path:
     """Write keypoint JSON files plus a manifest; returns the manifest path.
 
@@ -147,17 +137,5 @@ def generate_dataset(cfg: SynthConfig, n_per_class: int, out_dir) -> Path:
     uniformly from the class's bin, so the same files serve
     classification and regression runs.
     """
-    sequences = generate_sequences(cfg, n_per_class)  # refuses a bad count before mkdir
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for seq in sequences:
-        name = f"{seq.source_id}.json"
-        doc = sequence_to_document(seq, IMAGE_SIZE)
-        (out_dir / name).write_text(json.dumps(doc, separators=(",", ":")))
-        entries.append(
-            {"path": name, "label_class": seq.label_class, "label_score": seq.label_score}
-        )
-    manifest = out_dir / "manifest.json"
-    manifest.write_text(json.dumps(entries, indent=2) + "\n")
-    return manifest
+    # generate_sequences refuses a bad count before write_dataset makes the directory
+    return write_dataset(generate_sequences(cfg, n_per_class), out_dir, IMAGE_SIZE)

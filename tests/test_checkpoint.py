@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,8 +134,10 @@ def test_bad_header_config_is_data_error(tmp_path, config):
     lambda h: h["manifest"][0].update(  # floats that compare equal to the right shape
         shape=[float(dim) for dim in h["manifest"][0]["shape"]]),
     lambda h: h.update(kind=["csm"]),  # unhashable kind
+    lambda h: h["manifest"][0].update(dtype="<f8"),  # a key the format does not have
 ], ids=["seed-string", "seed-negative", "seed-float", "manifest-string", "entry-string",
-        "entry-no-name", "entry-no-shape", "shape-int", "shape-floats", "kind-list"])
+        "entry-no-name", "entry-no-shape", "shape-int", "shape-floats", "kind-list",
+        "entry-extra-key"])
 def test_bad_header_fields_are_data_errors(tmp_path, edit):
     import json
     import struct
@@ -189,3 +193,19 @@ def test_save_refuses_non_finite_parameter(tmp_path):
     with pytest.raises(NumericalError, match=r"model\.bin: parameter 'w1' holds a non-finite value"):
         save_model(model, path)
     assert not path.exists()
+
+
+def test_load_copies_one_parameter_at_a_time(tmp_path):
+    # the largest parameter is 8% of the model's bytes, so a copy of the
+    # whole body at once would break the bound
+    path = tmp_path / "model.bin"
+    save_model(SttfModel(ModelConfig(d_joint=4, layers=4, heads=2, dropout=0.0)), path)
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = [value.data.nbytes for _, value in model.params.items()]
+    assert max(sizes) < 0.1 * sum(sizes)
+    assert peak <= path.stat().st_size + sum(sizes) + max(sizes) + 2**20

@@ -172,6 +172,13 @@ def test_preprocess_is_idempotent(tmp_path):
     assert dir_bytes(once) == dir_bytes(twice)
 
 
+def test_preprocess_writes_the_manifest_synth_wrote(tmp_path):
+    manifest = make_dataset(tmp_path, per_class=2)
+    out = tmp_path / "prep"
+    assert run("preprocess", "--data", str(manifest), "--out", str(out)) == 0
+    assert (out / "manifest.json").read_bytes() == manifest.read_bytes()
+
+
 def test_worker_pool_preserves_artifacts(tmp_path):
     manifest = make_dataset(tmp_path)
     serial = tmp_path / "serial"
@@ -775,6 +782,57 @@ def test_byte_mutated_clip_or_manifest_exits_0_2_or_3(tmp_path, capsys):
         target.write_bytes(original)
     capsys.readouterr()
     assert codes.count(0) and codes.count(3)  # the fuzz reaches both outcomes
+
+
+def command_argv(tmp_path, command, data):
+    """argv of ``command`` on the manifest ``data``, without --out; the
+    checkpoint is an untrained small transformer."""
+    ckpt = save_untrained(tmp_path, "tfn", SttfModel(
+        ModelConfig(f=12, d_joint=2, layers=1, heads=1), seed=1))
+    return {"synth": ["synth", "--per-class", "1", "--frames", "20"],
+            "preprocess": ["preprocess", "--data", data],
+            "csm": ["csm", "--data", data],
+            "baseline": ["baseline", "--method", "dtw", "--data", data],
+            "train": ["train", "--branch", "csm", "--data", data],
+            "eval": ["eval", "--ckpt", ckpt, "--data", data],
+            "export-attn": ["export-attn", "--ckpt", ckpt, "--data", data]}[command]
+
+
+@pytest.mark.parametrize("case", ["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["synth", "preprocess", "csm", "baseline", "train", "eval",
+                                     "export-attn"])
+def test_unusable_out_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, case):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    out = taken if case == "a-file" else taken / "run"
+    # train refuses the directory before it trains, not after
+    monkeypatch.setattr(cli, "fit", lambda *args: pytest.fail("fit ran before --out was made"))
+    capsys.readouterr()
+    assert run(*command_argv(tmp_path, command, str(manifest)), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): ") and f"{out}: cannot make the output directory" in err
+    assert "Traceback" not in err and taken.read_text() == "a file"
+
+
+@pytest.mark.parametrize("command, code", [
+    ("baseline", 3), ("baseline-test", 3), ("train", 3), ("eval", 3), ("export-attn", 3),
+    ("preprocess", 0), ("csm", 0),  # these map clips one to one, so none is none
+])
+def test_empty_manifest_exits_3_naming_it(tmp_path, capsys, command, code):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    if command == "baseline-test":
+        argv = command_argv(tmp_path, "baseline", str(make_dataset(tmp_path, per_class=1)))
+        argv += ["--test", str(empty)]
+    else:
+        argv = command_argv(tmp_path, command, str(empty))
+    capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error (data): ")
+        assert f"{empty}: manifest lists no clips" in err and "Traceback" not in err
 
 
 def test_zero_epoch_train_is_config_error_and_writes_nothing(tmp_path, capsys):

@@ -12,11 +12,14 @@ from dyadsync.errors import ConfigError, DataError
 from dyadsync.pose_io import (
     NUM_JOINTS,
     KeypointClip,
+    SkeletonSequence,
     load_keypoint_file,
     load_manifest,
     preprocess,
     resample_indices,
+    write_dataset,
 )
+from dyadsync.synthgen import IMAGE_SIZE, SynthConfig, generate_sequences
 
 
 def make_clip(detected, image_size=(320, 240), fill=0.5):
@@ -670,3 +673,48 @@ def test_manifest_entry_types_name_the_entry(tmp_path, entry):
     m.write_text(json.dumps([{"path": "ok.json"}, entry]))
     with pytest.raises(DataError, match=r"m\.json: entry 1 "):
         load_manifest(m)
+
+
+def test_empty_manifest_is_refused_by_load_dataset_naming_it(tmp_path):
+    m = tmp_path / "m.json"
+    m.write_text("[]")
+    assert load_manifest(m) == []  # clip-by-clip commands map it to nothing
+    with pytest.raises(DataError, match=r"m\.json: manifest lists no clips"):
+        pose_io.load_dataset(m)
+
+
+# ---------------------------------------------------------------------------
+# writing datasets
+# ---------------------------------------------------------------------------
+
+
+def test_document_matches_the_per_joint_float_rows(tmp_path):
+    # the rows built from one tolist() against one float() per coordinate
+    sequences = list(generate_sequences(SynthConfig(f=12, seed=9), 2))
+    write_dataset(sequences, tmp_path, IMAGE_SIZE)
+    scale = np.array(IMAGE_SIZE, dtype=np.float64)
+    for seq in sequences:
+        frames = [{"index": t, "persons": [
+            {"id": pid, "keypoints": [[float(x), float(y), 1.0]
+                                      for x, y in seq.frames[t, pid] * scale]}
+            for pid in range(2)]} for t in range(seq.num_frames)]
+        want = {"image_size": list(IMAGE_SIZE), "frames": frames}
+        got = (tmp_path / f"{seq.source_id}.json").read_text()
+        assert got == json.dumps(want, separators=(",", ":"))
+
+
+def test_written_manifest_omits_missing_labels_and_reads_back(tmp_path):
+    frames = np.full((3, 2, NUM_JOINTS, 2), 0.25)
+    sequences = [SkeletonSequence(frames, "a", label_class="Sync"),
+                 SkeletonSequence(frames, "b", label_score=7.5),
+                 SkeletonSequence(frames, "c")]
+    manifest = write_dataset(sequences, tmp_path / "out", (1, 1))
+    assert manifest == tmp_path / "out" / "manifest.json"
+    assert manifest.read_text() == json.dumps([
+        {"path": "a.json", "label_class": "Sync"},
+        {"path": "b.json", "label_score": 7.5},
+        {"path": "c.json"}], indent=2) + "\n"
+    loaded = pose_io.load_dataset(manifest, target_f=3)
+    assert [(s.source_id, s.label_class, s.label_score) for s in loaded] == [
+        ("a", "Sync", None), ("b", None, 7.5), ("c", None, None)]
+    assert all(np.array_equal(s.frames, frames) for s in loaded)

@@ -1,7 +1,6 @@
 """Generator semantics: class transforms, score bins, file round-trips, determinism."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from dyadsync.errors import ConfigError
 from dyadsync.pose_io import load_dataset, load_keypoint_file, load_manifest
 from dyadsync.similarity import compute_csm
 from dyadsync.synthgen import (IMAGE_SIZE, SynthConfig, generate_dataset, generate_dyad_sequence,
-                               generate_sequences, sequence_to_document)
+                               generate_sequences)
 
 
 def test_sync_zero_jitter_is_identity_coupling():
@@ -124,19 +123,6 @@ def test_dataset_round_trips_coordinates_exactly(tmp_path):
     scale = np.array(IMAGE_SIZE, dtype=np.float64)
     assert np.array_equal(clip.keypoints[..., :2], seq.frames * scale)
     assert np.all(clip.keypoints[..., 2] == 1.0)
-
-
-def test_document_matches_the_per_joint_float_rows():
-    # the rows built from one tolist() against one float() per coordinate
-    for seq in generate_sequences(SynthConfig(f=12, seed=9), 2):
-        scale = np.array(IMAGE_SIZE, dtype=np.float64)
-        frames = [{"index": t, "persons": [
-            {"id": pid, "keypoints": [[float(x), float(y), 1.0]
-                                      for x, y in seq.frames[t, pid] * scale]}
-            for pid in range(2)]} for t in range(seq.num_frames)]
-        want = {"image_size": list(IMAGE_SIZE), "frames": frames}
-        got = sequence_to_document(seq, IMAGE_SIZE)
-        assert json.dumps(got, separators=(",", ":")) == json.dumps(want, separators=(",", ":"))
 
 
 def test_dataset_regeneration_is_byte_identical(tmp_path):
