@@ -54,10 +54,10 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
     D(i,j) = cost(i,j) + min(D(i-1,j), D(i,j-1), D(i-1,j-1)), answer at
     D(n-1,m-1).  Inputs are (n, d) and (m, d) sequences of frame vectors
-    ((n,) and (m,) count as d = 1) and the answer is a float.  A batch of
-    k pairs is given as (k, n, d) and (k, m, d) arrays and gives a (k,)
-    array of distances.  The frame costs are ``similarity.frame_distances``,
-    the kernel of the CSM.
+    and the answer is a float.  A batch of k pairs is given as (k, n, d)
+    and (k, m, d) arrays and gives a (k,) array of distances; any other
+    pair of shapes is a DataError.  The frame costs are
+    ``similarity.frame_distances``, the kernel of the CSM.
 
     The table is filled one anti-diagonal i + j = t at a time: its cells
     depend only on diagonals t-1 and t-2, so each diagonal is a few numpy
@@ -66,13 +66,9 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """
     a, b = np.asarray(a), np.asarray(b)
     batched = a.ndim == 3
-    if a.ndim > 3 or a.shape[:-2] != b.shape[:-2]:
+    if a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]:
         raise DataError(f"expected (n, d) and (m, d) or (k, n, d) and (k, m, d) inputs, "
                         f"got shapes {a.shape} and {b.shape}")
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
     if not batched:
         a, b = a[None], b[None]
     if a.shape[2] != b.shape[2]:

@@ -78,7 +78,10 @@ def load_model(path):
     seed = header["seed"]
     if type(seed) is not int or seed < 0:
         raise DataError(f"{path}: seed must be a non-negative integer, got {seed!r}")
-    model = model_cls(config, seed=seed)
+    try:
+        model = model_cls(config, seed=seed)
+    except MemoryError:
+        raise DataError(f"{path}: the header's model config is too large to allocate") from None
     # compared as JSON text, which tells 4, 4.0 and true apart and sees an extra key
     manifest = json.dumps(header["manifest"], sort_keys=True)
     if manifest != json.dumps(_manifest(model), sort_keys=True):

@@ -161,6 +161,9 @@ def cmd_csm(args) -> int:
 
 def cmd_baseline(args) -> int:
     train_seqs = load_dataset(args.data, target_f=args.frames)
+    # the test set and its labels come first, so a bad one leaves no half-written run
+    test_seqs = load_dataset(args.test, target_f=args.frames) if args.test else []
+    test_labels = targets_from_sequences(test_seqs, "cross_entropy")
     feats = [extract_features(seq, args.method) for seq in train_seqs]
     labels = targets_from_sequences(train_seqs, "cross_entropy")
     clf = train_linear_hinge(feats, labels)
@@ -169,20 +172,21 @@ def cmd_baseline(args) -> int:
     save_classifier(clf, out_dir / "classifier.json")
     log.info("trained %s baseline on %d clips", args.method, len(train_seqs))
     if args.test:
-        test_seqs = load_dataset(args.test, target_f=args.frames)
         test_feats = [extract_features(seq, args.method) for seq in test_seqs]
         margins = linear_scores(clf, test_feats)
         preds = [BranchPrediction(args.method, seq.source_id, logits=row)
                  for seq, row in zip(test_seqs, margins)]
-        _report(preds, targets_from_sequences(test_seqs, "cross_entropy"),
-                predicted_classes(preds), out_dir)
+        _report(preds, test_labels, predicted_classes(preds), out_dir)
     return 0
 
 
 def _build_model(branch: str, model_config_path, seed: int):
     model_cls, config_cls = (SttfModel, ModelConfig) if branch == "tfn" else (CsmModel, CsmConfig)
     cfg = load_config(model_config_path, config_cls) if model_config_path else config_cls()
-    return model_cls(cfg, seed=seed)
+    try:
+        return model_cls(cfg, seed=seed)
+    except MemoryError:
+        raise ConfigError(f"{model_config_path}: model config too large to allocate") from None
 
 
 def _model_frames(model, source, error) -> int:
@@ -276,6 +280,21 @@ def cmd_eval(args) -> int:
     if args.external:
         _check_external(args.external, external, [seq.source_id for seq in sequences], names)
 
+    # fusion keeps the first branch's order: the manifest's, or the first external branch's
+    if models:
+        fused_seqs = sequences
+    else:
+        by_id = {seq.source_id: seq for seq in sequences}
+        fused_seqs = [by_id[p.source_id] for p in external if p.branch == external[0].branch]
+    # labels before --out, and --out before any model runs
+    if regress:
+        targets = targets_from_sequences(fused_seqs, "mse")
+        labels = [CLASS_NAMES.index(seq.label_class) if seq.label_class
+                  else bin_score(seq.label_score) for seq in fused_seqs]
+    else:
+        labels = targets_from_sequences(fused_seqs, "cross_entropy")
+    out_dir = output_dir(args.out)
+
     predictions = []
     for model, name, f in zip(models, names, frames):
         out = _batched_logits(model, model.prepare_inputs(datasets[f]))
@@ -287,17 +306,8 @@ def cmd_eval(args) -> int:
     predictions.extend(external)
 
     fused = fuse_predictions(predictions)
-    by_id = {seq.source_id: seq for seq in sequences}
-    fused_seqs = [by_id[pred.source_id] for pred in fused]
-    if regress:
-        mse = {"preds": [p.score for p in fused],
-               "targets": targets_from_sequences(fused_seqs, "mse")}
-        labels = [CLASS_NAMES.index(seq.label_class) if seq.label_class
-                  else bin_score(seq.label_score) for seq in fused_seqs]
-    else:
-        mse = {}
-        labels = targets_from_sequences(fused_seqs, "cross_entropy")
-    _report(predictions + fused, labels, predicted_classes(fused), output_dir(args.out), **mse)
+    mse = {"preds": [p.score for p in fused], "targets": targets} if regress else {}
+    _report(predictions + fused, labels, predicted_classes(fused), out_dir, **mse)
     return 0
 
 
@@ -366,11 +376,11 @@ def cmd_export_attn(args) -> int:
     if not 0 <= args.index < len(sequences):
         raise ConfigError(f"--index {args.index} outside dataset of {len(sequences)}")
     seq = sequences[args.index]
-    maps = export_attention(model, seq)
     out_dir = output_dir(args.out)
+    maps = export_attention(model, seq)
     savers = {"pgm": save_pgm, "csv": save_csv}
     count = 0
-    for branch, stack in (("spatial", maps.spatial), ("temporal", maps.temporal)):
+    for branch, stack in maps.items():
         layers, heads = stack.shape[:2]
         for layer in range(layers):
             for head in range(heads):

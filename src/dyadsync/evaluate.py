@@ -132,12 +132,13 @@ def confusion_normalized(labels, predictions) -> ConfusionMatrix:
 
 
 def compute_metrics(cm: ConfusionMatrix, preds=None, targets=None) -> MetricsReport:
-    """Per-class recall, micro accuracy, macro F1; adds MSE given raw scores and targets."""
+    """Per-class recall (the diagonal of ``cm.normalized``), micro accuracy, macro F1;
+    adds MSE given raw scores and targets."""
     counts = cm.counts
     total = counts.sum()
     row_sums = counts.sum(axis=1)
     col_sums = counts.sum(axis=0)
-    recall = np.where(row_sums > 0, np.diag(counts) / np.maximum(row_sums, 1) * 100.0, 0.0)
+    recall = np.diag(cm.normalized).copy()
     accuracy = float(np.trace(counts) / total * 100.0) if total else 0.0
     f1 = []
     for c in range(3):

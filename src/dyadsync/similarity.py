@@ -11,8 +11,8 @@ variant applies the same kernel to one person against themselves
 (symmetric, zero diagonal).  That kernel, ``frame_distances``, also
 fills the DTW cost tables of ``baselines``, so every method compares
 poses through one sum order.  Matrices can be min-max normalized,
-upsampled by exact nearest-neighbor replication to an image-like side
-(224 by default), and exported as raw binary, CSV, or PGM for eyeballs.
+resized by exact nearest-neighbor replication to a given side, and
+exported as raw binary, CSV, or PGM for eyeballs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .pose_io import SkeletonSequence
-
-IMAGE_SIDE = 224
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def compute_ssm(track: np.ndarray) -> SimilarityMatrix:
     return _pose_similarity(track, track)
 
 
-def resize_nearest(m: SimilarityMatrix, target: int = IMAGE_SIDE) -> SimilarityMatrix:
+def resize_nearest(m: SimilarityMatrix, target: int) -> SimilarityMatrix:
     """Nearest-neighbor resize: pure index replication, no new values.
 
     out[i][j] = src[floor(i*s/target)][floor(j*s/target)]

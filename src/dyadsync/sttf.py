@@ -11,10 +11,10 @@ synchrony-class logits or one scalar score.
 
 Attention is standard scaled dot-product over h heads: at width w
 (d_joint spatially, c_temp temporally) the per-head weights are
-softmax(Q Kᵀ / sqrt(w / h)), row-stochastic by construction, and can be
-captured for inspection (spatial maps slice into per-person J x J
-blocks).  Dropout sits on the two token embeddings, the attention
-weights, and the MLP outputs.
+softmax(Q Kᵀ / sqrt(w / h)), row-stochastic by construction.
+``export_attention`` captures them for inspection as a dict of per-layer
+stacks; a spatial map slices into per-person J x J blocks.  Dropout sits
+on the two token embeddings, the attention weights, and the MLP outputs.
 """
 
 from __future__ import annotations
@@ -71,18 +71,6 @@ class ModelConfig:
     @property
     def out_dim(self) -> int:
         return 3 if self.head_kind == "classify" else 1
-
-
-@dataclass(frozen=True)
-class AttentionMaps:
-    """Captured softmax weights: spatial (L, h, 2J, 2J), temporal (L, h, f, f).
-
-    Raw maps are row-stochastic; a person's J x J block of a spatial map
-    is ``maps.spatial[l, h, a*J:(a+1)*J, b*J:(b+1)*J]``.
-    """
-
-    spatial: np.ndarray
-    temporal: np.ndarray
 
 
 def mhsa(x, wq, wk, wv, wo, heads: int, *, attn_dropout=0.0, rng=None,
@@ -241,20 +229,21 @@ class SttfModel:
         return np.stack([seq.frames for seq in sequences])
 
 
-def export_attention(model: SttfModel, seq: SkeletonSequence) -> AttentionMaps:
+def export_attention(model: SttfModel, seq: SkeletonSequence) -> dict:
     """Eval-mode attention capture for one sequence.
 
-    Spatial maps are averaged over the f frames (an average of
-    row-stochastic matrices is row-stochastic), giving one 2J x 2J map
-    per layer and head; temporal maps are the f x f weights as-is.
+    Returns ``{"spatial": (L, h, 2J, 2J), "temporal": (L, h, f, f)}``
+    float64 arrays.  Spatial maps are averaged over the f frames (an
+    average of row-stochastic matrices is row-stochastic), giving one
+    2J x 2J map per layer and head; temporal maps are the f x f weights
+    as-is.  ``maps["spatial"][l, h, a*J:(a+1)*J, b*J:(b+1)*J]`` is the
+    J x J block of person a attending to person b.
     """
+    cfg = model.config
     cap_s: list = []
     cap_t: list = []
     model.forward(seq.frames[None], capture_spatial=cap_s, capture_temporal=cap_t)
-    spatial = np.stack([layer.mean(axis=0) for layer in cap_s]) if cap_s else np.zeros(
-        (0, model.config.heads, model.config.tokens_spatial, model.config.tokens_spatial)
-    )
-    temporal = np.stack([layer[0] for layer in cap_t]) if cap_t else np.zeros(
-        (0, model.config.heads, model.config.f, model.config.f)
-    )
-    return AttentionMaps(spatial=spatial, temporal=temporal)
+    t, h = cfg.tokens_spatial, cfg.heads
+    # the reshape also gives the (0, h, ...) stacks of a model with no layers
+    return {"spatial": np.array([layer.mean(axis=0) for layer in cap_s]).reshape(-1, h, t, t),
+            "temporal": np.array([layer[0] for layer in cap_t]).reshape(-1, h, cfg.f, cfg.f)}

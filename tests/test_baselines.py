@@ -62,10 +62,6 @@ def loop_dtw_distance(a, b):
     """Reference: the cell-by-cell DTW double loop."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
     cost = np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2))
     n, m = cost.shape
     dp = np.empty((n, m))
@@ -117,7 +113,7 @@ def test_dtw_identity_is_zero():
 
 
 def test_dtw_scalar_example():
-    assert dtw_distance(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 2.0
+    assert dtw_distance(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]])) == 2.0
 
 
 def test_dtw_symmetry():
@@ -145,6 +141,13 @@ def test_dtw_rejects_empty_and_mismatched():
         dtw_distance(np.zeros((0, 2)), np.zeros((3, 2)))
     with pytest.raises(DataError):
         dtw_distance(np.zeros((2, 2)), np.zeros((2, 3)))
+    # a 1-D sequence is refused, alone or beside an (m, d) one, not lifted to d = 1
+    with pytest.raises(DataError, match="expected"):
+        dtw_distance(np.zeros(2), np.zeros(3))
+    with pytest.raises(DataError, match="expected"):
+        dtw_distance(np.zeros(2), np.zeros((3, 1)))
+    with pytest.raises(DataError, match="expected"):
+        dtw_distance(np.zeros((2, 1)), np.zeros(3))
 
 
 def test_dtw_wavefront_matches_loop_bitwise():
@@ -158,8 +161,6 @@ def test_dtw_wavefront_matches_loop_bitwise():
             got = dtw_distance(a, b)
             assert type(got) is float
             assert got == loop_dtw_distance(a, b), (n, m, d)
-    a, b = rng.normal(size=7), rng.normal(size=4)  # 1-D inputs count as d = 1
-    assert dtw_distance(a, b) == loop_dtw_distance(a, b)
 
 
 def test_dtw_batched_matches_per_pair_loop():

@@ -806,8 +806,10 @@ def test_unusable_out_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, 
     taken = tmp_path / "taken"
     taken.write_text("a file")
     out = taken if case == "a-file" else taken / "run"
-    # train refuses the directory before it trains, not after
+    # train and eval refuse the directory before a model trains or runs, not after
     monkeypatch.setattr(cli, "fit", lambda *args: pytest.fail("fit ran before --out was made"))
+    monkeypatch.setattr(cli, "_batched_logits",
+                        lambda *args: pytest.fail("a model ran before --out was made"))
     capsys.readouterr()
     assert run(*command_argv(tmp_path, command, str(manifest)), "--out", str(out)) == 2
     err = capsys.readouterr().err
@@ -833,6 +835,7 @@ def test_empty_manifest_exits_3_naming_it(tmp_path, capsys, command, code):
     if code:
         assert err.startswith("error (data): ")
         assert f"{empty}: manifest lists no clips" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_zero_epoch_train_is_config_error_and_writes_nothing(tmp_path, capsys):
@@ -897,8 +900,10 @@ def test_eval_clip_without_the_heads_label_is_data_error_naming_it(tmp_path, cap
     ("csm", '{"side": 8, "width": 9}'),
     ("csm", '{"dropout": NaN}'),
     ("tfn", '{"dropout": null}'),
+    # w1 would take about 5e18 bytes: beyond any address space, so it fails at once
+    ("csm", '{"side": 100000000}'),
 ], ids=["missing", "invalid-json", "not-object", "unknown-key", "wrong-type",
-        "float-for-int", "csm-unknown-key", "csm-nan", "null"])
+        "float-for-int", "csm-unknown-key", "csm-nan", "null", "csm-too-large"])
 def test_bad_model_config_is_config_error(tmp_path, capsys, branch, content):
     manifest = make_dataset(tmp_path, per_class=1)
     mc = tmp_path / "mc.json"

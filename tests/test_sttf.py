@@ -402,20 +402,30 @@ def test_export_attention_shapes_and_row_sums():
     model = SttfModel(cfg, seed=12)
     maps = export_attention(model, random_seq(np.random.default_rng(37), cfg))
     t = cfg.tokens_spatial
-    assert maps.spatial.shape == (cfg.layers, cfg.heads, t, t)
-    assert maps.temporal.shape == (cfg.layers, cfg.heads, cfg.f, cfg.f)
-    assert np.allclose(maps.spatial.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.allclose(maps.temporal.sum(axis=-1), 1.0, atol=1e-9)
+    assert maps["spatial"].shape == (cfg.layers, cfg.heads, t, t)
+    assert maps["temporal"].shape == (cfg.layers, cfg.heads, cfg.f, cfg.f)
+    assert np.allclose(maps["spatial"].sum(axis=-1), 1.0, atol=1e-9)
+    assert np.allclose(maps["temporal"].sum(axis=-1), 1.0, atol=1e-9)
+
+
+def test_export_attention_of_a_model_without_layers_is_empty_float64_stacks():
+    cfg = small_config(layers=0, dropout=0.0)
+    maps = export_attention(SttfModel(cfg, seed=14), random_seq(np.random.default_rng(39), cfg))
+    t = cfg.tokens_spatial
+    assert list(maps) == ["spatial", "temporal"]
+    assert maps["spatial"].shape == (0, cfg.heads, t, t)
+    assert maps["temporal"].shape == (0, cfg.heads, cfg.f, cfg.f)
+    assert maps["spatial"].dtype == maps["temporal"].dtype == np.float64
 
 
 def test_export_attention_normalization_and_person_blocks():
     cfg = small_config(dropout=0.0)
     model = SttfModel(cfg, seed=13)
     maps = export_attention(model, random_seq(np.random.default_rng(38), cfg))
-    for stack in (maps.spatial, maps.temporal):
+    for stack in (maps["spatial"], maps["temporal"]):
         for lmap in stack.reshape(-1, *stack.shape[-2:]):
             normed = normalize_minmax(SimilarityMatrix(lmap)).values
             assert normed.min() == 0.0 and normed.max() == 1.0
     J = cfg.num_joints
-    block = maps.spatial[0, 0, :J, J:]  # person a attending to person b
+    block = maps["spatial"][0, 0, :J, J:]  # person a attending to person b
     assert block.shape == (J, J)
