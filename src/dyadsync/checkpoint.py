@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import config_from_dict
 from .csm_branch import CsmConfig, CsmModel
-from .errors import ConfigError, DataError, NumericalError, read_input
+from .errors import ALLOCATION_ERRORS, ConfigError, DataError, NumericalError, read_input
 from .sttf import ModelConfig, SttfModel
 
 _KINDS = {"sttf": (SttfModel, ModelConfig), "csm": (CsmModel, CsmConfig)}
@@ -80,7 +80,7 @@ def load_model(path):
         raise DataError(f"{path}: seed must be a non-negative integer, got {seed!r}")
     try:
         model = model_cls(config, seed=seed)
-    except MemoryError:
+    except ALLOCATION_ERRORS:
         raise DataError(f"{path}: the header's model config is too large to allocate") from None
     # compared as JSON text, which tells 4, 4.0 and true apart and sees an extra key
     manifest = json.dumps(header["manifest"], sort_keys=True)

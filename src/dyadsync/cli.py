@@ -31,7 +31,8 @@ from .baselines import (
 from .checkpoint import load_model, model_kind, save_model
 from .config import load_config
 from .csm_branch import CsmConfig, CsmModel
-from .errors import ConfigError, ContractError, DataError, DyadsyncError, output_dir
+from .errors import (ALLOCATION_ERRORS, ConfigError, ContractError, DataError,
+                     DyadsyncError, output_dir)
 from .evaluate import (
     BranchPrediction,
     bin_score,
@@ -129,7 +130,10 @@ def _report(rows, labels, decisions, out_dir: Path, **mse) -> None:
 def cmd_synth(args) -> int:
     cfg = SynthConfig(f=args.frames, lag=args.lag, amp_mismatch=args.amp_mismatch,
                       jitter=args.jitter, seed=_resolve_seed(args.seed))
-    manifest = generate_dataset(cfg, args.per_class, args.out)
+    try:
+        manifest = generate_dataset(cfg, args.per_class, args.out)
+    except ALLOCATION_ERRORS:
+        raise ConfigError(f"--frames {args.frames}: clip too large to allocate") from None
     log.info("wrote %d clips per class under %s", args.per_class, args.out)
     print(manifest)
     return 0
@@ -145,13 +149,17 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_csm(args) -> int:
+    entries = load_manifest(args.data)
+    out_dir = output_dir(args.out)  # a bad --out is refused before any matrix is computed
     results = _map_ordered(partial(_matrix_entry, target_f=args.frames, kind=args.kind),
-                           load_manifest(args.data), args.workers)
-    out_dir = output_dir(args.out)
+                           entries, args.workers)
     savers = {"bin": save_binary, "csv": save_csv, "pgm": save_pgm}
     for source_id, matrix in results:
         if args.size is not None:
-            matrix = resize_nearest(matrix, args.size)
+            try:
+                matrix = resize_nearest(matrix, args.size)
+            except ALLOCATION_ERRORS:
+                raise ConfigError(f"--size {args.size}: matrix too large to allocate") from None
         if args.normalize:
             matrix = normalize_minmax(matrix)
         savers[args.format](matrix, out_dir / f"{source_id}.{args.format}")
@@ -164,10 +172,10 @@ def cmd_baseline(args) -> int:
     # the test set and its labels come first, so a bad one leaves no half-written run
     test_seqs = load_dataset(args.test, target_f=args.frames) if args.test else []
     test_labels = targets_from_sequences(test_seqs, "cross_entropy")
-    feats = [extract_features(seq, args.method) for seq in train_seqs]
     labels = targets_from_sequences(train_seqs, "cross_entropy")
+    out_dir = output_dir(args.out)  # a bad --out is refused before any feature is extracted
+    feats = [extract_features(seq, args.method) for seq in train_seqs]
     clf = train_linear_hinge(feats, labels)
-    out_dir = output_dir(args.out)
     save_features(feats, out_dir / "train_features.csv")
     save_classifier(clf, out_dir / "classifier.json")
     log.info("trained %s baseline on %d clips", args.method, len(train_seqs))
@@ -185,7 +193,7 @@ def _build_model(branch: str, model_config_path, seed: int):
     cfg = load_config(model_config_path, config_cls) if model_config_path else config_cls()
     try:
         return model_cls(cfg, seed=seed)
-    except MemoryError:
+    except ALLOCATION_ERRORS:
         raise ConfigError(f"{model_config_path}: model config too large to allocate") from None
 
 

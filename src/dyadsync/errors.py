@@ -38,6 +38,11 @@ class NumericalError(DyadsyncError):
     """A computation produced non-finite values."""
 
 
+# what numpy raises for an array too large to allocate: a MemoryError, or a ValueError
+# when its size is beyond the address space
+ALLOCATION_ERRORS = (MemoryError, ValueError)
+
+
 def read_input(path, what: str, binary: bool = False):
     """The UTF-8 text, or the bytes, of the input file at pathlib ``path``;
     a missing, unreadable or non-UTF-8 file is a DataError naming it."""

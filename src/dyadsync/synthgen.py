@@ -19,6 +19,7 @@ reader of the same layout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,5 +138,8 @@ def generate_dataset(cfg: SynthConfig, n_per_class: int, out_dir) -> Path:
     uniformly from the class's bin, so the same files serve
     classification and regression runs.
     """
-    # generate_sequences refuses a bad count before write_dataset makes the directory
-    return write_dataset(generate_sequences(cfg, n_per_class), out_dir, IMAGE_SIZE)
+    # a bad count, or a clip too large to allocate, fails before write_dataset makes the
+    # directory: generate_sequences checks the count, and the first clip is made here
+    sequences = generate_sequences(cfg, n_per_class)
+    first = next(sequences)
+    return write_dataset(itertools.chain([first], sequences), out_dir, IMAGE_SIZE)

@@ -528,40 +528,20 @@ def dropout_apply(x, rate: float, rng=None) -> Tensor:
 ATTENTION_BLOCK_BYTES = 1 << 20
 
 
-def _lead_blocks(lead: tuple, item_bytes: int):
-    """Basic indices that cut leading axes ``lead`` into C-ordered blocks.
-
-    Each index selects a view of about ``ATTENTION_BLOCK_BYTES`` when one
-    trailing item takes ``item_bytes``: the trailing leading axes that fit
-    stay whole, the axis before them is cut into runs, and any axis before
-    that is walked one index at a time.  Visiting the blocks in order
-    visits the items in C order, so a random draw per block reproduces
-    one draw over the whole array.
-    """
-    if not lead:
-        yield ()
-        return
-    items = max(1, ATTENTION_BLOCK_BYTES // item_bytes)
-    axis, inner = len(lead) - 1, 1
-    while axis > 0 and inner * lead[axis] <= items:
-        inner *= lead[axis]
-        axis -= 1
-    run = max(1, items // inner)
-    for outer in np.ndindex(*lead[:axis]):
-        for start in range(0, lead[axis], run):
-            yield outer + (slice(start, start + run),)
-
-
 def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
               keep_weights: bool = False):
     """``dropout(softmax(q kᵀ · scale)) @ v`` as one tape node.
 
     ``q`` and ``k`` are (..., n, d) and ``v`` is (..., n, dv), with equal
-    leading axes.  The work runs in blocks of whole (n, n) matrices over
-    the leading axes, each block through the same numpy expressions as
-    the transpose, matmul, softmax, dropout and matmul chain, so the
-    output and gradients are bit for bit that chain's.  Dropout is on
-    exactly when a generator is passed; its mask is drawn block by block.
+    leading axes.  Each operand is reshaped once to a stack of (n, ·)
+    matrices over the product of its leading axes (a 2-d operand is a
+    stack of one; a strided view is copied), and the stack runs in blocks
+    of whole matrices of about ``ATTENTION_BLOCK_BYTES`` of weights, each
+    block through the same numpy expressions as the transpose, matmul,
+    softmax, dropout and matmul chain, so the output and gradients are
+    bit for bit that chain's.  Dropout is on exactly when a generator is
+    passed; its mask is drawn block by block in C order, which is the one
+    draw over the whole array.
 
     Returns ``(out, weights)``.  ``weights`` are the pre-dropout
     probabilities when ``keep_weights`` is set, else None.  A taped call
@@ -577,17 +557,19 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
     if v.shape[:-1] != k.shape[:-1]:
         raise ContractError(f"V {v.shape} does not align with K {k.shape}")
     _check_rate(rate)
-    qd, kd, vd = q.data, k.data, v.data
+    lead, (n, d), dv = q.shape[:-2], q.shape[-2:], v.shape[-1]
+    qd, kd, vd = (t.data.reshape(-1, n, w) for t, w in ((q, d), (k, d), (v, dv)))
     kt = kd.swapaxes(-1, -2)
-    lead, n = qd.shape[:-2], qd.shape[-2]
-    item_bytes = n * n * qd.itemsize
+    stack = len(qd)
+    run = max(1, ATTENTION_BLOCK_BYTES // (n * n * qd.itemsize))
+    blocks = [slice(start, start + run) for start in range(0, stack, run)]
     taped = any(t.tape is not None for t in (q, k, v))
     drop = rng is not None and rate > 0.0
     keep_scale = 1.0 / (1.0 - rate)
-    out = np.empty(lead + (n, vd.shape[-1]), dtype=qd.dtype)
-    probs = np.empty(lead + (n, n), dtype=qd.dtype) if taped or keep_weights else None
-    keep = np.empty(lead + (n, n), dtype=bool) if taped and drop else None
-    for idx in _lead_blocks(lead, item_bytes):
+    out = np.empty((stack, n, dv), dtype=qd.dtype)
+    probs = np.empty((stack, n, n), dtype=qd.dtype) if taped or keep_weights else None
+    keep = np.empty((stack, n, n), dtype=bool) if taped and drop else None
+    for idx in blocks:
         w = np.matmul(qd[idx], kt[idx], out=None if probs is None else probs[idx])
         w *= scale
         _softmax_rows_inplace(w)
@@ -597,13 +579,15 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
                 keep[idx] = mask
             w = _dropped(w, mask, keep_scale)
         np.matmul(w, vd[idx], out=out[idx])
-    weights = probs if keep_weights else None
+    weights = probs.reshape(lead + (n, n)) if keep_weights else None
+    out = out.reshape(lead + (n, dv))
     if not taped:
         return Tensor(out), weights
 
     def backward(g):
+        g = g.reshape(stack, n, dv)
         gq, gkt, gv = (np.empty(a.shape, dtype=qd.dtype) for a in (qd, kt, vd))
-        for idx in _lead_blocks(lead, item_bytes):
+        for idx in blocks:
             p = probs[idx]
             w = p if keep is None else _dropped(p, keep[idx], keep_scale)
             np.matmul(w.swapaxes(-1, -2), g[idx], out=gv[idx])
@@ -614,7 +598,9 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
             gs *= scale
             np.matmul(gs, kd[idx], out=gq[idx])
             np.matmul(qd[idx].swapaxes(-1, -2), gs, out=gkt[idx])
-        return gq, gkt.swapaxes(-1, -2), gv
+        # k's gradient is reshaped before the swap, so its strides are the chain's
+        return (gq.reshape(lead + (n, d)), gkt.reshape(lead + (d, n)).swapaxes(-1, -2),
+                gv.reshape(lead + (n, dv)))
 
     return _record(out, (q, k, v), backward), weights
 

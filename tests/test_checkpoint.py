@@ -111,6 +111,7 @@ def test_rejects_unknown_kind(tmp_path):
     [8, 5],  # not an object
     {"side": 0},  # fails the config's own validation
     {"side": 10**8},  # too large: w1 needs ~5e18 bytes, beyond any address space
+    {"side": 10**30},  # w1's size does not fit numpy's index type
 ])
 def test_bad_header_config_is_data_error(tmp_path, config):
     import json

@@ -137,7 +137,11 @@ def test_artifact_digest_is_identical_on_one_and_two_blas_threads(tmp_path):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("flag, value", [("--jitter", "nan"), ("--amp-mismatch", "inf")])
+@pytest.mark.parametrize("flag, value", [
+    ("--jitter", "nan"), ("--amp-mismatch", "inf"),
+    # clips that fail at allocation at once: about 8 TB, and beyond the address space
+    ("--frames", str(10**12)), ("--frames", str(10**30)),
+])
 def test_synth_non_finite_noise_is_config_error(tmp_path, capsys, flag, value):
     capsys.readouterr()
     assert run("synth", "--out", str(tmp_path / "raw"), "--per-class", "1",
@@ -243,6 +247,17 @@ def test_csm_pgm_and_self_kinds(tmp_path):
     files = list(out.glob("*.pgm"))
     assert len(files) == 3
     assert files[0].read_bytes().startswith(b"P5\n81 81\n255\n")
+
+
+# sizes that fail at allocation at once: about 7 TiB, and beyond the address space
+@pytest.mark.parametrize("size", ["1000000", str(10**30)])
+def test_csm_size_too_large_to_allocate_exits_2_naming_it(tmp_path, capsys, size):
+    manifest = make_dataset(tmp_path, per_class=1)
+    capsys.readouterr()
+    assert run("csm", "--data", str(manifest), "--out", str(tmp_path / "mats"),
+               "--size", size) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (config): --size {size}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])
@@ -784,6 +799,66 @@ def test_byte_mutated_clip_or_manifest_exits_0_2_or_3(tmp_path, capsys):
     assert codes.count(0) and codes.count(3)  # the fuzz reaches both outcomes
 
 
+# integers only from this set, so that no mutant asks for a model of many GiB
+FUZZ_VALUES = (-1, 0, 1, 2, 3, 10**30, 0.5, -1.0, "classify", "x", None, True, False, [1],
+               {"side": 2})
+
+
+def json_mutants(doc, new_keys, rng, count):
+    """``count`` copies of the JSON object ``doc``, each with 1 to 3 edits of its
+    structure: a key dropped, a key of ``new_keys`` added, a value swapped for
+    one of another type, nested in a list or an object, set to null or to true,
+    or the whole document nested.  ``doc["epochs"]`` is never edited: without
+    it (800 epochs) or at 10**30 a config is valid, but trains for long."""
+    def pick(seq):
+        return seq[rng.integers(len(seq))]
+
+    for _ in range(count):
+        out = dict(doc)
+        for _ in range(rng.integers(1, 4)):
+            keys = [key for key in out if key != "epochs"]
+            op = rng.integers(6) if keys else 1
+            key = pick(keys) if keys else None
+            if op == 0:
+                del out[key]
+            elif op == 1:
+                out[pick(new_keys)] = pick(FUZZ_VALUES)
+            elif op == 2:
+                out[key] = pick([v for v in FUZZ_VALUES if type(v) is not type(out[key])])
+            elif op == 3:
+                out[key] = [out[key]] if rng.integers(2) else {key: out[key]}
+            elif op == 4:
+                out[key] = None if rng.integers(2) else True
+            else:
+                out = [out] if rng.integers(2) else {"config": out}
+                break
+        yield out
+
+
+def test_structure_mutated_configs_exit_0_or_2(tmp_path, capsys):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    docs = {"train": {"epochs": 1},
+            "model": {"side": 8, "hidden": 4, "dropout": 0.1, "head_kind": "classify"}}
+    # each document's own keys, one of the other's and one of neither
+    new_keys = {"train": ("batch_size", "lr0", "decay", "seed", "side", "width"),
+                "model": ("side", "hidden", "dropout", "head_kind", "seed", "width")}
+    files = {name: tmp_path / f"{name}.json" for name in docs}
+    rng = np.random.default_rng(0)
+    codes = []
+    for target in docs:
+        for mutant in json_mutants(docs[target], new_keys[target], rng, 200):
+            for name, path in files.items():
+                path.write_text(json.dumps(mutant if name == target else docs[name]))
+            code = run("train", "--branch", "csm", "--data", str(manifest),
+                       "--out", str(tmp_path / "out"), "--config", str(files["train"]),
+                       "--model-config", str(files["model"]))
+            err = capsys.readouterr().err
+            assert code in (0, 2), (target, mutant, err)
+            assert code == 0 or f"{files[target]}: " in err, (target, mutant, err)
+            codes.append(code)
+    assert codes.count(0) and codes.count(2)  # the fuzz reaches both outcomes
+
+
 def command_argv(tmp_path, command, data):
     """argv of ``command`` on the manifest ``data``, without --out; the
     checkpoint is an untrained small transformer."""
@@ -806,10 +881,11 @@ def test_unusable_out_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, 
     taken = tmp_path / "taken"
     taken.write_text("a file")
     out = taken if case == "a-file" else taken / "run"
-    # train and eval refuse the directory before a model trains or runs, not after
-    monkeypatch.setattr(cli, "fit", lambda *args: pytest.fail("fit ran before --out was made"))
-    monkeypatch.setattr(cli, "_batched_logits",
-                        lambda *args: pytest.fail("a model ran before --out was made"))
+    # each command refuses the directory before its work, not after
+    for name in ("fit", "_batched_logits", "_matrix_entry", "extract_features",
+                 "train_linear_hinge"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: pytest.fail(
+            f"{name} ran before --out was made"))
     capsys.readouterr()
     assert run(*command_argv(tmp_path, command, str(manifest)), "--out", str(out)) == 2
     err = capsys.readouterr().err

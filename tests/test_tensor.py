@@ -504,7 +504,7 @@ def chain_attention(q, k, v, scale, rate=0.0, rng=None):
 
 @st.composite
 def attention_cases(draw):
-    lead = tuple(draw(st.lists(st.integers(1, 5), max_size=2)))  # 2-, 3- and 4-d operands
+    lead = tuple(draw(st.lists(st.integers(1, 5), max_size=3)))  # 2- to 5-d operands
     n, d, dv = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     per_block = draw(st.integers(1, 4))  # (n, n) matrices per block
     rate = draw(st.sampled_from([0.0, 0.4]))
@@ -514,12 +514,13 @@ def attention_cases(draw):
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(attention_cases())
-@example(((1,), 4, 3, 2, 1, 0.4, False, 1))  # leading length 1
-@example(((4,), 3, 2, 2, 4, 0.4, True, 2))  # exactly one block
-@example(((5,), 3, 2, 2, 2, 0.4, False, 3))  # not a multiple of the block
-@example(((3, 2), 4, 2, 3, 4, 0.4, True, 4))  # inner axis whole, outer axis cut 2 + 1
-@example(((2, 5), 2, 3, 1, 2, 0.4, False, 5))  # outer axis walked, inner axis cut
-@example(((), 6, 3, 2, 1, 0.4, True, 6))  # 2-d: one block, rows never cut
+@example(((1,), 4, 3, 2, 1, 0.4, False, 1))  # a stack of one
+@example(((4,), 3, 2, 2, 4, 0.4, True, 2))  # exactly one run
+@example(((5,), 3, 2, 2, 2, 0.4, False, 3))  # runs 2 + 2 and a short last run of 1
+@example(((3, 2), 4, 2, 3, 4, 0.4, True, 4))  # runs 4 + 2: axis-0 indices 0-1, then 2
+@example(((2, 5), 2, 3, 1, 2, 0.4, False, 5))  # the run of items 4-5 crosses an axis-0 boundary
+@example(((2, 3, 2), 3, 2, 2, 5, 0.4, True, 7))  # three leading axes: runs 5 + 5 + 2
+@example(((), 6, 3, 2, 1, 0.4, True, 6))  # 2-d: a stack of one, rows never cut
 def test_attention_matches_the_five_node_chain(case):
     lead, n, d, dv, per_block, rate, strided, seed = case
     rng = np.random.default_rng(seed)
