@@ -150,6 +150,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_csm(args) -> int:
     entries = load_manifest(args.data)
+    for flag, value in (("--frames", args.frames), ("--size", args.size),
+                        ("--workers", args.workers)):
+        if value is not None and value < 1:  # refused before --out is made
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     out_dir = output_dir(args.out)  # a bad --out is refused before any matrix is computed
     results = _map_ordered(partial(_matrix_entry, target_f=args.frames, kind=args.kind),
                            entries, args.workers)

@@ -11,15 +11,15 @@ synchrony-class logits or one scalar score.
 
 Attention is standard scaled dot-product over h heads: at width w
 (d_joint spatially, c_temp temporally) the per-head weights are
-softmax(Q Kᵀ / sqrt(w / h)), row-stochastic by construction.
-``export_attention`` captures them for inspection as a dict of per-layer
-stacks; a spatial map slices into per-person J x J blocks.  Dropout sits
+softmax(Q Kᵀ / sqrt(w / h)), row-stochastic by construction; one
+:func:`tensor.attention` node splits the heads, attends and merges them.
+``export_attention`` captures the weights as a dict of per-layer stacks;
+a spatial map slices into per-person J x J blocks.  Dropout sits
 on the two token embeddings, the attention weights, and the MLP outputs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,37 +75,19 @@ class ModelConfig:
 
 def mhsa(x, wq, wk, wv, wo, heads: int, *, attn_dropout=0.0, rng=None,
          capture: Optional[list] = None):
-    """Multi-head self-attention: per-head attention, concat, W_out.
+    """Multi-head self-attention as five tape nodes: Q, K, V, attention, W_out.
 
-    ``x`` is (..., n, d); Q, K, V come from the three square projections
-    ``wq``, ``wk`` and ``wv``, are split column-wise into ``heads`` blocks
-    of d // heads, attended independently through one
-    :func:`tensor.attention` node, re-concatenated, and mixed by ``wo``.
-    When ``capture`` is a list, the (pre-dropout) weight stack
-    (..., heads, n, n) is appended as a plain array.
+    ``x`` is (..., n, d); Q, K and V come from the square projections
+    ``wq``, ``wk`` and ``wv``, one :func:`tensor.attention` node splits
+    them into ``heads`` blocks of d // heads columns, attends per head and
+    concatenates the heads, and ``wo`` mixes them.  When ``capture`` is a
+    list, the (pre-dropout) weight stack (..., heads, n, n) is appended.
     """
-    x = T._wrap(x)
-    n, d = x.shape[-2], x.shape[-1]
-    if d % heads:
-        raise ConfigError(f"heads ({heads}) must divide model dim ({d})")
-    dh = d // heads
-    lead = x.shape[:-2]
-    nl = len(lead)
-    # (..., n, h, dh) <-> (..., h, n, dh): the swap is its own inverse
-    swap = tuple(range(nl)) + (nl + 1, nl, nl + 2)
-
-    def split(t):
-        return T.transpose(t.reshape(*lead, n, heads, dh), swap)
-
-    qh = split(T.matmul(x, wq))
-    kh = split(T.matmul(x, wk))
-    vh = split(T.matmul(x, wv))
-    out, weights = T.attention(qh, kh, vh, 1.0 / math.sqrt(dh), attn_dropout, rng,
-                               keep_weights=capture is not None)
+    out, weights = T.attention(T.matmul(x, wq), T.matmul(x, wk), T.matmul(x, wv), heads,
+                               attn_dropout, rng, keep_weights=capture is not None)
     if capture is not None:
         capture.append(weights)
-    merged = T.transpose(out, swap).reshape(*lead, n, d)
-    return T.matmul(merged, wo)
+    return T.matmul(out, wo)
 
 
 class SttfModel:

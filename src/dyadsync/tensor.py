@@ -528,37 +528,46 @@ def dropout_apply(x, rate: float, rng=None) -> Tensor:
 ATTENTION_BLOCK_BYTES = 1 << 20
 
 
-def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
+def attention(q, k, v, heads: int, rate: float = 0.0, rng=None,
               keep_weights: bool = False):
-    """``dropout(softmax(q kᵀ · scale)) @ v`` as one tape node.
+    """Multi-head ``dropout(softmax(q kᵀ / sqrt(dh))) @ v`` as one tape node.
 
-    ``q`` and ``k`` are (..., n, d) and ``v`` is (..., n, dv), with equal
-    leading axes.  Each operand is reshaped once to a stack of (n, ·)
-    matrices over the product of its leading axes (a 2-d operand is a
-    stack of one; a strided view is copied), and the stack runs in blocks
-    of whole matrices of about ``ATTENTION_BLOCK_BYTES`` of weights, each
-    block through the same numpy expressions as the transpose, matmul,
-    softmax, dropout and matmul chain, so the output and gradients are
-    bit for bit that chain's.  Dropout is on exactly when a generator is
-    passed; its mask is drawn block by block in C order, which is the one
-    draw over the whole array.
+    ``q``, ``k`` and ``v`` are equal-shaped (..., n, d), with d = heads · dh.
+    Each is split once: reshaped to (..., n, heads, dh), swapped to
+    (..., heads, n, dh) and copied to one stack of (n, dh) matrices.  The
+    stack runs in blocks of whole matrices of about ``ATTENTION_BLOCK_BYTES``
+    of weights, each block through the numpy expressions of the transpose,
+    matmul, softmax, dropout and matmul chain, and the output and the
+    gradients are merged back to (..., n, d) the same way, so they are bit
+    for bit that chain's between head split and merge nodes.  Dropout is on
+    exactly when a generator is passed; its mask is drawn block by block in
+    C order, which is the one draw over the whole array.
 
-    Returns ``(out, weights)``.  ``weights`` are the pre-dropout
-    probabilities when ``keep_weights`` is set, else None.  A taped call
-    keeps the probabilities and a boolean mask, and its backward rebuilds
-    the dropped-out product per block; an untaped one keeps no (..., n, n)
-    array unless ``keep_weights`` asks for it.
+    Returns ``(out, weights)``, with the pre-dropout (..., heads, n, n)
+    probabilities as ``weights`` when ``keep_weights`` is set, else None.
+    A taped call keeps the probabilities and a boolean mask, and its
+    backward rebuilds the dropped-out product per block; an untaped one
+    keeps no (..., n, n) array unless ``keep_weights`` asks for it.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    if q.shape != k.shape:
-        raise ContractError(f"Q {q.shape} and K {k.shape} must match")
+    if not q.shape == k.shape == v.shape:
+        raise ContractError(f"Q {q.shape}, K {k.shape} and V {v.shape} must match")
     if q.data.ndim < 2:
         raise ContractError("attention operands need ndim >= 2")
-    if v.shape[:-1] != k.shape[:-1]:
-        raise ContractError(f"V {v.shape} does not align with K {k.shape}")
     _check_rate(rate)
-    lead, (n, d), dv = q.shape[:-2], q.shape[-2:], v.shape[-1]
-    qd, kd, vd = (t.data.reshape(-1, n, w) for t, w in ((q, d), (k, d), (v, dv)))
+    lead, (n, d) = q.shape[:-2], q.shape[-2:]
+    if heads < 1 or d % heads:
+        raise ConfigError(f"heads ({heads}) must divide model dim ({d})")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):
+        return a.reshape(lead + (n, heads, dh)).swapaxes(-2, -3).reshape(-1, n, dh)
+
+    def merge(a):
+        return a.reshape(lead + (heads, n, dh)).swapaxes(-2, -3).reshape(lead + (n, d))
+
+    qd, kd, vd = split(q.data), split(k.data), split(v.data)
     kt = kd.swapaxes(-1, -2)
     stack = len(qd)
     run = max(1, ATTENTION_BLOCK_BYTES // (n * n * qd.itemsize))
@@ -566,7 +575,7 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
     taped = any(t.tape is not None for t in (q, k, v))
     drop = rng is not None and rate > 0.0
     keep_scale = 1.0 / (1.0 - rate)
-    out = np.empty((stack, n, dv), dtype=qd.dtype)
+    out = np.empty((stack, n, dh), dtype=qd.dtype)
     probs = np.empty((stack, n, n), dtype=qd.dtype) if taped or keep_weights else None
     keep = np.empty((stack, n, n), dtype=bool) if taped and drop else None
     for idx in blocks:
@@ -579,13 +588,13 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
                 keep[idx] = mask
             w = _dropped(w, mask, keep_scale)
         np.matmul(w, vd[idx], out=out[idx])
-    weights = probs.reshape(lead + (n, n)) if keep_weights else None
-    out = out.reshape(lead + (n, dv))
+    weights = probs.reshape(lead + (heads, n, n)) if keep_weights else None
+    out = merge(out)
     if not taped:
         return Tensor(out), weights
 
     def backward(g):
-        g = g.reshape(stack, n, dv)
+        g = split(g)
         gq, gkt, gv = (np.empty(a.shape, dtype=qd.dtype) for a in (qd, kt, vd))
         for idx in blocks:
             p = probs[idx]
@@ -598,9 +607,7 @@ def attention(q, k, v, scale: float, rate: float = 0.0, rng=None,
             gs *= scale
             np.matmul(gs, kd[idx], out=gq[idx])
             np.matmul(qd[idx].swapaxes(-1, -2), gs, out=gkt[idx])
-        # k's gradient is reshaped before the swap, so its strides are the chain's
-        return (gq.reshape(lead + (n, d)), gkt.reshape(lead + (d, n)).swapaxes(-1, -2),
-                gv.reshape(lead + (n, dv)))
+        return merge(gq), merge(gkt.swapaxes(-1, -2)), merge(gv)
 
     return _record(out, (q, k, v), backward), weights
 

@@ -260,11 +260,19 @@ def test_csm_size_too_large_to_allocate_exits_2_naming_it(tmp_path, capsys, size
     assert err.startswith(f"error (config): --size {size}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("size", ["0", "-3"])
-def test_csm_non_positive_size_is_config_error(tmp_path, size):
+@pytest.mark.parametrize("flag,value", [
+    pytest.param("--size", "0", id="0"),
+    pytest.param("--size", "-3", id="-3"),
+    pytest.param("--frames", "0", id="frames-0"),
+    pytest.param("--workers", "0", id="workers-0"),
+])
+def test_csm_non_positive_size_is_config_error(tmp_path, capsys, flag, value):
     manifest = make_dataset(tmp_path, per_class=1)
+    capsys.readouterr()
     assert run("csm", "--data", str(manifest), "--out", str(tmp_path / "mats"),
-               "--size", size) == 2
+               flag, value) == 2
+    assert capsys.readouterr().err.startswith(f"error (config): {flag} must be >= 1, got {value}")
+    assert not (tmp_path / "mats").exists()  # refused before --out is made
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,52 @@
+"""Cost ratchet: tape nodes and retained bytes of one taped training step.
+
+Unlike timings, these counts are the same on every run, so they are
+pinned as upper bounds.  A change that lowers a count tightens its bound
+in the same change; a change that needs more fails here, and the bound is
+not loosened to let it pass.  Bytes are ``tracemalloc``'s: what the
+forward leaves alive, and the peak during the backward, both above what
+was allocated before the step.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dyadsync import tensor as T
+from dyadsync.rng import stream
+from dyadsync.sttf import ModelConfig, SttfModel
+from dyadsync.training import cross_entropy_loss
+
+MIB = 1 << 20
+SLACK = 64 << 10  # interpreter noise
+
+# (config, batch size, tape nodes, retained MiB after the forward, backward peak MiB)
+STEPS = {
+    "criterion6-b8": (ModelConfig(f=81, num_joints=17, d_joint=4, layers=1, heads=2, dropout=0.1),
+                      8, 76, 41.4, 62.8),
+    "full-size-b1": (ModelConfig(), 1, 238, 82.0, 201.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_taped_step_stays_within_its_pinned_cost(name):
+    cfg, batch, nodes, retained_mib, peak_mib = STEPS[name]
+    model = SttfModel(cfg, seed=0)
+    frames = np.random.default_rng(5).uniform(0, 1, size=(batch, cfg.f, 2, cfg.num_joints, 2))
+    labels = np.arange(batch) % 3
+    tape = T.Tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = model.forward(frames, tape=tape, rng=stream(0, "dropout"))
+        loss = cross_entropy_loss(out, labels)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        T.gradient_of(loss, model.params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tape) <= nodes
+    assert retained <= retained_mib * MIB + SLACK, f"{retained / MIB:.2f} MiB retained"
+    assert peak <= peak_mib * MIB + SLACK, f"{peak / MIB:.2f} MiB backward peak"

@@ -50,8 +50,8 @@ def naive_attention(q, k, v):
 def test_attention_single_token():
     q = k = Tensor(np.array([[0.3, -0.7]]))
     v = Tensor(np.array([[5.0, 6.0]]))
-    out, w = T.attention(q, k, v, 1 / math.sqrt(2), keep_weights=True)
-    assert np.array_equal(w, [[1.0]])
+    out, w = T.attention(q, k, v, 1, keep_weights=True)
+    assert np.array_equal(w, [[[1.0]]])  # (heads, n, n)
     assert np.array_equal(out.data, v.data)
 
 
@@ -59,7 +59,7 @@ def test_attention_zero_queries_give_uniform_weights():
     rng = np.random.default_rng(20)
     v = rng.normal(size=(5, 3))
     zeros = Tensor(np.zeros((5, 3)))
-    out, w = T.attention(zeros, zeros, Tensor(v), 1 / math.sqrt(3), keep_weights=True)
+    out, w = T.attention(zeros, zeros, Tensor(v), 1, keep_weights=True)
     assert np.allclose(w, 1.0 / 5.0)
     assert np.allclose(out.data, np.tile(v.mean(axis=0), (5, 1)))
 
@@ -68,16 +68,17 @@ def test_attention_matches_naive_oracle():
     rng = np.random.default_rng(21)
     for _ in range(10):
         q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
-        out, w = T.attention(Tensor(q), Tensor(k), Tensor(v), 1 / math.sqrt(4), keep_weights=True)
+        out, w = T.attention(Tensor(q), Tensor(k), Tensor(v), 1, keep_weights=True)
         want_out, want_w = naive_attention(q, k, v)
         assert np.max(np.abs(out.data - want_out)) < 1e-12
-        assert np.max(np.abs(w - want_w)) < 1e-12
+        assert np.max(np.abs(w[0] - want_w)) < 1e-12
 
 
 def test_attention_rows_sum_to_one_batched():
     rng = np.random.default_rng(22)
-    q, k, v = (Tensor(rng.normal(size=(2, 3, 6, 4))) for _ in range(3))
-    _, w = T.attention(q, k, v, 1 / math.sqrt(4), keep_weights=True)
+    q, k, v = (Tensor(rng.normal(size=(2, 6, 12))) for _ in range(3))
+    _, w = T.attention(q, k, v, 3, keep_weights=True)
+    assert w.shape == (2, 3, 6, 6)
     assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -96,12 +97,12 @@ def test_attention_scaling_invariance():
 
 
 def test_attention_shape_validation():
-    with pytest.raises(ContractError, match=r"Q \(3, 4\) and K \(2, 4\) must match"):
-        T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), 1 / math.sqrt(4),
-                    keep_weights=True)
-    with pytest.raises(ContractError, match=r"V \(2, 4\) does not align with K \(3, 4\)"):
-        T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), 1 / math.sqrt(4),
-                    keep_weights=True)
+    with pytest.raises(ContractError, match=r"Q \(3, 4\), K \(2, 4\) and V \(2, 4\) must match"):
+        T.attention(np.ones((3, 4)), np.ones((2, 4)), np.ones((2, 4)), 1)
+    with pytest.raises(ContractError, match=r"Q \(3, 4\), K \(3, 4\) and V \(3, 2\) must match"):
+        T.attention(np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 2)), 1)
+    with pytest.raises(ConfigError, match=r"heads \(3\) must divide model dim \(4\)"):
+        T.attention(np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 4)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +119,7 @@ def test_mhsa_single_head_reduces_to_plain_attention():
     x = rng.normal(size=(5, 6))
     wq, wk, wv, wo = random_mhsa_params(rng, 6)
     got = mhsa(Tensor(x), wq, wk, wv, wo, 1).data
-    attn, _ = T.attention(
-        Tensor(x @ wq.data), Tensor(x @ wk.data), Tensor(x @ wv.data), 1 / math.sqrt(6), keep_weights=True
-    )
+    attn, _ = T.attention(Tensor(x @ wq.data), Tensor(x @ wk.data), Tensor(x @ wv.data), 1)
     assert np.max(np.abs(got - attn.data @ wo.data)) < 1e-12
 
 
@@ -146,6 +145,18 @@ def test_mhsa_shape_law_and_head_validation():
         assert mhsa(x, *random_mhsa_params(rng, d), h).shape == (n, d)
     with pytest.raises(ConfigError, match=r"heads \(4\) must divide model dim \(6\)"):
         mhsa(Tensor(rng.normal(size=(3, 6))), *random_mhsa_params(rng, 6), 4)
+
+
+def test_taped_mhsa_records_five_nodes():
+    # three projections, one attention node that splits and merges the heads, and W_out
+    rng = np.random.default_rng(28)
+    tape = T.Tape()
+    x = tape.named_leaf("x", rng.normal(size=(2, 5, 6)))
+    weights = [tape.named_leaf(name, rng.normal(size=(6, 6))) for name in ("wq", "wk", "wv", "wo")]
+    leaves = len(tape)
+    out = mhsa(x, *weights, 3, attn_dropout=0.2, rng=stream(0, "dropout"))
+    assert out.shape == (2, 5, 6)
+    assert len(tape) - leaves == 5
 
 
 def test_mhsa_capture_is_row_stochastic():
@@ -388,7 +399,8 @@ def test_forward_computes_in_the_dtype_of_its_input(monkeypatch, dtype, taped):
     tape = T.Tape() if taped else None
     out = model.forward(frames.astype(dtype), tape=tape, rng=stream(3, "dropout"))
     assert out.data.dtype == dtype
-    assert len(seen) > 100 and set(seen) == {np.dtype(dtype)}
+    # at least one tensor per op of each of the 2 x layers layers' 13 (five of them mhsa's)
+    assert len(seen) >= 2 * cfg.layers * 13 and set(seen) == {np.dtype(dtype)}
     assert {value.data.dtype for _, value in model.params.items()} == {np.dtype(np.float64)}
 
 

@@ -217,34 +217,36 @@ def test_softmax_rows_matches_unfused_formula():
 
 
 def test_attention_scale_matches_multiply_then_softmax():
-    # the scale cases that softmax_rows(scale=) carried before attention fused
+    # the scale cases that softmax_rows(scale=) carried before attention fused,
+    # now set by the head count: 1 / sqrt(12 / heads)
     rng = np.random.default_rng(46)
-    base = rng.normal(size=(3, 4, 9, 6)) * 4
-    v = T.Tensor(rng.normal(size=(3, 4, 9, 2)))
-    for q in (base, base[..., ::-1, :]):  # contiguous and reversed rows
+    base = rng.normal(size=(3, 9, 12)) * 4
+    v = T.Tensor(rng.normal(size=(3, 9, 12)))
+    for q in (base, base[:, ::-1]):  # contiguous and reversed rows
         k = np.ascontiguousarray(q[:, ::-1])
-        scores = T.matmul(T.Tensor(q), T.transpose(T.Tensor(k), (0, 1, 3, 2)))
-        for scale in (1.0, 1.0 / math.sqrt(6), 1.0 / math.sqrt(12)):
-            separate = T.multiply(scores, scale).data
-            _, weights = T.attention(T.Tensor(q), T.Tensor(k), v, scale, keep_weights=True)
+        for heads in (12, 2, 1):
+            qh, kh = (chain_split(T.Tensor(a), heads) for a in (q, k))
+            scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2)))
+            separate = T.multiply(scores, 1.0 / math.sqrt(12 // heads)).data
+            _, weights = T.attention(T.Tensor(q), T.Tensor(k), v, heads, keep_weights=True)
             assert weights.tobytes() == unfused_softmax_rows(separate).tobytes()
 
 
 def test_scaled_softmax_gradients_match_multiply_then_softmax():
     rng = np.random.default_rng(47)
-    q, k = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(2, 3, 7, 6))
-    v, w = rng.normal(size=(2, 3, 7, 5)), rng.normal(size=(2, 3, 7, 5))
-    scale = 1.0 / math.sqrt(6)
+    q, k, v, w = (rng.normal(size=(2, 7, 6)) for _ in range(4))
+    heads, scale = 3, 1.0 / math.sqrt(2)
 
     def run(fused):
         tape = T.Tape()
         qt, kt, vt = tape.named_leaf("q", q), tape.named_leaf("k", k), tape.named_leaf("v", v)
         if fused:
-            out, probs = T.attention(qt, kt, vt, scale, keep_weights=True)
+            out, probs = T.attention(qt, kt, vt, heads, keep_weights=True)
         else:
-            scores = T.matmul(qt, T.transpose(kt, (0, 1, 3, 2)))
+            qh, kh, vh = (chain_split(t, heads) for t in (qt, kt, vt))
+            scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2)))
             probs_t = unfused_softmax_node(T.multiply(scores, scale))
-            out, probs = T.matmul(probs_t, vt), probs_t.data
+            out, probs = chain_merge(T.matmul(probs_t, vh)), probs_t.data
         grads = tape.backward((out * T.Tensor(w)).sum())
         return (out.data, probs, grads[qt.node_id], grads[kt.node_id], grads[vt.node_id],
                 len(tape))
@@ -252,7 +254,8 @@ def test_scaled_softmax_gradients_match_multiply_then_softmax():
     fused, chain = run(True), run(False)
     for got, want in zip(fused[:5], chain[:5]):
         assert got.tobytes() == want.tobytes()
-    assert fused[5] == chain[5] - 4  # one node where the chain records five
+    # one node where the chain records five, two per split operand and two for the merge
+    assert fused[5] == chain[5] - 12
 
 
 def test_broadcast_add_and_mul_values():
@@ -494,53 +497,71 @@ def chain_float_dropout(x, rate, rng):
     return chain_node(x, x.data * mask, backward)
 
 
-def chain_attention(q, k, v, scale, rate=0.0, rng=None):
-    """Transpose, matmul, scaled softmax, dropout, matmul: five tape nodes."""
+def chain_split(t, heads):
+    """(..., n, d) -> (..., heads, n, d // heads) as a reshape node and a transpose node."""
+    *lead, n, d = t.shape
+    nl = len(lead)
+    return T.transpose(T.reshape(t, (*lead, n, heads, d // heads)),
+                       (*range(nl), nl + 1, nl, nl + 2))
+
+
+def chain_merge(t):
+    """(..., heads, n, dh) -> (..., n, heads * dh): the inverse transpose and reshape nodes."""
+    *lead, heads, n, dh = t.shape
+    nl = len(lead)
+    return T.reshape(T.transpose(t, (*range(nl), nl + 1, nl, nl + 2)), (*lead, n, heads * dh))
+
+
+def chain_attention(q, k, v, heads, rate=0.0, rng=None):
+    """The head split, then transpose, matmul, scaled softmax, dropout and
+    matmul (five tape nodes), then the merge."""
+    q, k, v = (chain_split(t, heads) for t in (q, k, v))
     nd = k.data.ndim
     axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
-    weights = chain_scaled_softmax(T.matmul(q, T.transpose(k, axes)), scale)
-    return T.matmul(chain_float_dropout(weights, rate, rng), v), weights.data
+    weights = chain_scaled_softmax(T.matmul(q, T.transpose(k, axes)), 1.0 / math.sqrt(k.shape[-1]))
+    return chain_merge(T.matmul(chain_float_dropout(weights, rate, rng), v)), weights.data
 
 
 @st.composite
 def attention_cases(draw):
     lead = tuple(draw(st.lists(st.integers(1, 5), max_size=3)))  # 2- to 5-d operands
-    n, d, dv = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n, heads, dh = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     per_block = draw(st.integers(1, 4))  # (n, n) matrices per block
     rate = draw(st.sampled_from([0.0, 0.4]))
     strided = draw(st.booleans())
-    return lead, n, d, dv, per_block, rate, strided, draw(st.integers(0, 2**16))
+    return lead, n, heads, dh, per_block, rate, strided, draw(st.integers(0, 2**16))
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(attention_cases())
-@example(((1,), 4, 3, 2, 1, 0.4, False, 1))  # a stack of one
-@example(((4,), 3, 2, 2, 4, 0.4, True, 2))  # exactly one run
-@example(((5,), 3, 2, 2, 2, 0.4, False, 3))  # runs 2 + 2 and a short last run of 1
-@example(((3, 2), 4, 2, 3, 4, 0.4, True, 4))  # runs 4 + 2: axis-0 indices 0-1, then 2
-@example(((2, 5), 2, 3, 1, 2, 0.4, False, 5))  # the run of items 4-5 crosses an axis-0 boundary
-@example(((2, 3, 2), 3, 2, 2, 5, 0.4, True, 7))  # three leading axes: runs 5 + 5 + 2
-@example(((), 6, 3, 2, 1, 0.4, True, 6))  # 2-d: a stack of one, rows never cut
+@example(((1,), 4, 1, 3, 1, 0.4, False, 1))  # a stack of one
+@example(((2,), 3, 2, 1, 4, 0.4, True, 2))  # exactly one run
+@example(((5,), 3, 1, 2, 2, 0.4, False, 3))  # runs 2 + 2 and a short last run of 1
+@example(((3,), 4, 2, 1, 4, 0.4, True, 4))  # runs 4 + 2: axis-0 indices 0-1, then 2
+@example(((3,), 2, 3, 1, 2, 0.4, False, 5))  # the run of items 2-3 crosses an axis-0 boundary
+@example(((2, 3, 2), 3, 1, 2, 5, 0.4, True, 7))  # three leading axes: runs 5 + 5 + 2
+@example(((), 6, 1, 3, 1, 0.4, True, 6))  # 2-d: a stack of one, rows never cut
+@example(((), 6, 3, 1, 1, 0.4, True, 8))  # 2-d, three heads: a run per head
 def test_attention_matches_the_five_node_chain(case):
-    lead, n, d, dv, per_block, rate, strided, seed = case
+    lead, n, heads, dh, per_block, rate, strided, seed = case
     rng = np.random.default_rng(seed)
-    if strided:  # rows as a strided view, like the head split of mhsa
-        q, k, v = (rng.normal(scale=2.0, size=lead + (w, n)).swapaxes(-1, -2) for w in (d, d, dv))
+    d = heads * dh
+    if strided:  # rows as a strided view
+        q, k, v = (rng.normal(scale=2.0, size=lead + (d, n)).swapaxes(-1, -2) for _ in range(3))
     else:
-        q, k, v = (rng.normal(scale=2.0, size=lead + (n, w)) for w in (d, d, dv))
-    upstream = rng.normal(size=lead + (dv, n)).swapaxes(-1, -2)  # a strided incoming gradient
-    scale = 1.0 / math.sqrt(d)
+        q, k, v = (rng.normal(scale=2.0, size=lead + (n, d)) for _ in range(3))
+    upstream = rng.normal(size=lead + (d, n)).swapaxes(-1, -2)  # a strided incoming gradient
 
     def run(attend):
         tape = T.Tape()
         leaves = [tape.named_leaf(name, a) for name, a in zip("qkv", (q, k, v))]
-        out, weights = attend(*leaves, scale, rate, stream(seed, "dropout"))
+        out, weights = attend(*leaves, heads, rate, stream(seed, "dropout"))
         grads = tape.backward((out * T.Tensor(upstream)).sum())
         return [out.data, weights] + [grads[t.node_id] for t in leaves]
 
     with mock.patch.object(T, "ATTENTION_BLOCK_BYTES", per_block * n * n * 8):
         fused = run(lambda *a: T.attention(*a, keep_weights=True))
-        untaped, none = T.attention(q, k, v, scale, rate, stream(seed, "dropout"))
+        untaped, none = T.attention(q, k, v, heads, rate, stream(seed, "dropout"))
     chain = run(chain_attention)
     for got, want in zip(fused, chain):
         assert got.tobytes() == want.tobytes()
@@ -559,7 +580,7 @@ def test_taped_attention_retains_weights_and_a_bool_mask():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out, _ = attend(*leaves, 0.5, 0.3, stream(0, "dropout"))
+            out, _ = attend(*leaves, 1, 0.3, stream(0, "dropout"))
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -578,7 +599,7 @@ def test_untaped_attention_keeps_no_full_weight_array():
     with mock.patch.object(T, "ATTENTION_BLOCK_BYTES", 48 * 48 * 8):
         tracemalloc.start()
         try:
-            out, weights = T.attention(q, k, v, 0.5, 0.3, stream(0, "dropout"))
+            out, weights = T.attention(q, k, v, 1, 0.3, stream(0, "dropout"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -715,7 +736,7 @@ def test_every_primitive_keeps_its_operands_dtype(dtype):
     outs.append(T.gelu(outs[-1]))
     outs.append(T.layer_norm(outs[-1], g, s))
     outs.append(T.dropout_apply(outs[-1], 0.2, stream(0, "dropout")))
-    outs.append(T.attention(outs[-1], outs[-1], outs[-1], 0.5, 0.1, stream(1, "dropout"))[0])
+    outs.append(T.attention(outs[-1], outs[-1], outs[-1], 2, 0.1, stream(1, "dropout"))[0])
     outs.append(T.softmax_rows(outs[-1]))
     outs.append(T.log_softmax(T.transpose(outs[-1], (0, 2, 1)).reshape(2, 12)))
     outs.append(outs[-1] * outs[-1] + outs[-1])
