@@ -26,6 +26,8 @@ from .similarity import SimilarityMatrix, compute_csm, frame_distances
 
 FEATURE_METHODS = ("dtw", "corr2d", "crossrec")
 HINGE_REG = 1e-3  # L2 penalty of the linear hinge classifier
+HINGE_EPOCHS = 300  # full-batch gradient steps of its fit
+HINGE_LR = 0.05  # and their step size
 
 
 @dataclass(frozen=True)
@@ -147,20 +149,16 @@ def _diagonal_runs(r: np.ndarray) -> np.ndarray:
     return np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
 
 
-def cross_recurrence_features(csm: SimilarityMatrix, eps: float = None) -> BaselineFeatures:
+def cross_recurrence_features(csm: SimilarityMatrix) -> BaselineFeatures:
     """Recurrence rate, determinism, and longest-line features of a CSM.
 
-    R[i][j] = 1 iff the pose distance -CSM[i][j] <= eps.  The default eps
-    is 10% of the largest distance in the matrix.  Features: RR (mean of
-    R), DET (fraction of recurrent points on diagonal lines of length
-    >= 2), and the longest diagonal line over f.
+    R[i][j] = 1 iff the pose distance -CSM[i][j] is at most 10% of the
+    largest distance in the matrix.  Features: RR (mean of R), DET
+    (fraction of recurrent points on diagonal lines of length >= 2), and
+    the longest diagonal line over f.
     """
     distances = -csm.values
-    if eps is None:
-        eps = 0.1 * distances.max()
-    elif eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    r = distances <= eps
+    r = distances <= 0.1 * distances.max()
     rr = float(r.mean())
     runs = _diagonal_runs(r)
     recurrent = r.sum()
@@ -193,9 +191,9 @@ def _feature_matrix(features: list) -> np.ndarray:
     return np.stack([f.vector for f in features])
 
 
-def train_linear_hinge(features: list, labels, epochs: int = 300,
-                       lr: float = 0.05) -> LinearClassifier:
-    """One-vs-rest hinge loss with L2 penalty HINGE_REG, full-batch gradient descent.
+def train_linear_hinge(features: list, labels) -> LinearClassifier:
+    """One-vs-rest hinge loss with L2 penalty HINGE_REG: HINGE_EPOCHS steps of
+    full-batch gradient descent at rate HINGE_LR.
 
     Features are standardized per dimension (stats kept on the
     classifier).  Weights start at zero, so training is deterministic
@@ -220,12 +218,12 @@ def train_linear_hinge(features: list, labels, epochs: int = 300,
     w = np.zeros((num_classes, dim))
     b = np.zeros(num_classes)
     signs = np.where(y[None, :] == np.arange(num_classes)[:, None], 1.0, -1.0)  # (c, n)
-    for _ in range(epochs):
+    for _ in range(HINGE_EPOCHS):
         scores = xs @ w.T + b  # (n, c)
         active = (signs.T * scores < 1.0).astype(np.float64)  # hinge margin violated
         coeff = -(signs.T * active) / n  # d(loss)/d(scores)
-        w -= lr * (coeff.T @ xs + 2.0 * HINGE_REG * w)
-        b -= lr * coeff.sum(axis=0)
+        w -= HINGE_LR * (coeff.T @ xs + 2.0 * HINGE_REG * w)
+        b -= HINGE_LR * coeff.sum(axis=0)
 
     digest = hashlib.sha256()
     digest.update(x.tobytes())

@@ -94,8 +94,6 @@ def _resolve_seed(flag_value, fallback: int = 0) -> int:
 def _map_ordered(fn, tasks: list, workers: int) -> list:
     """Apply fn to tasks on at most one process per task and per CPU, or in this
     process when that comes to one; results keep input order."""
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(task) for task in tasks]
@@ -150,20 +148,18 @@ def cmd_preprocess(args) -> int:
 
 def cmd_csm(args) -> int:
     entries = load_manifest(args.data)
-    for flag, value in (("--frames", args.frames), ("--size", args.size),
-                        ("--workers", args.workers)):
-        if value is not None and value < 1:  # refused before --out is made
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.size is not None:
+        try:  # resize_nearest makes one (size, size) float64 matrix per clip
+            np.empty((args.size, args.size))
+        except ALLOCATION_ERRORS:
+            raise ConfigError(f"--size {args.size}: matrix too large to allocate") from None
     out_dir = output_dir(args.out)  # a bad --out is refused before any matrix is computed
     results = _map_ordered(partial(_matrix_entry, target_f=args.frames, kind=args.kind),
                            entries, args.workers)
     savers = {"bin": save_binary, "csv": save_csv, "pgm": save_pgm}
     for source_id, matrix in results:
         if args.size is not None:
-            try:
-                matrix = resize_nearest(matrix, args.size)
-            except ALLOCATION_ERRORS:
-                raise ConfigError(f"--size {args.size}: matrix too large to allocate") from None
+            matrix = resize_nearest(matrix, args.size)
         if args.normalize:
             matrix = normalize_minmax(matrix)
         savers[args.format](matrix, out_dir / f"{source_id}.{args.format}")
@@ -502,6 +498,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        for flag in ("per_class", "frames", "size", "workers"):  # the count flags
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error (config): {exc}", file=sys.stderr)

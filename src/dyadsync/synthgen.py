@@ -115,7 +115,7 @@ def generate_dyad_sequence(cfg: SynthConfig, klass: str, index: int = 0) -> Skel
     )
 
 
-def generate_sequences(cfg: SynthConfig, n_per_class: int, start_index: int = 0) -> Iterator:
+def generate_sequences(cfg: SynthConfig, n_per_class: int) -> Iterator:
     """n_per_class sequences of each class, class-major order.
 
     ``n_per_class`` is checked at the call; each sequence is generated as
@@ -127,7 +127,7 @@ def generate_sequences(cfg: SynthConfig, n_per_class: int, start_index: int = 0)
     return (
         generate_dyad_sequence(cfg, klass, index)
         for klass in CLASS_NAMES
-        for index in range(start_index, start_index + n_per_class)
+        for index in range(n_per_class)
     )
 
 

@@ -70,8 +70,8 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape)
 
-    def sum(self, axis=None) -> "Tensor":
-        return reduce_sum(self, axis=axis)
+    def sum(self) -> "Tensor":
+        return reduce_sum(self)
 
     def mean(self, axis=None) -> "Tensor":
         return reduce_mean(self, axis=axis)
@@ -219,8 +219,6 @@ class ParamStore:
         Use a fresh tape per forward pass.  The stored values stay
         float64; a float32 map casts every one of them afresh per call.
         """
-        if dtype == np.float64 and tape is None:
-            return dict(self._values)
         out = {}
         for name, value in self._values.items():
             data = value.data.astype(dtype, copy=False)
@@ -339,18 +337,15 @@ def transpose(x, axes) -> Tensor:
     return _record(x.data.transpose(axes), (x,), backward)
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
-    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
-
-
-def reduce_sum(x, axis=None) -> Tensor:
+def reduce_sum(x) -> Tensor:
+    """Sum of every element, a 0-d tensor."""
     x = _wrap(x)
     in_shape = x.data.shape
 
     def backward(g):
-        return (_expand_reduced(g, in_shape, axis),)
+        return (np.broadcast_to(g, in_shape),)
 
-    return _record(x.data.sum(axis=axis), (x,), backward)
+    return _record(x.data.sum(), (x,), backward)
 
 
 def reduce_mean(x, axis=None) -> Tensor:
@@ -360,7 +355,8 @@ def reduce_mean(x, axis=None) -> Tensor:
     count = x.data.size // out.size
 
     def backward(g):
-        return (_expand_reduced(g, in_shape, axis) / count,)
+        g = g if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(g, in_shape) / count,)
 
     return _record(out, (x,), backward)
 

@@ -63,14 +63,14 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
         raise ContractError(f"expected {b} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise DataError(f"labels must lie in [0, {k - 1}]")
-    onehot = np.eye(k)[labels]
-    picked = (T.log_softmax(logits) * Tensor(onehot)).sum()
-    return picked * (-1.0 / b)
+    dtype = logits.data.dtype
+    picked = (T.log_softmax(logits) * Tensor(np.eye(k, dtype=dtype)[labels])).sum()
+    return picked * Tensor(dtype.type(-1.0 / b))
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
     """Mean squared difference between predictions and targets."""
-    target = np.asarray(target, dtype=np.float64)
+    target = np.asarray(target, dtype=pred.data.dtype)
     flat = pred.reshape(-1) if pred.data.ndim > 1 else pred
     if flat.shape != target.shape:
         raise ContractError(f"prediction shape {flat.shape} != target shape {target.shape}")

@@ -23,10 +23,10 @@ from dyadsync.evaluate import (
     fuse_predictions,
     predicted_classes,
 )
-from dyadsync.pose_io import KeypointClip, SkeletonSequence, preprocess
+from dyadsync.pose_io import CLASS_NAMES, KeypointClip, SkeletonSequence, preprocess
 from dyadsync.similarity import compute_csm
 from dyadsync.sttf import ModelConfig, SttfModel
-from dyadsync.synthgen import SynthConfig, generate_sequences
+from dyadsync.synthgen import SynthConfig, generate_dyad_sequence, generate_sequences
 from dyadsync.tensor import ParamStore, Tensor, check_gradients, linear_apply
 from dyadsync.training import (
     AdamState,
@@ -294,7 +294,8 @@ def test_criterion_06_synthetic_end_to_end():
     start = time.monotonic()
     synth = SynthConfig(lag=35, amp_mismatch=1.5, seed=0)
     train = to_standard_frames(generate_sequences(synth, 100))
-    test = to_standard_frames(generate_sequences(synth, 30, start_index=100))
+    test = to_standard_frames(generate_dyad_sequence(synth, klass, index)
+                              for klass in CLASS_NAMES for index in range(100, 130))
     y_test = targets_from_sequences(test, "cross_entropy")
 
     train_cfg = TrainConfig(epochs=60, batch_size=8, lr0=1e-3, decay=0.995, seed=0)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadsync import baselines
 from dyadsync.baselines import (
     HINGE_REG,
     BaselineFeatures,
@@ -292,8 +293,9 @@ def test_correlation_bounded():
 
 
 def test_crossrec_threshold_law():
-    m = SimilarityMatrix(np.array([[-0.1, -0.6], [-0.6, -0.1]]))
-    feats = cross_recurrence_features(m, eps=0.5)
+    # the threshold is 10% of the largest distance, 0.06: the 0.05 entries recur
+    m = SimilarityMatrix(np.array([[-0.05, -0.6], [-0.6, -0.05]]))
+    feats = cross_recurrence_features(m)
     assert feats.vector[0] == 0.5  # RR: two of four entries recur
 
 
@@ -301,7 +303,7 @@ def test_crossrec_identical_sequences_have_full_diagonal():
     rng = np.random.default_rng(68)
     t = rng.uniform(0, 1, size=(12, 17, 2))
     csm = compute_csm(SkeletonSequence(frames=np.stack([t, t], axis=1)))
-    feats = cross_recurrence_features(csm, eps=1e-9)
+    feats = cross_recurrence_features(csm)
     rr, det, lmax = feats.vector
     assert det > 0
     assert lmax == 1.0  # longest line spans all 12 frames
@@ -311,26 +313,19 @@ def test_crossrec_rr_matches_counting_oracle():
     rng = np.random.default_rng(69)
     for _ in range(10):
         values = -rng.uniform(0, 1, size=(9, 9))
-        eps = float(rng.uniform(0.1, 0.9))
-        feats = cross_recurrence_features(SimilarityMatrix(values), eps=eps)
+        eps = 0.1 * (-values).max()
+        feats = cross_recurrence_features(SimilarityMatrix(values))
         count = sum(
             1 for i in range(9) for j in range(9) if -values[i, j] <= eps
         )
         assert feats.vector[0] == count / 81
 
 
-def test_crossrec_rr_monotone_in_eps():
-    rng = np.random.default_rng(70)
-    m = SimilarityMatrix(-rng.uniform(0, 1, size=(10, 10)))
-    rates = [cross_recurrence_features(m, eps=e).vector[0] for e in np.linspace(0.05, 1.0, 12)]
-    assert all(b >= a for a, b in zip(rates, rates[1:]))
-
-
 def test_crossrec_det_counts_lines_not_singletons():
-    r = np.full((4, 4), -1.0)  # nothing recurs at eps=0.5 ...
-    r[0, 0] = r[1, 1] = -0.1  # ... except a 2-run on the main diagonal
-    r[3, 0] = -0.1  # and one isolated point
-    feats = cross_recurrence_features(SimilarityMatrix(r), eps=0.5)
+    r = np.full((4, 4), -1.0)  # nothing recurs within 10% of the largest distance ...
+    r[0, 0] = r[1, 1] = -0.05  # ... except a 2-run on the main diagonal
+    r[3, 0] = -0.05  # and one isolated point
+    feats = cross_recurrence_features(SimilarityMatrix(r))
     rr, det, lmax = feats.vector
     assert rr == 3 / 16
     assert det == 2 / 3
@@ -349,9 +344,9 @@ def test_crossrec_matches_run_loop_oracle():
     matrices.append(rng.uniform(size=(12, 1)) < 0.5)
     for r in matrices:
         assert _diagonal_runs(r).tolist() == list(loop_diagonal_runs(r)), r.shape
-        # recurrent entries sit at distance 0.1, the others at 1.0
-        csm = SimilarityMatrix(np.where(r, -0.1, -1.0))
-        got = cross_recurrence_features(csm, eps=0.5).vector
+        # recurrent entries sit at distance 0, the others at 1
+        csm = SimilarityMatrix(np.where(r, 0.0, -1.0))
+        got = cross_recurrence_features(csm).vector
         assert got.tobytes() == loop_crossrec_vector(r).tobytes(), r.shape
 
 
@@ -360,14 +355,6 @@ def test_crossrec_matches_run_loop_oracle():
 def test_diagonal_runs_equal_the_run_loop(n, m, density, seed):
     r = np.random.default_rng(seed).uniform(size=(n, m)) < density
     assert _diagonal_runs(r).tolist() == list(loop_diagonal_runs(r))
-
-
-def test_crossrec_eps_validation_and_default():
-    m = SimilarityMatrix(np.array([[-1.0, -0.05], [-0.05, -1.0]]))
-    with pytest.raises(ConfigError, match="eps must be positive"):
-        cross_recurrence_features(m, eps=0.0)
-    # default eps = 10% of max distance = 0.1; the -0.05 entries recur
-    assert cross_recurrence_features(m).vector[0] == 0.5
 
 
 def test_extract_features_dispatch():
@@ -422,12 +409,14 @@ def test_hinge_identical_features_collapse_to_majority():
     assert predict_linear(clf, feats[0]) == 0
 
 
-def test_hinge_objective_decreases_with_small_lr():
+def test_hinge_objective_decreases_with_small_lr(monkeypatch):
     rng = np.random.default_rng(73)
     feats, labels = toy_features(rng, n_per_class=6)
+    monkeypatch.setattr(baselines, "HINGE_LR", 0.01)
     values = []
     for epochs in [0, 5, 20, 80, 200]:
-        clf = train_linear_hinge(feats, labels, epochs=epochs, lr=0.01)
+        monkeypatch.setattr(baselines, "HINGE_EPOCHS", epochs)
+        clf = train_linear_hinge(feats, labels)
         values.append(hinge_objective(clf, feats, labels))
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 

@@ -258,19 +258,27 @@ def test_csm_size_too_large_to_allocate_exits_2_naming_it(tmp_path, capsys, size
                "--size", size) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error (config): --size {size}: ") and "Traceback" not in err
+    assert not (tmp_path / "mats").exists()  # refused before --out is made
 
 
-@pytest.mark.parametrize("flag,value", [
-    pytest.param("--size", "0", id="0"),
-    pytest.param("--size", "-3", id="-3"),
-    pytest.param("--frames", "0", id="frames-0"),
-    pytest.param("--workers", "0", id="workers-0"),
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param("csm", "--size", "0", id="0"),
+    pytest.param("csm", "--size", "-3", id="-3"),
+    pytest.param("csm", "--frames", "0", id="frames-0"),
+    pytest.param("csm", "--workers", "0", id="workers-0"),
+    pytest.param("synth", "--per-class", "0", id="synth-per-class-0"),
+    pytest.param("synth", "--frames", "0", id="synth-frames-0"),
+    pytest.param("preprocess", "--frames", "0", id="preprocess-frames-0"),
+    pytest.param("preprocess", "--workers", "-1", id="preprocess-workers--1"),
+    pytest.param("baseline", "--frames", "0", id="baseline-frames-0"),
 ])
-def test_csm_non_positive_size_is_config_error(tmp_path, capsys, flag, value):
+def test_csm_non_positive_size_is_config_error(tmp_path, capsys, command, flag, value):
     manifest = make_dataset(tmp_path, per_class=1)
     capsys.readouterr()
-    assert run("csm", "--data", str(manifest), "--out", str(tmp_path / "mats"),
-               flag, value) == 2
+    given = {"synth": ["--per-class", "1"],
+             "baseline": ["--data", str(manifest), "--method", "dtw"]}
+    assert run(command, *given.get(command, ["--data", str(manifest)]),
+               "--out", str(tmp_path / "mats"), flag, value) == 2
     assert capsys.readouterr().err.startswith(f"error (config): {flag} must be >= 1, got {value}")
     assert not (tmp_path / "mats").exists()  # refused before --out is made
 

@@ -17,6 +17,7 @@ from dyadsync.sttf import (
     mhsa,
 )
 from dyadsync.tensor import Tensor
+from dyadsync.training import cross_entropy_loss, mse_loss
 
 
 def small_config(**kw):
@@ -399,6 +400,12 @@ def test_forward_computes_in_the_dtype_of_its_input(monkeypatch, dtype, taped):
     tape = T.Tape() if taped else None
     out = model.forward(frames.astype(dtype), tape=tape, rng=stream(3, "dropout"))
     assert out.data.dtype == dtype
+    # both losses, and on a tape every parameter's gradient, keep the input's dtype
+    loss = cross_entropy_loss(out, [0, 2]) + mse_loss(out, np.zeros(out.size))
+    assert loss.data.dtype == dtype
+    if taped:
+        grads = T.gradient_of(loss, model.params)
+        assert {g.data.dtype for g in grads.values()} == {np.dtype(dtype)}
     # at least one tensor per op of each of the 2 x layers layers' 13 (five of them mhsa's)
     assert len(seen) >= 2 * cfg.layers * 13 and set(seen) == {np.dtype(dtype)}
     assert {value.data.dtype for _, value in model.params.items()} == {np.dtype(np.float64)}

@@ -91,11 +91,12 @@ def test_validation():
 
 def test_generate_sequences_order_and_offsets():
     cfg = SynthConfig(f=20, seed=2)
-    seqs = list(generate_sequences(cfg, 2, start_index=3))
+    seqs = list(generate_sequences(cfg, 2))
     assert [s.label_class for s in seqs] == ["Sync", "Sync", "ModSync", "ModSync", "Unsync", "Unsync"]
-    assert seqs[0].source_id == "sync_0003"
-    held_out = list(generate_sequences(cfg, 2, start_index=5))
-    assert not np.array_equal(seqs[0].frames, held_out[0].frames)
+    assert [s.source_id for s in seqs[:2]] == ["sync_0000", "sync_0001"]
+    assert seqs[1].frames.tobytes() == generate_dyad_sequence(cfg, "Sync", 1).frames.tobytes()
+    held_out = generate_dyad_sequence(cfg, "Sync", 5)
+    assert not np.array_equal(seqs[0].frames, held_out.frames)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ once in each checkout, one run at a time, with N the ``run_seconds`` of
 the change's ``BENCHMARK.json``; the side that runs first
 alternates from seed to seed, so drift on a shared machine falls on both
 sides alike.  It then writes, per workload, the inclusive quartiles of
-each end-to-end metric of ``BENCHMARK.json`` on both sides, the number of
-pairs in which the change was strictly better, and every run's value.
+each end-to-end metric of ``BENCHMARK.json`` on both sides and of its
+per-pair change/parent ratio, the number of pairs in which the change was
+strictly better, and every run's value.  Both runs of a pair share the
+machine's state, so the ratio's spread is often tighter than either side's.
 
 The output has the layout of ``BENCH_10.json``: ``machine`` (from the run
 record of the first run), ``method`` and ``workloads``.  An existing
@@ -98,16 +100,20 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list, secon
                   + " ".join(f"{n}={v:.4g}" for n, v in sorted(metrics.items())),
                   file=sys.stderr, flush=True)
     names = [name for name in better if name in values["parent"]]
-    wins = {}
+    wins, ratios = {}, {}
     for name in names:
+        pairs = list(zip(values["parent"][name], values["change"][name]))
         sign = 1 if better[name] == "higher" else -1
-        wins[name] = sum(sign * (c - p) > 0
-                         for p, c in zip(values["parent"][name], values["change"][name]))
+        wins[name] = sum(sign * (c - p) > 0 for p, c in pairs)
+        per_pair = [c / p for p, c in pairs if p]  # a parent value of 0 has no ratio
+        if per_pair:
+            ratios[name] = quartiles(per_pair)
     summary = {
         "pairs": len(seeds),
         "seeds": seeds,
         "parent": {name: quartiles(values["parent"][name]) for name in names},
         "change": {name: quartiles(values["change"][name]) for name in names},
+        "change_over_parent": ratios,
         "change_better_in_pairs": wins,
         "values": {side: {name: values[side][name] for name in names} for side in values},
     }
