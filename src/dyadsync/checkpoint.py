@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .config import config_from_dict
 from .csm_branch import CsmConfig, CsmModel
-from .errors import ALLOCATION_ERRORS, ConfigError, DataError, NumericalError, read_input
+from .errors import ALLOCATION_ERRORS, ConfigError, DataError, NumericalError, reading
 from .sttf import ModelConfig, SttfModel
 
 _KINDS = {"sttf": (SttfModel, ModelConfig), "csm": (CsmModel, CsmConfig)}
@@ -48,53 +49,54 @@ def save_model(model, path) -> None:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for _, value in model.params.items():
-            fh.write(np.ascontiguousarray(value.data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(value.data, dtype="<f8"))
 
 
 def load_model(path):
     path = Path(path)
-    raw = read_input(path, "checkpoint", binary=True)
-    if len(raw) < 8:
-        raise DataError(f"{path}: too short to hold a header length")
-    (header_len,) = struct.unpack_from("<Q", raw)
-    if len(raw) < 8 + header_len:
-        raise DataError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[8:8 + header_len].decode())
-    except ValueError as exc:  # not UTF-8, bad JSON, or an integer beyond the digit limit
-        raise DataError(f"{path}: bad checkpoint header: {exc}") from None
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: checkpoint header must be a JSON object")
-    for key in ("kind", "seed", "config", "manifest"):
-        if key not in header:
-            raise DataError(f"{path}: header missing {key!r}")
-    if not isinstance(header["kind"], str) or header["kind"] not in _KINDS:
-        raise DataError(f"{path}: unknown model kind {header['kind']!r}")
-    model_cls, config_cls = _KINDS[header["kind"]]
-    try:
-        config = config_from_dict(config_cls, header["config"])
-    except ConfigError as exc:
-        raise DataError(f"{path}: bad model config in header: {exc}") from None
-    seed = header["seed"]
-    if type(seed) is not int or seed < 0:
-        raise DataError(f"{path}: seed must be a non-negative integer, got {seed!r}")
-    try:
-        model = model_cls(config, seed=seed)
-    except ALLOCATION_ERRORS:
-        raise DataError(f"{path}: the header's model config is too large to allocate") from None
-    # compared as JSON text, which tells 4, 4.0 and true apart and sees an extra key
-    manifest = json.dumps(header["manifest"], sort_keys=True)
-    if manifest != json.dumps(_manifest(model), sort_keys=True):
-        raise DataError(f"{path}: manifest does not match the model's parameters")
-    offset = 8 + header_len
-    body = 8 * sum(value.data.size for _, value in model.params.items())
-    if len(raw) - offset != body:
-        raise DataError(f"{path}: parameters take {len(raw) - offset} bytes, expected {body}")
-    for name, value in model.params.items():
-        # one parameter copied at a time: a copy of the whole body would double the peak
-        values = np.frombuffer(raw, dtype="<f8", count=value.data.size, offset=offset)
-        if not np.isfinite(values).all():
-            raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
-        model.params.replace(name, values.reshape(value.shape).astype(np.float64))
-        offset += values.nbytes
+    with reading(path, "checkpoint"), open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8:
+            raise DataError(f"{path}: too short to hold a header length")
+        (header_len,) = struct.unpack("<Q", fh.read(8))
+        if size < 8 + header_len:
+            raise DataError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode())
+        except ValueError as exc:  # not UTF-8, bad JSON, or an integer beyond the digit limit
+            raise DataError(f"{path}: bad checkpoint header: {exc}") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: checkpoint header must be a JSON object")
+        for key in ("kind", "seed", "config", "manifest"):
+            if key not in header:
+                raise DataError(f"{path}: header missing {key!r}")
+        if not isinstance(header["kind"], str) or header["kind"] not in _KINDS:
+            raise DataError(f"{path}: unknown model kind {header['kind']!r}")
+        model_cls, config_cls = _KINDS[header["kind"]]
+        try:
+            config = config_from_dict(config_cls, header["config"])
+        except ConfigError as exc:
+            raise DataError(f"{path}: bad model config in header: {exc}") from None
+        seed = header["seed"]
+        if type(seed) is not int or seed < 0:
+            raise DataError(f"{path}: seed must be a non-negative integer, got {seed!r}")
+        try:
+            model = model_cls(config, seed=seed)
+        except ALLOCATION_ERRORS:
+            raise DataError(f"{path}: the header's model config is too large to allocate") from None
+        # compared as JSON text, which tells 4, 4.0 and true apart and sees an extra key
+        manifest = json.dumps(header["manifest"], sort_keys=True)
+        if manifest != json.dumps(_manifest(model), sort_keys=True):
+            raise DataError(f"{path}: manifest does not match the model's parameters")
+        body = 8 * sum(value.data.size for _, value in model.params.items())
+        if size - fh.tell() != body:
+            raise DataError(f"{path}: parameters take {size - fh.tell()} bytes, expected {body}")
+        for name, value in model.params.items():
+            # read into the array that replaces it: the peak is the model plus one parameter
+            values = np.empty(value.shape, dtype="<f8")
+            if fh.readinto(values) != values.nbytes:
+                raise DataError(f"{path}: truncated at parameter {name!r}")
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
+            model.params.replace(name, values)
     return model

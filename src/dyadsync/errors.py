@@ -9,12 +9,13 @@
 - ``ContractError``, exit 4: a caller broke an internal contract
 - ``NumericalError``, exit 4: a value went non-finite
 
-Every loader reads its file through :func:`read_input`, so a file it
-cannot read is a ``DataError`` as well.  Every command makes its output
-directory through :func:`output_dir`, so an ``--out`` that cannot be a
-directory is a ``ConfigError`` naming it.
+Every loader reads its file through :func:`read_input` or under
+:func:`reading`, so a file it cannot read is a ``DataError`` as well.
+Every command makes its output directory through :func:`output_dir`, so
+an ``--out`` that cannot be a directory is a ``ConfigError`` naming it.
 """
 
+import contextlib
 import pathlib
 
 
@@ -43,17 +44,24 @@ class NumericalError(DyadsyncError):
 ALLOCATION_ERRORS = (MemoryError, ValueError)
 
 
-def read_input(path, what: str, binary: bool = False):
-    """The UTF-8 text, or the bytes, of the input file at pathlib ``path``;
-    a missing, unreadable or non-UTF-8 file is a DataError naming it."""
+@contextlib.contextmanager
+def reading(path, what: str):
+    """Run the body, reading the input file at ``path``; a missing,
+    unreadable or non-UTF-8 file is a DataError naming it."""
     try:
-        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
+        yield
     except (FileNotFoundError, NotADirectoryError):
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:  # a directory, or no permission to read
         raise DataError(f"{path}: cannot read {what} ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {what} is not UTF-8 text ({exc})") from None
+
+
+def read_input(path, what: str) -> str:
+    """The UTF-8 text of the input file at pathlib ``path``, read under :func:`reading`."""
+    with reading(path, what):
+        return path.read_text(encoding="utf-8")
 
 
 def output_dir(path) -> pathlib.Path:

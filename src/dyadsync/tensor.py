@@ -17,8 +17,9 @@ on exactly when a random generator is passed.
 A tensor holds float64 or float32 data: float32 input stays float32 and
 anything else becomes float64 (:func:`as_array`).  Every primitive's
 output follows its operands' dtype, so a float32 input and float32
-parameters run a whole forward pass in float32.  Training and gradient
-checks run in float64.
+parameters run a whole forward pass in float32.  :class:`ParamStore`
+keeps float64 parameters and casts each as a float32 forward looks it
+up, never all at once.  Training and gradient checks run in float64.
 
 Everything the transformer and the classifier heads need is expressible
 with the primitives below; broadcasting follows numpy semantics with
@@ -30,6 +31,7 @@ are safe to share read-only across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import Callable, Optional
 
 import numpy as np
@@ -210,20 +212,16 @@ class ParamStore:
             raise ContractError(f"unknown parameter {name!r}")
         self._values[name] = Tensor(np.asarray(data, dtype=np.float64))
 
-    def tracked(self, tape: Optional[Tape], dtype=np.float64):
-        """Map of name -> tensor in ``dtype``; tracked leaves when a tape is given.
+    def tracked(self, tape: Optional[Tape], dtype=np.float64) -> Mapping:
+        """Read-only map of name -> tensor in ``dtype``; tracked leaves when a tape is given.
 
         With ``tape=None`` the values are untracked, which gives a
-        gradient-free forward pass.  Leaves are registered on the tape
-        under their parameter names so :func:`gradient_of` can find them.
-        Use a fresh tape per forward pass.  The stored values stay
-        float64; a float32 map casts every one of them afresh per call.
+        gradient-free forward pass.  A leaf is registered on the tape under
+        its parameter name at first lookup, so :func:`gradient_of` finds
+        it.  Use a fresh tape per forward pass.  Float64 values are handed
+        out uncopied; a float32 map casts a parameter at each lookup.
         """
-        out = {}
-        for name, value in self._values.items():
-            data = value.data.astype(dtype, copy=False)
-            out[name] = Tensor(data) if tape is None else tape.named_leaf(name, data)
-        return out
+        return _Tracked(self._values, tape, dtype)
 
     def copy_values(self) -> dict:
         return {name: value.data.copy() for name, value in self._values.items()}
@@ -231,6 +229,23 @@ class ParamStore:
     def load_values(self, mapping) -> None:
         for name, data in mapping.items():
             self.replace(name, np.array(data, dtype=np.float64))
+
+
+class _Tracked(Mapping):
+    """The live view :meth:`ParamStore.tracked` returns."""
+
+    def __init__(self, values: dict, tape: Optional[Tape], dtype):
+        self._values, self._tape, self._dtype = values, tape, dtype
+
+    def __getitem__(self, name: str) -> Tensor:
+        data = self._values[name].data.astype(self._dtype, copy=False)
+        return Tensor(data) if self._tape is None else self._tape.named_leaf(name, data)
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
 
 
 # ---------------------------------------------------------------------------

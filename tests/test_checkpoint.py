@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -197,9 +199,24 @@ def test_save_refuses_non_finite_parameter(tmp_path):
     assert not path.exists()
 
 
+def test_file_that_shrinks_while_it_loads_is_data_error(tmp_path, monkeypatch):
+    # the size check passes on the size the open file reported, then the last
+    # parameter reads short
+    model = CsmModel(CsmConfig(side=4, hidden=2), seed=0)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: truncated at parameter {model.params.names()[-1]!r}"
+
+
 def test_load_copies_one_parameter_at_a_time(tmp_path):
     # the largest parameter is 8% of the model's bytes, so a copy of the
-    # whole body at once would break the bound
+    # whole body, or of the whole file, at once would break the bound
     path = tmp_path / "model.bin"
     save_model(SttfModel(ModelConfig(d_joint=4, layers=4, heads=2, dropout=0.0)), path)
     tracemalloc.start()
@@ -210,4 +227,4 @@ def test_load_copies_one_parameter_at_a_time(tmp_path):
         tracemalloc.stop()
     sizes = [value.data.nbytes for _, value in model.params.items()]
     assert max(sizes) < 0.1 * sum(sizes)
-    assert peak <= path.stat().st_size + sum(sizes) + max(sizes) + 2**20
+    assert peak <= sum(sizes) + max(sizes) + 2**20

@@ -711,7 +711,7 @@ def test_clip_without_valid_frames_names_the_clip(tmp_path, capsys, case, comman
     ("clip", "directory"), ("clip", "not-utf8"),
     ("manifest", "directory"), ("manifest", "not-utf8"),
     ("external", "directory"), ("external", "not-utf8"),
-    ("ckpt", "directory"),
+    ("ckpt", "directory"), ("ckpt", "missing"),
 ])
 def test_unreadable_input_exits_3_naming_the_file(tmp_path, capsys, loader, case):
     manifest = make_dataset(tmp_path, per_class=1, frames=40)
@@ -722,7 +722,7 @@ def test_unreadable_input_exits_3_naming_the_file(tmp_path, capsys, loader, case
     if case == "directory":
         bad.unlink(missing_ok=True)
         bad.mkdir()
-    else:  # a Latin-1 byte in the middle of the text
+    elif case == "not-utf8":  # a Latin-1 byte in the middle of the text
         data = bad.read_bytes()
         bad.write_bytes(data[:10] + b"\xe9" + data[10:])
     out = tmp_path / "out"
@@ -732,6 +732,8 @@ def test_unreadable_input_exits_3_naming_the_file(tmp_path, capsys, loader, case
     assert run(*argv[loader], "--data", str(manifest), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error (data): ") and str(bad) in err and "Traceback" not in err
+    if case == "missing":
+        assert f"checkpoint not found: {bad}" in err
     assert not out.exists()
 
 

@@ -1,11 +1,12 @@
-"""Cost ratchet: tape nodes and retained bytes of one taped training step.
+"""Cost ratchet: tape nodes and retained bytes of one taped training step,
+and the peak bytes of one untaped float32 prediction.
 
 Unlike timings, these counts are the same on every run, so they are
 pinned as upper bounds.  A change that lowers a count tightens its bound
 in the same change; a change that needs more fails here, and the bound is
 not loosened to let it pass.  Bytes are ``tracemalloc``'s: what the
-forward leaves alive, and the peak during the backward, both above what
-was allocated before the step.
+forward leaves alive, and the peak during the backward or the
+prediction, all above what was allocated before the step.
 """
 
 import tracemalloc
@@ -50,3 +51,20 @@ def test_taped_step_stays_within_its_pinned_cost(name):
     assert len(tape) <= nodes
     assert retained <= retained_mib * MIB + SLACK, f"{retained / MIB:.2f} MiB retained"
     assert peak <= peak_mib * MIB + SLACK, f"{peak / MIB:.2f} MiB backward peak"
+
+
+def test_float32_predict_holds_only_the_weights_of_the_op_in_flight():
+    # at d_joint=8 the parameters (13.8 MiB in float32) dwarf a B=1 forward's
+    # activations, so a float32 copy of every weight at once would break the bound
+    cfg = ModelConfig(d_joint=8, layers=4, heads=2)
+    model = SttfModel(cfg, seed=0)
+    frames = np.random.default_rng(5).uniform(0, 1, size=(1, cfg.f, 2, cfg.num_joints, 2))
+    param_bytes = 4 * sum(value.data.size for _, value in model.params.items())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.predict_batch(frames)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes / 4, f"{peak / MIB:.2f} of {param_bytes / MIB:.2f} MiB"
