@@ -57,15 +57,14 @@ from .similarity import (
     save_csv,
     save_pgm,
 )
-from .sttf import ModelConfig, SttfModel, export_attention, mhsa
+from .sttf import ModelConfig, SttfModel, export_attention
 from .synthgen import SynthConfig, generate_dataset
-from .tensor import ParamStore, Tensor, check_gradients, linear_apply, reduce_mean
+from .tensor import check_gradients
 from .training import (
     TrainConfig,
     _batched_logits,
-    cross_entropy_loss,
     fit,
-    mse_loss,
+    head_loss,
     save_history,
     targets_from_sequences,
 )
@@ -218,8 +217,10 @@ def cmd_train(args) -> int:
     model = _build_model(args.branch, args.model_config, seed)
     sequences = load_dataset(args.data,
                              target_f=_model_frames(model, args.model_config, ConfigError))
-    out_dir = output_dir(args.out)  # a bad --out is refused before training, not after
-    history = fit(model, sequences, train_cfg)
+    # labels before --out, and --out before training, so a refused run leaves no directory
+    targets = targets_from_sequences(sequences, head_loss(model.config.head_kind)[0])
+    out_dir = output_dir(args.out)
+    history = fit(model, (model.prepare_inputs(sequences), targets), train_cfg)
     save_model(model, out_dir / "model.bin")
     save_history(history, out_dir / "history.csv")
     best = (max if model.config.head_kind == "classify" else min)(
@@ -320,47 +321,20 @@ def cmd_eval(args) -> int:
 
 
 def _gradcheck_suite(seed: int) -> list:
-    """(name, max relative error) for the stock derivative checks."""
+    """(name, max relative error) of each (branch, head) pair ``train`` builds, at a
+    small size, under the loss ``fit`` steps on."""
     rng = np.random.default_rng(seed)
     results = []
-
-    ce_params = ParamStore(seed)
-    ce_params.add("logits", rng.normal(size=(4, 3)))
-    ce_labels = np.array([0, 2, 1, 1])
-    results.append(("softmax-cross-entropy", check_gradients(
-        lambda p, tape: cross_entropy_loss(p.tracked(tape)["logits"], ce_labels),
-        ce_params)))
-
-    d = 6
-    attn_params = ParamStore(seed, scope="gradcheck")
-    attn_params.add("x", rng.normal(size=(5, d)))
-    for name in ("wq", "wk", "wv", "wo"):
-        attn_params.add(name, rng.normal(size=(d, d)) / np.sqrt(d))
-
-    def attn_loss(p, tape):
-        t = p.tracked(tape)
-        out = mhsa(t["x"], t["wq"], t["wk"], t["wv"], t["wo"], heads=2)
-        return reduce_mean(out * out)
-
-    results.append(("multi-head-attention", check_gradients(attn_loss, attn_params)))
-
-    micro = ModelConfig(f=2, num_joints=1, d_joint=4, layers=1, heads=2, dropout=0.0)
-    model = SttfModel(micro, seed=seed)
-    x = rng.uniform(size=(2, micro.f, 2, micro.num_joints, 2))
-    y = np.array([0, 2])
-    results.append(("reduced-transformer", check_gradients(
-        lambda p, tape: cross_entropy_loss(model.forward(x, tape), y), model.params)))
-
-    reg_params = ParamStore(seed)
-    reg_params.add("w", rng.normal(size=(d, 1)))
-    reg_params.add("b", np.zeros(1))
-    reg_x = rng.normal(size=(8, d))
-    reg_y = rng.normal(size=8)
-    results.append(("regression-head", check_gradients(
-        lambda p, tape: mse_loss(
-            linear_apply(Tensor(reg_x), p.tracked(tape)["w"], p.tracked(tape)["b"]),
-            reg_y),
-        reg_params)))
+    for head in ("classify", "regress"):
+        loss = head_loss(head)[1]
+        for branch, model, shape in (
+                ("tfn", SttfModel(ModelConfig(f=2, num_joints=1, d_joint=4, layers=1, heads=2,
+                                              head_kind=head), seed), (2, 2, 2, 1, 2)),
+                ("csm", CsmModel(CsmConfig(side=3, hidden=4, head_kind=head), seed), (2, 3, 3))):
+            x = rng.uniform(size=shape)
+            y = rng.integers(3, size=2) if head == "classify" else rng.uniform(0, 10, size=2)
+            results.append((f"{branch}-{head}", check_gradients(
+                lambda p, tape: loss(model.forward(x, tape), y), model.params)))
     return results
 
 
@@ -503,15 +477,9 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error (config): {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error (data): {exc}", file=sys.stderr)
-        return 3
     except DyadsyncError as exc:
-        print(f"error (internal): {exc}", file=sys.stderr)
-        return 4
+        print(f"error ({exc.label}): {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # safety net: anything unexpected is an internal error
         log.exception("unhandled failure")
         print(f"error (internal): {exc}", file=sys.stderr)

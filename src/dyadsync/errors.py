@@ -1,11 +1,13 @@
 """Exception taxonomy shared across the package: one class per exit code.
 
-``cli.main`` maps each class onto the exit code it documents:
+Each class carries its exit code and the label ``cli.main`` prints it
+under (``error (<label>): <message>``); a subclass inherits both:
 
-- ``DyadsyncError``, exit 4: base class of the other four
-- ``ConfigError``, exit 2: a model/training/CLI setting or argument is unusable
-- ``DataError``, exit 3: a clip, manifest, checkpoint or predictions file is
-  malformed, ambiguous or out of range
+- ``DyadsyncError``, exit 4 (``internal``): base class of the other four
+- ``ConfigError``, exit 2 (``config``): a model/training/CLI setting or argument
+  is unusable
+- ``DataError``, exit 3 (``data``): a clip, manifest, checkpoint or predictions
+  file is malformed, ambiguous or out of range
 - ``ContractError``, exit 4: a caller broke an internal contract
 - ``NumericalError``, exit 4: a value went non-finite
 
@@ -22,13 +24,19 @@ import pathlib
 class DyadsyncError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code, label = 4, "internal"
+
 
 class ConfigError(DyadsyncError):
     """A configuration or argument lies outside its documented domain."""
 
+    exit_code, label = 2, "config"
+
 
 class DataError(DyadsyncError):
     """Input data is malformed, ambiguous or violates a documented precondition."""
+
+    exit_code, label = 3, "data"
 
 
 class ContractError(DyadsyncError):

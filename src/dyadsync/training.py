@@ -78,6 +78,18 @@ def mse_loss(pred: Tensor, target) -> Tensor:
     return (diff * diff).mean()
 
 
+def head_loss(head_kind: str) -> tuple:
+    """``(loss_kind, loss)`` a head trains on: a ``"classify"`` head takes
+    cross-entropy over class ids, a ``"regress"`` head MSE over scores.
+
+    The losses are looked up when called, so a wrapped module attribute is
+    the one that runs.
+    """
+    if head_kind == "classify":
+        return "cross_entropy", cross_entropy_loss
+    return "mse", mse_loss
+
+
 # ---------------------------------------------------------------------------
 # optimizer / schedule
 # ---------------------------------------------------------------------------
@@ -189,7 +201,7 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
     parameters.
     """
     classify = model.config.head_kind == "classify"
-    loss_kind = "cross_entropy" if classify else "mse"
+    loss_kind, loss_fn = head_loss(model.config.head_kind)
     if isinstance(dataset, tuple):
         inputs, targets = dataset
         inputs = np.asarray(inputs, dtype=np.float64)  # training runs in float64
@@ -224,11 +236,7 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             tape = Tape()
-            out = model.forward(inputs[idx], tape=tape, rng=dropout_rng)
-            if classify:
-                loss = cross_entropy_loss(out, targets[idx])
-            else:
-                loss = mse_loss(out, targets[idx])
+            loss = loss_fn(model.forward(inputs[idx], tape=tape, rng=dropout_rng), targets[idx])
             step_loss = loss.item()
             where = f"training diverged at epoch {epoch}, step {start // cfg.batch_size}"
             if not math.isfinite(step_loss):

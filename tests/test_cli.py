@@ -16,6 +16,7 @@ from dyadsync.csm_branch import CsmConfig, CsmModel
 from dyadsync.pose_io import load_dataset, load_manifest
 from dyadsync.sttf import ModelConfig, SttfModel
 from dyadsync.synthgen import SynthConfig
+from dyadsync.tensor import Tensor
 
 
 def run(*argv):
@@ -555,8 +556,30 @@ def test_eval_runs_each_model_in_chunks_of_64(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_gradcheck_passes():
-    assert run("gradcheck", "--seed", "3") == 0
+def test_gradcheck_passes(capsys):
+    for seed in ("0", "3"):  # one line per (branch, head) pair train builds
+        capsys.readouterr()
+        assert run("gradcheck", "--seed", seed) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "tfn-classify", "csm-classify", "tfn-regress", "csm-regress"]
+        assert all(line.endswith("[ok]") for line in lines)
+
+
+def test_gradcheck_fails_on_an_untracked_csm_parameter(monkeypatch, capsys):
+    forward = CsmModel.forward
+
+    def leaky(self, images, tape=None, rng=None):
+        # b2 enters a second time as a constant, so the tape misses half its gradient
+        return forward(self, images, tape, rng) + Tensor(self.params["b2"].data)
+
+    monkeypatch.setattr(CsmModel, "forward", leaky)
+    capsys.readouterr()
+    assert run("gradcheck", "--seed", "0") == 4
+    captured = capsys.readouterr()
+    failed = [line.split(":")[0] for line in captured.out.splitlines() if line.endswith("[FAIL]")]
+    assert failed == ["csm-classify", "csm-regress"]
+    assert captured.err == "error (internal): gradient check exceeded tolerance\n"
 
 
 def test_export_attention_maps(tmp_path):
@@ -877,6 +900,41 @@ def test_structure_mutated_configs_exit_0_or_2(tmp_path, capsys):
     assert codes.count(0) and codes.count(2)  # the fuzz reaches both outcomes
 
 
+def test_mutated_csm_checkpoint_header_exits_0_or_3_naming_it(tmp_path, capsys):
+    import struct
+
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    original = Path(save_untrained(tmp_path, "csm", CsmModel(
+        CsmConfig(side=4, hidden=3), seed=1))).read_bytes()
+    (length,) = struct.unpack("<Q", original[:8])
+    header, body = json.loads(original[8:8 + length]), original[8 + length:]
+    # no transformer key and no "sttf" kind: those sizes wait for a footprint estimate
+    headers = [*json_mutants(header, ("kind", "seed", "config", "manifest", "side", "width"),
+                             np.random.default_rng(0), 150),
+               *({**header, "config": config} for config in json_mutants(
+                   header["config"], ("side", "hidden", "dropout", "head_kind", "seed", "width"),
+                   np.random.default_rng(1), 150))]
+    blobs = [struct.pack("<Q", len(text)) + text
+             for text in (json.dumps(h).encode() for h in headers)]
+    rng = np.random.default_rng(2)
+    for _ in range(200):  # 1 to 3 byte flips within the length prefix and the header
+        data = bytearray(original[:8 + length])
+        for at in rng.integers(8 + length, size=rng.integers(1, 4)):
+            data[at] ^= int(rng.integers(1, 256))
+        blobs.append(bytes(data))
+    ckpt = tmp_path / "mutant.bin"
+    codes = []
+    for blob in blobs:
+        ckpt.write_bytes(blob + body)
+        code = run("eval", "--ckpt", str(ckpt), "--data", str(manifest),
+                   "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code in (0, 3) and "Traceback" not in err, (blob, err)
+        assert code == 0 or f"{ckpt}: " in err, (blob, err)
+        codes.append(code)
+    assert codes.count(0) and codes.count(3)  # the fuzz reaches both outcomes
+
+
 def command_argv(tmp_path, command, data):
     """argv of ``command`` on the manifest ``data``, without --out; the
     checkpoint is an untrained small transformer."""
@@ -979,6 +1037,26 @@ def test_eval_clip_without_the_heads_label_is_data_error_naming_it(tmp_path, cap
     out = tmp_path / "eval"
     capsys.readouterr()
     assert run("eval", "--ckpt", ckpt, "--data", str(manifest), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert Path(entries[1]["path"]).stem in err and f"{label} label" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("branch,head,label", [("tfn", "regress", "score"),
+                                               ("csm", "classify", "class")])
+def test_train_clip_without_the_heads_label_is_data_error_before_out(tmp_path, capsys,
+                                                                     branch, head, label):
+    manifest = make_dataset(tmp_path, per_class=1, frames=40)
+    entries = json.loads(manifest.read_text())
+    del entries[1][f"label_{label}"]
+    manifest.write_text(json.dumps(entries))
+    tc, mc = write_tiny_configs(tmp_path, head)
+    if branch == "csm":
+        mc.write_text(json.dumps({"side": 4, "hidden": 3, "head_kind": head}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run("train", "--branch", branch, "--data", str(manifest), "--out", str(out),
+               "--config", str(tc), "--model-config", str(mc)) == 3
     err = capsys.readouterr().err
     assert Path(entries[1]["path"]).stem in err and f"{label} label" in err
     assert not out.exists()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dyadsync import tensor as T
+from dyadsync import training
 from dyadsync.config import load_config
 from dyadsync.csm_branch import CsmConfig, CsmModel
 from dyadsync.errors import ConfigError, ContractError, DataError, NumericalError
@@ -318,6 +319,19 @@ def test_fit_regression_mode():
     history = fit(model, (images, scores), cfg)
     assert history[-1]["train_loss"] < history[0]["train_loss"]
     assert eval_metric(model, images, scores, "mse") < 30.0
+
+
+@pytest.mark.parametrize("head, loss", [("classify", "cross_entropy_loss"),
+                                        ("regress", "mse_loss")])
+def test_fit_steps_on_its_heads_loss_as_the_module_holds_it(monkeypatch, head, loss):
+    # the benchmark's tracer times a loss by wrapping the module attribute
+    calls = []
+    wrapped = getattr(training, loss)
+    monkeypatch.setattr(training, loss, lambda *args: calls.append(head) or wrapped(*args))
+    images, labels = toy_image_set(np.random.default_rng(0))
+    model = CsmModel(CsmConfig(side=8, hidden=4, head_kind=head), seed=0)
+    fit(model, (images, labels), TrainConfig(epochs=1, batch_size=4))
+    assert calls == [head, head]  # 7 training clips in steps of 4
 
 
 def test_fit_validates_inputs():
