@@ -534,23 +534,65 @@ def dropout_apply(x, rate: float, rng=None) -> Tensor:
     return _record(_dropped(x.data, keep, scale), (x,), backward)
 
 
-# Bytes of attention probabilities computed per block; a block holds
-# whole (n, n) matrices, so a larger matrix makes a block of one.
+# Bytes of attention probabilities computed per block; a block holds the
+# (heads, n, n) matrices of whole leading rows, so a larger row makes a
+# block of one.  An untaped call holds one block of keys-major scores and
+# one block of weights, each of about this size.
 ATTENTION_BLOCK_BYTES = 1 << 20
+
+
+def _sum_keys(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` over axis 0 of ``x``, in the order numpy sums a contiguous axis.
+
+    numpy's pairwise sum adds one by one below 8 terms, in 8 accumulators
+    up to 128, and by halves cut at a multiple of 8 above.  Repeating that
+    order over axis 0, a whole row at a time, gives the last-axis sum of
+    ``x`` moved to the back, bit for bit but for the sign and payload of a
+    NaN.  Each partial sum starts from ``x[i] + 0.0``, so a sum of zeros is
+    +0.0, as numpy's reduction from 0 makes it.  The partial sums live in
+    the leading rows of ``work``, an array of ``x``'s shape, and the sum is
+    returned as ``work[0]``.
+    """
+    n = len(x)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _sum_keys(x[:half], work)
+        _sum_keys(x[half:], work[1:])
+        work[0] += work[1]
+        return work[0]
+    acc = np.add(x[:min(n, 8)], 0.0, out=work[:min(n, 8)])
+    if n < 8:
+        for row in acc[1:]:
+            acc[0] += row
+        return acc[0]
+    tail = n - n % 8
+    for start in range(8, tail, 8):
+        acc += x[start:start + 8]
+    for step in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(0, 8, 2 * step):
+            acc[i] += acc[i + step]
+    for row in x[tail:]:
+        acc[0] += row
+    return acc[0]
 
 
 def attention(q, k, v, heads: int, rate: float = 0.0, rng=None,
               keep_weights: bool = False):
     """Multi-head ``dropout(softmax(q kᵀ / sqrt(dh))) @ v`` as one tape node.
 
-    ``q``, ``k`` and ``v`` are equal-shaped (..., n, d), with d = heads · dh.
-    Each is split once: reshaped to (..., n, heads, dh), swapped to
-    (..., heads, n, dh) and copied to one stack of (n, dh) matrices.  The
-    stack runs in blocks of whole matrices of about ``ATTENTION_BLOCK_BYTES``
-    of weights, each block through the numpy expressions of the transpose,
-    matmul, softmax, dropout and matmul chain, and the output and the
-    gradients are merged back to (..., n, d) the same way, so they are bit
-    for bit that chain's between head split and merge nodes.  Dropout is on
+    ``q``, ``k`` and ``v`` are equal-shaped (..., n, d), with n, d >= 1 and
+    d = heads · dh.  Each is viewed, without a copy, as (rows, heads, n, dh)
+    over its flattened leading axes, and the output and the gradients are
+    written through the same view of fresh (..., n, d) arrays.  The rows
+    run in blocks of about ``ATTENTION_BLOCK_BYTES`` of weights.  A block's
+    scores are written keys-major, as ``k qᵀ`` into one reused scratch
+    array, so the scale, the max over keys, the subtraction, ``exp``, the
+    sum over keys (in numpy's pairwise order) and the divide run over long
+    contiguous rows.  The probabilities are then copied to C-ordered
+    (n, n) matrices, the layout the matmul with ``v`` takes in the chain.
+    Every step is the numpy expression of the transpose, matmul, softmax,
+    dropout and matmul chain, so the output and the gradients are bit for
+    bit that chain's between head split and merge nodes.  Dropout is on
     exactly when a generator is passed; its mask is drawn block by block in
     C order, which is the one draw over the whole array.
 
@@ -558,67 +600,95 @@ def attention(q, k, v, heads: int, rate: float = 0.0, rng=None,
     probabilities as ``weights`` when ``keep_weights`` is set, else None.
     A taped call keeps the probabilities and a boolean mask, and its
     backward rebuilds the dropped-out product per block; an untaped one
-    keeps no (..., n, n) array unless ``keep_weights`` asks for it.
+    holds one block of scores and one of weights, and keeps no (..., n, n)
+    array unless ``keep_weights`` asks for it.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if not q.shape == k.shape == v.shape:
         raise ContractError(f"Q {q.shape}, K {k.shape} and V {v.shape} must match")
     if q.data.ndim < 2:
         raise ContractError("attention operands need ndim >= 2")
+    if 0 in q.shape[-2:]:
+        raise ContractError(f"attention needs at least one token and one feature, got {q.shape}")
     _check_rate(rate)
     lead, (n, d) = q.shape[:-2], q.shape[-2:]
     if heads < 1 or d % heads:
         raise ConfigError(f"heads ({heads}) must divide model dim ({d})")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
+    dtype = q.data.dtype
 
-    def split(a):
-        return a.reshape(lead + (n, heads, dh)).swapaxes(-2, -3).reshape(-1, n, dh)
+    def by_head(a):
+        """(..., n, d) as a (rows, heads, n, dh) view."""
+        return a.reshape(-1, n, heads, dh).swapaxes(1, 2)
 
-    def merge(a):
-        return a.reshape(lead + (heads, n, dh)).swapaxes(-2, -3).reshape(lead + (n, d))
+    def fresh():
+        """An empty (..., n, d) array, strided as the chain's head merge leaves
+        it, and its (rows, heads, n, dh) view.
 
-    qd, kd, vd = split(q.data), split(k.data), split(v.data)
-    kt = kd.swapaxes(-1, -2)
-    stack = len(qd)
-    run = max(1, ATTENTION_BLOCK_BYTES // (n * n * qd.itemsize))
-    blocks = [slice(start, start + run) for start in range(0, stack, run)]
+        The merge reshapes the head-major stack to (..., n, d): a view of
+        it when n, heads or dh is 1, else a C-ordered copy.
+        """
+        if 1 in (n, heads, dh):
+            stack = np.empty((rows, heads, n, dh), dtype=dtype)
+            return stack.reshape(lead + (heads, n, dh)).swapaxes(-2, -3).reshape(lead + (n, d)), stack
+        merged = np.empty(lead + (n, d), dtype=dtype)
+        return merged, by_head(merged)
+
+    qh, kh, vh = by_head(q.data), by_head(k.data), by_head(v.data)
+    rows = len(qh)
+    run = max(1, min(rows, ATTENTION_BLOCK_BYTES // (heads * n * n * dtype.itemsize)))
+    blocks = [slice(start, start + run) for start in range(0, rows, run)]
     taped = any(t.tape is not None for t in (q, k, v))
     drop = rng is not None and rate > 0.0
     keep_scale = 1.0 / (1.0 - rate)
-    out = np.empty((stack, n, dh), dtype=qd.dtype)
-    probs = np.empty((stack, n, n), dtype=qd.dtype) if taped or keep_weights else None
-    keep = np.empty((stack, n, n), dtype=bool) if taped and drop else None
+    out, oh = fresh()
+    probs = np.empty((rows, heads, n, n), dtype=dtype) if taped or keep_weights else None
+    keep = np.empty(probs.shape, dtype=bool) if taped and drop else None
+    scratch = np.empty(run * heads * n * n, dtype=dtype)
+    block = np.empty((run, heads, n, n), dtype=dtype) if probs is None else None
     for idx in blocks:
-        w = np.matmul(qd[idx], kt[idx], out=None if probs is None else probs[idx])
-        w *= scale
-        _softmax_rows_inplace(w)
+        m = len(qh[idx])
+        s = scratch[:m * heads * n * n].reshape(n, m, heads, n)  # [key, row, head, query]
+        np.matmul(kh[idx], qh[idx].swapaxes(-1, -2), out=s.transpose(1, 2, 0, 3))
+        s *= scale
+        s -= s.max(axis=0)
+        np.exp(s, out=s)
+        w = block[:m] if probs is None else probs[idx]
+        s /= _sum_keys(s, w.reshape(s.shape))  # w is the sum's scratch until the copy
+        w[...] = s.transpose(1, 2, 3, 0)
         if drop:
             mask = _keep_mask(rng, w.shape, rate)
             if keep is not None:
                 keep[idx] = mask
-            w = _dropped(w, mask, keep_scale)
-        np.matmul(w, vd[idx], out=out[idx])
+            if probs is None:  # the reused block; kept probabilities stay undropped
+                w *= keep_scale
+                w *= mask
+            else:
+                w = _dropped(w, mask, keep_scale)
+        np.matmul(w, vh[idx], out=oh[idx])
     weights = probs.reshape(lead + (heads, n, n)) if keep_weights else None
-    out = merge(out)
     if not taped:
         return Tensor(out), weights
 
     def backward(g):
-        g = split(g)
-        gq, gkt, gv = (np.empty(a.shape, dtype=qd.dtype) for a in (qd, kt, vd))
+        gh = by_head(g)
+        (gq, gqh), (gv, gvh) = fresh(), fresh()
+        gkt = np.empty((rows, heads, dh, n), dtype=dtype)
         for idx in blocks:
             p = probs[idx]
             w = p if keep is None else _dropped(p, keep[idx], keep_scale)
-            np.matmul(w.swapaxes(-1, -2), g[idx], out=gv[idx])
-            gw = g[idx] @ vd[idx].swapaxes(-1, -2)
+            np.matmul(w.swapaxes(-1, -2), gh[idx], out=gvh[idx])
+            gw = gh[idx] @ vh[idx].swapaxes(-1, -2)
             if keep is not None:
                 gw = _dropped(gw, keep[idx], keep_scale)
             gs = _softmax_rows_grad(gw, p)
             gs *= scale
-            np.matmul(gs, kd[idx], out=gq[idx])
-            np.matmul(qd[idx].swapaxes(-1, -2), gs, out=gkt[idx])
-        return merge(gq), merge(gkt.swapaxes(-1, -2)), merge(gv)
+            np.matmul(gs, kh[idx], out=gqh[idx])
+            np.matmul(qh[idx].swapaxes(-1, -2), gs, out=gkt[idx])
+        # the chain's layout: the transposes of C-ordered (dh, n) matrices, merged
+        gk = gkt.swapaxes(-1, -2).reshape(lead + (heads, n, dh)).swapaxes(-2, -3)
+        return gq, gk.reshape(lead + (n, d)), gv
 
     return _record(out, (q, k, v), backward), weights
 

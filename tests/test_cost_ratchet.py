@@ -1,5 +1,6 @@
 """Cost ratchet: tape nodes and retained bytes of one taped training step,
-and the peak bytes of one untaped float32 prediction.
+and the peak bytes of one untaped float32 prediction and of one untaped
+full-size attention call.
 
 Unlike timings, these counts are the same on every run, so they are
 pinned as upper bounds.  A change that lowers a count tightens its bound
@@ -68,3 +69,22 @@ def test_float32_predict_holds_only_the_weights_of_the_op_in_flight():
     finally:
         tracemalloc.stop()
     assert peak < param_bytes / 4, f"{peak / MIB:.2f} of {param_bytes / MIB:.2f} MiB"
+
+
+def test_untaped_float32_spatial_attention_holds_one_scores_and_one_weights_block():
+    # the spatial call of an 8-clip full-size eval batch: 648 frames of 34
+    # tokens, 8 heads of 2; beside its output it may hold one block of
+    # keys-major scores and one of weights, not an array of the whole stack
+    cfg = ModelConfig()
+    shape = (8 * cfg.f, 2 * cfg.num_joints, cfg.d_joint)
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.normal(size=shape).astype(np.float32) for _ in range(3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out, _ = T.attention(q, k, v, cfg.heads)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = out.data.nbytes + 2 * T.ATTENTION_BLOCK_BYTES + SLACK
+    assert peak <= bound, f"{peak / MIB:.2f} MiB peak against {bound / MIB:.2f}"

@@ -7,6 +7,7 @@ triple-loop implementation.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -526,7 +527,7 @@ def chain_attention(q, k, v, heads, rate=0.0, rng=None):
 def attention_cases(draw):
     lead = tuple(draw(st.lists(st.integers(1, 5), max_size=3)))  # 2- to 5-d operands
     n, heads, dh = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    per_block = draw(st.integers(1, 4))  # (n, n) matrices per block
+    per_block = draw(st.integers(1, 4))  # weights per block, in (n, n) matrices
     rate = draw(st.sampled_from([0.0, 0.4]))
     strided = draw(st.booleans())
     return lead, n, heads, dh, per_block, rate, strided, draw(st.integers(0, 2**16))
@@ -538,10 +539,13 @@ def attention_cases(draw):
 @example(((2,), 3, 2, 1, 4, 0.4, True, 2))  # exactly one run
 @example(((5,), 3, 1, 2, 2, 0.4, False, 3))  # runs 2 + 2 and a short last run of 1
 @example(((3,), 4, 2, 1, 4, 0.4, True, 4))  # runs 4 + 2: axis-0 indices 0-1, then 2
-@example(((3,), 2, 3, 1, 2, 0.4, False, 5))  # the run of items 2-3 crosses an axis-0 boundary
+@example(((3,), 2, 3, 1, 2, 0.4, False, 5))  # a leading row of 3 matrices overruns a block of 2
 @example(((2, 3, 2), 3, 1, 2, 5, 0.4, True, 7))  # three leading axes: runs 5 + 5 + 2
 @example(((), 6, 1, 3, 1, 0.4, True, 6))  # 2-d: a stack of one, rows never cut
-@example(((), 6, 3, 1, 1, 0.4, True, 8))  # 2-d, three heads: a run per head
+@example(((), 6, 3, 1, 1, 0.4, True, 8))  # 2-d, three heads: one row, one run
+@example(((2,), 8, 2, 2, 2, 0.4, False, 9))  # n = 8: the key sum's 8 accumulators
+@example(((3,), 34, 8, 2, 16, 0.4, True, 10))  # the spatial 34 tokens, 8 heads of 2: runs 2 + 1
+@example(((), 129, 1, 3, 1, 0.0, False, 11))  # n = 129: the key sum split in halves
 def test_attention_matches_the_five_node_chain(case):
     lead, n, heads, dh, per_block, rate, strided, seed = case
     rng = np.random.default_rng(seed)
@@ -567,6 +571,84 @@ def test_attention_matches_the_five_node_chain(case):
         assert got.tobytes() == want.tobytes()
         assert got.strides == want.strides  # downstream matmuls see the same layout
     assert untaped.data.tobytes() == chain[0].tobytes() and none is None
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 4)])
+def test_attention_refuses_an_empty_token_or_feature_axis(shape):
+    zeros = np.zeros(shape)
+    with mock.patch.object(T.np, "empty", side_effect=AssertionError("allocated")):
+        with pytest.raises(ContractError, match=re.escape(str(shape))):
+            T.attention(zeros, zeros, zeros, 2)
+
+
+@st.composite
+def key_sums(draw):
+    """(n, columns) values to sum over axis 0, with specials among them."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, columns = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.normal(size=(n, columns)) * 10.0 ** rng.integers(-30, 30, size=(n, columns))
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan], dtype=dtype)
+    special = rng.random((n, columns)) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    x = x.astype(dtype)
+    x[special] = rng.choice(specials, size=special.sum())
+    return x
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(key_sums())
+@example(np.array([[-0.0]]))  # numpy's sum of -0.0 alone is +0.0
+@example(np.full((8, 2), -0.0, dtype=np.float32))
+@example(np.full((129, 1), -0.0))
+def test_key_sum_matches_numpys_last_axis_sum(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.add.reduce(np.ascontiguousarray(x.T), axis=-1)
+        got = T._sum_keys(x, np.empty_like(x))
+    # numpy's array add and its scalar reduction keep different operands'
+    # NaNs, so a NaN is compared by place, not by sign and payload
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.where(np.isnan(got), 0, got).tobytes() == np.where(np.isnan(want), 0, want).tobytes()
+
+
+def stacked_attention(q, k, v, heads):
+    """Untaped attention as a loop over one copied stack of (n, dh) matrices,
+    with the softmax along each (n,)-row of q kᵀ: a row-major reference for
+    the keys-major loop."""
+    *lead, n, d = q.shape
+    lead, dh = tuple(lead), d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):
+        return a.reshape(lead + (n, heads, dh)).swapaxes(-2, -3).reshape(-1, n, dh)
+
+    qd, kd, vd = split(q), split(k), split(v)
+    kt = kd.swapaxes(-1, -2)
+    run = max(1, T.ATTENTION_BLOCK_BYTES // (n * n * qd.itemsize))
+    out = np.empty((len(qd), n, dh), dtype=qd.dtype)
+    probs = np.empty((len(qd), n, n), dtype=qd.dtype)
+    for start in range(0, len(qd), run):
+        idx = slice(start, start + run)
+        w = np.matmul(qd[idx], kt[idx], out=probs[idx])
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, vd[idx], out=out[idx])
+    out = out.reshape(lead + (heads, n, dh)).swapaxes(-2, -3).reshape(lead + (n, d))
+    return out, probs.reshape(lead + (heads, n, n))
+
+
+@pytest.mark.parametrize("shape", [(648, 34, 16), (8, 81, 544)])  # an 8-clip full-size batch
+def test_float32_eval_attention_matches_the_stacked_loop(shape):
+    rng = np.random.default_rng(50)
+    q, k, v = (rng.normal(scale=2.0, size=shape).astype(np.float32) for _ in range(3))
+    want_out, want_weights = stacked_attention(q, k, v, 8)
+    out, weights = T.attention(q, k, v, 8, keep_weights=True)
+    plain, none = T.attention(q, k, v, 8)
+    assert out.data.tobytes() == plain.data.tobytes() == want_out.tobytes()
+    assert weights.dtype == np.float32 and weights.tobytes() == want_weights.tobytes()
+    assert none is None
 
 
 def test_taped_attention_retains_weights_and_a_bool_mask():

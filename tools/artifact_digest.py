@@ -12,8 +12,10 @@ normalized and written as PGM, ``self1`` as CSV), ``baseline --test`` for
 ``dtw``, ``corr2d`` and ``crossrec``, ``train`` for both branches with a
 two-epoch training config and a small transformer config, ``eval`` of
 both checkpoints, ``eval`` of the CSM checkpoint fused with the DTW
-baseline's predictions through ``--external``, ``export-attn``, and a
-regression-head transformer's ``train`` and ``eval``.  It then prints
+baseline's predictions through ``--external``, ``export-attn``, a
+regression-head transformer's ``train`` and ``eval``, and ``train``,
+``eval`` and ``export-attn`` of a wider transformer (two layers of four
+heads, trained for one epoch).  It then prints
 ``sha256  relative/path`` for every file under OUT_DIR, sorted by path.
 
 Every artifact is deterministic, so two checkouts that should produce the
@@ -38,6 +40,8 @@ from dyadsync.cli import main
 TRAIN_CONFIG = {"epochs": 2, "batch_size": 8}
 MODEL_CONFIG = {"d_joint": 4, "layers": 1, "heads": 2, "dropout": 0.1}
 REGRESS_CONFIG = {**MODEL_CONFIG, "head_kind": "regress"}
+WIDE_CONFIG = {"d_joint": 8, "heads": 4, "layers": 2, "dropout": 0.1}
+WIDE_TRAIN_CONFIG = {**TRAIN_CONFIG, "epochs": 1}
 
 
 def run_pipeline(out: Path) -> None:
@@ -49,6 +53,8 @@ def run_pipeline(out: Path) -> None:
     (configs / "train.json").write_text(json.dumps(TRAIN_CONFIG))
     (configs / "model.json").write_text(json.dumps(MODEL_CONFIG))
     (configs / "model_regress.json").write_text(json.dumps(REGRESS_CONFIG))
+    (configs / "model_wide.json").write_text(json.dumps(WIDE_CONFIG))
+    (configs / "train_wide.json").write_text(json.dumps(WIDE_TRAIN_CONFIG))
 
     steps = [
         ["synth", "--out", str(train), "--per-class", "4", "--seed", "7"],
@@ -86,6 +92,16 @@ def run_pipeline(out: Path) -> None:
          "--model-config", str(configs / "model_regress.json")],
         ["eval", "--ckpt", str(tfn_regress / "model.bin"), "--data", test_manifest,
          "--out", str(out / "eval_regress")],
+    ]
+    tfn_wide = out / "runs" / "tfn_wide"
+    steps += [
+        ["train", "--data", train_manifest, "--out", str(tfn_wide), "--branch", "tfn",
+         "--seed", "3", "--config", str(configs / "train_wide.json"),
+         "--model-config", str(configs / "model_wide.json")],
+        ["eval", "--ckpt", str(tfn_wide / "model.bin"), "--data", test_manifest,
+         "--out", str(out / "eval_wide")],
+        ["export-attn", "--ckpt", str(tfn_wide / "model.bin"), "--data", test_manifest,
+         "--out", str(out / "attn_wide")],
     ]
     for argv in steps:
         with contextlib.redirect_stdout(sys.stderr):  # keep stdout for the digests
