@@ -218,13 +218,13 @@ def cmd_train(args) -> int:
     sequences = load_dataset(args.data,
                              target_f=_model_frames(model, args.model_config, ConfigError))
     # labels before --out, and --out before training, so a refused run leaves no directory
-    targets = targets_from_sequences(sequences, head_loss(model.config.head_kind)[0])
+    loss_kind, _, sign = head_loss(model.config.head_kind)
+    targets = targets_from_sequences(sequences, loss_kind)
     out_dir = output_dir(args.out)
     history = fit(model, (model.prepare_inputs(sequences), targets), train_cfg)
     save_model(model, out_dir / "model.bin")
     save_history(history, out_dir / "history.csv")
-    best = (max if model.config.head_kind == "classify" else min)(
-        h["val_metric"] for h in history)
+    best = sign * max(sign * h["val_metric"] for h in history)
     log.info("trained %s for %d epochs; best val metric %.4f", args.branch,
              len(history), best)
     print(out_dir / "model.bin")

@@ -287,8 +287,9 @@ def load_manifest(path) -> list:
     """Read a dataset manifest: JSON list of {"path", "label_class"|"label_score"}.
 
     Relative entry paths are resolved against the manifest's directory.
-    Two entries may not share a file stem: it is the source id that names
-    every artifact and prediction row of the clip.
+    Two entries may not share a file stem, and a stem may not hold a comma
+    or a line break: it is the source id that names every artifact of the
+    clip and leads each of its CSV rows.
     """
     path = Path(path)
     try:
@@ -317,6 +318,9 @@ def load_manifest(path) -> list:
         entry_path = Path(rec["path"])
         if not entry_path.is_absolute():
             entry_path = path.parent / entry_path
+        if any(c in entry_path.stem for c in ",\n\r"):
+            raise DataError(f"{path}: entry {i} source id {entry_path.stem!r} holds a comma "
+                            "or a line break, which a CSV field cannot")
         first = first_of.setdefault(entry_path.stem, i)
         if first != i:
             raise DataError(f"{path}: entries {first} and {i} share the source id "

@@ -2,12 +2,14 @@
 
 ``fit`` drives any model exposing the small training protocol used
 across this package: a ``params`` ParamStore, a ``config`` dataclass
-whose ``head_kind`` picks the loss, ``forward(inputs, tape, rng)``
-returning an (B, out) tensor, with dropout on exactly when a generator
-``rng`` is passed, ``predict_batch(inputs)`` returning float64 (B, out)
-logits computed in float32, and ``prepare_inputs`` mapping
-SkeletonSequences to its input array.  Training steps run in float64;
-validation scores through ``predict_batch``, as ``dyadsync eval`` does.
+whose ``head_kind`` picks the head's rules (``head_loss``),
+``forward(inputs, tape, rng)`` returning an (B, out) tensor, with
+dropout on exactly when a generator ``rng`` is passed, and
+``predict_batch(inputs)`` returning float64 (B, out) logits computed in
+float32.  It takes a ready ``(inputs, targets)`` pair: the caller builds
+the inputs with the model's ``prepare_inputs`` and the targets with
+``targets_from_sequences``.  Training steps run in float64; validation
+scores through ``predict_batch``, as ``dyadsync eval`` does.
 Runs are deterministic in the seed: shuffling, the validation split, and
 dropout each draw from their own named stream, so equal seeds give
 bit-identical histories.
@@ -79,15 +81,18 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
 
 def head_loss(head_kind: str) -> tuple:
-    """``(loss_kind, loss)`` a head trains on: a ``"classify"`` head takes
-    cross-entropy over class ids, a ``"regress"`` head MSE over scores.
+    """``(loss_kind, loss, sign)`` of a head, the one place its rules live.
 
-    The losses are looked up when called, so a wrapped module attribute is
-    the one that runs.
+    A ``"classify"`` head trains on cross-entropy over class ids and keeps
+    its highest validation accuracy (``sign`` +1); a ``"regress"`` head
+    trains on MSE over scores and keeps its lowest validation MSE
+    (``sign`` -1).  Of two validation metrics, the better is the one with
+    the larger ``sign * metric``.  The losses are looked up when called,
+    so a wrapped module attribute is the one that runs.
     """
     if head_kind == "classify":
-        return "cross_entropy", cross_entropy_loss
-    return "mse", mse_loss
+        return "cross_entropy", cross_entropy_loss, 1
+    return "mse", mse_loss, -1
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +152,10 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_loss_kind(loss_kind: str) -> None:
-    if loss_kind not in ("cross_entropy", "mse"):
-        raise ContractError(f"loss kind must be 'cross_entropy' or 'mse', got {loss_kind!r}")
-
-
 def targets_from_sequences(sequences, loss_kind: str) -> np.ndarray:
     """Pull class ids (``"cross_entropy"``) or scores (``"mse"``) out of labeled sequences."""
-    _check_loss_kind(loss_kind)
+    if loss_kind not in ("cross_entropy", "mse"):
+        raise ContractError(f"loss kind must be 'cross_entropy' or 'mse', got {loss_kind!r}")
     if loss_kind == "cross_entropy":
         out = np.empty(len(sequences), dtype=np.int64)
         for i, seq in enumerate(sequences):
@@ -179,38 +180,26 @@ def _batched_logits(model, inputs: np.ndarray, batch_size: int = 64) -> np.ndarr
     return np.concatenate(chunks, axis=0)
 
 
-def eval_metric(model, inputs: np.ndarray, targets: np.ndarray, loss_kind: str,
-                batch_size: int = 64) -> float:
-    """Accuracy for classification, MSE for regression (eval mode)."""
-    _check_loss_kind(loss_kind)
+def eval_metric(model, inputs: np.ndarray, targets: np.ndarray, batch_size: int = 64) -> float:
+    """Eval-mode accuracy of a ``"classify"`` head, or MSE of a ``"regress"`` one."""
     out = _batched_logits(model, inputs, batch_size)
-    if loss_kind == "cross_entropy":
+    if model.config.head_kind == "classify":
         return float(np.mean(out.argmax(axis=1) == targets))
     return float(np.mean((out.reshape(-1) - targets) ** 2))
 
 
 def fit(model, dataset, cfg: TrainConfig) -> list:
-    """Train ``model``; returns per-epoch history dicts.
+    """Train ``model`` on an ``(inputs, targets)`` pair; returns per-epoch history dicts.
 
-    ``dataset`` is either a list of labeled SkeletonSequences (converted
-    through ``model.prepare_inputs``) or a ready ``(inputs, targets)``
-    pair.  A ``"classify"`` head trains on cross-entropy and keeps the
-    highest validation accuracy; a ``"regress"`` head trains on MSE and
-    keeps the lowest validation MSE.  A seeded 10% validation split drives
+    The head's loss, and whether its highest or lowest validation metric
+    is kept, come from ``head_loss``.  A seeded 10% validation split drives
     best-checkpoint retention; the model ends holding its best-validation
-    parameters.
+    parameters, the earlier epoch's on a tie.
     """
-    classify = model.config.head_kind == "classify"
-    loss_kind, loss_fn = head_loss(model.config.head_kind)
-    if isinstance(dataset, tuple):
-        inputs, targets = dataset
-        inputs = np.asarray(inputs, dtype=np.float64)  # training runs in float64
-        targets = np.asarray(targets)
-    else:
-        if not dataset:
-            raise DataError("empty dataset")
-        inputs = model.prepare_inputs(dataset)
-        targets = targets_from_sequences(dataset, loss_kind)
+    _, loss_fn, sign = head_loss(model.config.head_kind)
+    inputs, targets = dataset
+    inputs = np.asarray(inputs, dtype=np.float64)  # training runs in float64
+    targets = np.asarray(targets)
     n = len(inputs)
     if n == 0:
         raise DataError("empty dataset")
@@ -248,14 +237,8 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
             adam_step(model.params, grads, state, lr)
             total += step_loss * len(idx)
         train_loss = total / len(order)
-        val_metric = eval_metric(model, inputs[val_idx], targets[val_idx],
-                                 loss_kind, cfg.batch_size)
-        improved = (
-            best_metric is None
-            or (classify and val_metric > best_metric)
-            or (not classify and val_metric < best_metric)
-        )
-        if improved:
+        val_metric = eval_metric(model, inputs[val_idx], targets[val_idx], cfg.batch_size)
+        if best_metric is None or sign * val_metric > sign * best_metric:
             best_metric = val_metric
             best_values = model.params.copy_values()
         history.append(

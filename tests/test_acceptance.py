@@ -296,20 +296,21 @@ def test_criterion_06_synthetic_end_to_end():
     train = to_standard_frames(generate_sequences(synth, 100))
     test = to_standard_frames(generate_dyad_sequence(synth, klass, index)
                               for klass in CLASS_NAMES for index in range(100, 130))
+    y_train = targets_from_sequences(train, "cross_entropy")
     y_test = targets_from_sequences(test, "cross_entropy")
 
     train_cfg = TrainConfig(epochs=60, batch_size=8, lr0=1e-3, decay=0.995, seed=0)
 
     tfn = SttfModel(ModelConfig(f=81, num_joints=17, d_joint=4, layers=1,
                                 heads=2, dropout=0.1), seed=0)
-    fit(tfn, train, train_cfg)
+    fit(tfn, (tfn.prepare_inputs(train), y_train), train_cfg)
     inputs = tfn.prepare_inputs(test)
     tfn_logits = np.concatenate([tfn.predict_batch(inputs[i:i + 32])
                                  for i in range(0, len(inputs), 32)])
     tfn_acc = float(np.mean(tfn_logits.argmax(axis=1) == y_test))
 
     csm = CsmModel(CsmConfig(dropout=0.1), seed=0)
-    fit(csm, train, train_cfg)
+    fit(csm, (csm.prepare_inputs(train), y_train), train_cfg)
     csm_logits = csm.predict_batch(csm.prepare_inputs(test))
     csm_acc = float(np.mean(csm_logits.argmax(axis=1) == y_test))
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -334,6 +335,22 @@ def test_train_twice_same_seed_identical_artifacts(tmp_path):
     assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
 
 
+@pytest.mark.parametrize("head, best", [("classify", max), ("regress", min)],
+                         ids=["classify", "regress"])
+def test_train_logs_the_kept_epochs_metric(tmp_path, caplog, head, best):
+    # a classify run keeps its highest validation accuracy, a regress run its lowest MSE
+    manifest = make_dataset(tmp_path, per_class=5)
+    tc, mc = write_tiny_configs(tmp_path, head=head)
+    out = tmp_path / "run"
+    with caplog.at_level(logging.INFO, logger="dyadsync"):
+        assert run("train", "--data", str(manifest), "--out", str(out),
+                   "--config", str(tc), "--model-config", str(mc)) == 0
+    metrics = [float(line.split(",")[3])
+               for line in (out / "history.csv").read_text().splitlines()[1:]]
+    assert min(metrics) != max(metrics)  # the head's order decides which epoch is kept
+    assert f"trained tfn for 3 epochs; best val metric {best(metrics):.4f}" in caplog.messages
+
+
 @pytest.mark.parametrize("key, value", [("loss_kind", "mse"), ("dropout", 0.1)])
 def test_train_config_with_model_setting_is_config_error(tmp_path, capsys, key, value):
     # the task and the dropout belong to --model-config, not to --config
@@ -663,6 +680,27 @@ def test_manifest_repeating_a_source_id_is_data_error(tmp_path, capsys, command)
     assert run(*argv, "--data", str(manifest), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert str(manifest) in err and "entries 0 and 2" in err and "'sync_0000'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", ["sync,0000", "sync\n0000", "sync\r0000"],
+                         ids=["comma", "newline", "return"])
+def test_source_id_a_csv_row_cannot_hold_is_data_error(tmp_path, capsys, stem):
+    # the id leads every predictions.csv and train_features.csv row of its clip
+    raw = make_dataset(tmp_path, per_class=1, frames=40).parent
+    (raw / f"{stem}.json").write_bytes((raw / "sync_0000.json").read_bytes())
+    manifest = raw / "odd.json"
+    manifest.write_text(json.dumps([
+        {"path": "modsync_0000.json", "label_class": "ModSync"},
+        {"path": f"{stem}.json", "label_class": "Sync"},
+        {"path": "unsync_0000.json", "label_class": "Unsync"},
+    ]))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("baseline", "--data", str(manifest), "--test", str(manifest),
+               "--method", "corr2d", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "entry 1" in err and repr(stem) in err
     assert not out.exists()
 
 

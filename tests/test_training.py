@@ -256,7 +256,7 @@ def test_fit_overfits_small_set():
     cfg = TrainConfig(epochs=60, batch_size=4, lr0=1e-2, decay=0.99, seed=7)
     history = fit(model, (images, labels), cfg)
     assert len(history) == 60
-    assert eval_metric(model, images, labels, "cross_entropy") == 1.0
+    assert eval_metric(model, images, labels) == 1.0
 
 
 def test_fit_trains_float32_inputs_in_float64():
@@ -296,18 +296,43 @@ def test_fit_zero_lr_keeps_parameters():
         assert np.array_equal(model.params[name].data, value)
 
 
-def test_fit_retains_best_validation_checkpoint():
+@pytest.mark.parametrize("head, best", [("classify", max), ("regress", min)],
+                         ids=["classify", "regress"])
+def test_fit_retains_best_validation_checkpoint(head, best):
+    # a classify head keeps its highest validation accuracy, a regress head its lowest MSE
     rng = np.random.default_rng(48)
     images, labels = toy_image_set(rng, n=20)
-    model = CsmModel(CsmConfig(side=8, hidden=8, dropout=0.3), seed=7)
-    cfg = TrainConfig(epochs=8, batch_size=4, lr0=5e-3, seed=3)
-    history = fit(model, (images, labels), cfg)
-    best = max(row["val_metric"] for row in history)
+    targets = labels if head == "classify" else 4.0 * labels + 1.0
+    model = CsmModel(CsmConfig(side=8, hidden=8, dropout=0.3, head_kind=head), seed=7)
+    cfg = TrainConfig(epochs=8, batch_size=4, lr0=1e-3, seed=3)
+    history = fit(model, (images, targets), cfg)
+    metrics = [row["val_metric"] for row in history]
+    assert min(metrics) != max(metrics)  # the head's order decides which epoch is kept
     n_val = max(1, round(0.1 * 20))
-    from dyadsync.rng import stream
-
     val_idx = stream(cfg.seed, "split").permutation(20)[:n_val]
-    assert eval_metric(model, images[val_idx], labels[val_idx], "cross_entropy") == best
+    assert eval_metric(model, images[val_idx], targets[val_idx]) == best(metrics)
+
+
+@pytest.mark.parametrize("head, metrics", [("classify", [0.5, 1.0, 0.0, 1.0]),
+                                           ("regress", [3.0, 1.0, 4.0, 1.0])],
+                         ids=["classify", "regress"])
+def test_fit_keeps_the_earlier_of_two_equally_good_epochs(monkeypatch, head, metrics):
+    # validation metrics are scripted: epochs 1 and 3 tie for the best, and 1 is kept
+    seen = []
+
+    def scripted_metric(model, *args):
+        seen.append(model.params.copy_values())
+        return metrics[len(seen) - 1]
+
+    monkeypatch.setattr(training, "eval_metric", scripted_metric)
+    images, labels = toy_image_set(np.random.default_rng(48), n=12)
+    targets = labels if head == "classify" else 4.0 * labels + 1.0
+    model = CsmModel(CsmConfig(side=8, hidden=8, head_kind=head), seed=7)
+    history = fit(model, (images, targets), TrainConfig(epochs=4, batch_size=4, seed=3))
+    assert [row["val_metric"] for row in history] == metrics
+    kept = model.params.copy_values()
+    assert all(np.array_equal(kept[name], seen[1][name]) for name in kept)
+    assert not all(np.array_equal(kept[name], seen[3][name]) for name in kept)
 
 
 def test_fit_regression_mode():
@@ -318,7 +343,7 @@ def test_fit_regression_mode():
     cfg = TrainConfig(epochs=40, batch_size=5, lr0=5e-3, seed=2)
     history = fit(model, (images, scores), cfg)
     assert history[-1]["train_loss"] < history[0]["train_loss"]
-    assert eval_metric(model, images, scores, "mse") < 30.0
+    assert eval_metric(model, images, scores) < 30.0
 
 
 @pytest.mark.parametrize("head, loss", [("classify", "cross_entropy_loss"),
@@ -336,8 +361,8 @@ def test_fit_steps_on_its_heads_loss_as_the_module_holds_it(monkeypatch, head, l
 
 def test_fit_validates_inputs():
     model = CsmModel(CsmConfig(side=4, hidden=4), seed=0)
-    with pytest.raises(DataError):
-        fit(model, [], TrainConfig(epochs=1))
+    with pytest.raises(DataError, match="empty dataset"):
+        fit(model, (np.zeros((0, 4, 4)), np.zeros(0, dtype=np.int64)), TrainConfig(epochs=1))
 
 
 def test_fit_stops_on_non_finite_loss():
@@ -470,9 +495,6 @@ def test_unknown_loss_kind_is_refused(kind):
                              label_score=9.0)]
     with pytest.raises(ContractError, match=f"got '{kind}'"):
         targets_from_sequences(seqs, kind)
-    model = CsmModel(CsmConfig(side=4, hidden=3), seed=0)
-    with pytest.raises(ContractError, match=f"got '{kind}'"):
-        eval_metric(model, np.zeros((3, 4, 4)), np.array([0, 1, 2]), kind)
 
 
 def test_train_config_json_roundtrip(tmp_path):

@@ -12,11 +12,13 @@ normalized and written as PGM, ``self1`` as CSV), ``baseline --test`` for
 ``dtw``, ``corr2d`` and ``crossrec``, ``train`` for both branches with a
 two-epoch training config and a small transformer config, ``eval`` of
 both checkpoints, ``eval`` of the CSM checkpoint fused with the DTW
-baseline's predictions through ``--external``, ``export-attn``, a
-regression-head transformer's ``train`` and ``eval``, and ``train``,
-``eval`` and ``export-attn`` of a wider transformer (two layers of four
-heads, trained for one epoch).  It then prints
-``sha256  relative/path`` for every file under OUT_DIR, sorted by path.
+baseline's predictions through ``--external``, ``export-attn``,
+``train`` and ``eval`` of a regression-head transformer and of a
+regression-head CSM model (so all four (branch, head) pairs ``train``
+builds are covered), and ``train``, ``eval`` and ``export-attn`` of a
+wider transformer (two layers of four heads, trained for one epoch).  It
+then prints ``sha256  relative/path`` for every file under OUT_DIR,
+sorted by path.
 
 Every artifact is deterministic, so two checkouts that should produce the
 same bytes can be compared by running the script against each one's
@@ -40,6 +42,7 @@ from dyadsync.cli import main
 TRAIN_CONFIG = {"epochs": 2, "batch_size": 8}
 MODEL_CONFIG = {"d_joint": 4, "layers": 1, "heads": 2, "dropout": 0.1}
 REGRESS_CONFIG = {**MODEL_CONFIG, "head_kind": "regress"}
+CSM_REGRESS_CONFIG = {"head_kind": "regress"}
 WIDE_CONFIG = {"d_joint": 8, "heads": 4, "layers": 2, "dropout": 0.1}
 WIDE_TRAIN_CONFIG = {**TRAIN_CONFIG, "epochs": 1}
 
@@ -53,6 +56,7 @@ def run_pipeline(out: Path) -> None:
     (configs / "train.json").write_text(json.dumps(TRAIN_CONFIG))
     (configs / "model.json").write_text(json.dumps(MODEL_CONFIG))
     (configs / "model_regress.json").write_text(json.dumps(REGRESS_CONFIG))
+    (configs / "model_csm_regress.json").write_text(json.dumps(CSM_REGRESS_CONFIG))
     (configs / "model_wide.json").write_text(json.dumps(WIDE_CONFIG))
     (configs / "train_wide.json").write_text(json.dumps(WIDE_TRAIN_CONFIG))
 
@@ -85,13 +89,18 @@ def run_pipeline(out: Path) -> None:
          "--external", str(out / "baseline" / "dtw" / "predictions.csv"),
          "--data", test_manifest, "--out", str(out / "eval_external")],
     ]
-    tfn_regress = out / "runs" / "tfn_regress"
+    tfn_regress, csm_regress = out / "runs" / "tfn_regress", out / "runs" / "csm_regress"
     steps += [
         ["train", "--data", train_manifest, "--out", str(tfn_regress), "--branch", "tfn",
          "--seed", "3", "--config", str(configs / "train.json"),
          "--model-config", str(configs / "model_regress.json")],
         ["eval", "--ckpt", str(tfn_regress / "model.bin"), "--data", test_manifest,
          "--out", str(out / "eval_regress")],
+        ["train", "--data", train_manifest, "--out", str(csm_regress), "--branch", "csm",
+         "--seed", "3", "--config", str(configs / "train.json"),
+         "--model-config", str(configs / "model_csm_regress.json")],
+        ["eval", "--ckpt", str(csm_regress / "model.bin"), "--data", test_manifest,
+         "--out", str(out / "eval_csm_regress")],
     ]
     tfn_wide = out / "runs" / "tfn_wide"
     steps += [
