@@ -261,7 +261,7 @@ def save_features(features: list, path) -> None:
     for f in features:
         values = ",".join(f"{v:.17g}" for v in f.vector)
         lines.append(f"{f.source_id},{f.method},{values}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_classifier(clf: LinearClassifier, path) -> None:
@@ -272,5 +272,5 @@ def save_classifier(clf: LinearClassifier, path) -> None:
         "std": clf.std.tolist(),
         "trained_on": clf.trained_on,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -33,7 +33,7 @@ def config_from_dict(cls, doc):
 def load_config(path, cls):
     """Read a config JSON file into ``cls``; every failure names the file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from None
     except ValueError as exc:  # bad JSON or a file that is not UTF-8 text

@@ -82,7 +82,7 @@ def fuse_predictions(preds: list) -> list:
 
     stacks = list(branches.values())
     if is_logits:
-        logits = np.array([[p.logits for p in rows] for rows in stacks], dtype=np.float64)
+        logits = T.Tensor(np.array([[p.logits for p in rows] for rows in stacks], dtype=np.float64))
         probs = T.softmax_rows(logits).data.mean(axis=0)  # (branches, samples, 3) -> (samples, 3)
         return [BranchPrediction("fused", sid, logits=row) for sid, row in zip(ids, probs)]
     return [BranchPrediction("fused", sid, score=float(np.mean([rows[i].score for rows in stacks])))
@@ -177,7 +177,7 @@ def save_predictions(preds: list, path) -> None:
             lines.append(f"{p.source_id},{p.branch},{values}")
         else:
             lines.append(f"{p.source_id},{p.branch},{p.score:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_predictions(path) -> list:
@@ -221,7 +221,8 @@ def metrics_to_dict(report: MetricsReport, cm: ConfusionMatrix) -> dict:
 
 
 def save_metrics(report: MetricsReport, cm: ConfusionMatrix, path) -> None:
-    Path(path).write_text(json.dumps(metrics_to_dict(report, cm), indent=2, sort_keys=True) + "\n")
+    doc = metrics_to_dict(report, cm)
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def format_report(report: MetricsReport, cm: ConfusionMatrix) -> str:

@@ -366,9 +366,9 @@ def write_dataset(sequences, out_dir, image_size) -> Path:
                   for t in range(seq.num_frames)]
         doc = {"image_size": list(image_size), "frames": frames}
         name = f"{seq.source_id}.json"
-        (out_dir / name).write_text(json.dumps(doc, separators=(",", ":")))
+        (out_dir / name).write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
         entry = {"path": name, "label_class": seq.label_class, "label_score": seq.label_score}
         entries.append({key: value for key, value in entry.items() if value is not None})
     manifest = out_dir / "manifest.json"
-    manifest.write_text(json.dumps(entries, indent=2) + "\n")
+    manifest.write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
     return manifest

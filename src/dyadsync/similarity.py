@@ -112,7 +112,9 @@ def save_binary(m: SimilarityMatrix, path) -> None:
 
 
 def save_csv(m: SimilarityMatrix, path) -> None:
-    np.savetxt(path, m.values, fmt="%.17g", delimiter=",")
+    # np.savetxt given a path also opens it once in the locale's encoding
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, m.values, fmt="%.17g", delimiter=",")
 
 
 def save_pgm(m: SimilarityMatrix, path) -> None:

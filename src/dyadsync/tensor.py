@@ -11,8 +11,9 @@ reverse topological order.
 Every primitive computes its output, then hands it to :func:`_record`
 with its inputs and its backward closure.  That one function decides
 whether a node is recorded: when no input lives on a tape the output
-comes back untracked, so an eval forward records nothing.  Dropout is
-on exactly when a random generator is passed.
+comes back untracked, so an eval forward records nothing.  Every
+operand is a :class:`Tensor`; a constant is wrapped where it is made.
+Dropout is on exactly when a random generator is passed.
 
 A tensor holds float64 or float32 data: float32 input stays float32 and
 anything else becomes float64 (:func:`as_array`).  Every primitive's
@@ -253,10 +254,6 @@ class _Tracked(Mapping):
 # ---------------------------------------------------------------------------
 
 
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def _record(out: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
     """``out`` as a tensor, recorded with ``backward`` on the inputs' tape.
 
@@ -291,8 +288,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
@@ -301,8 +297,7 @@ def add(a, b) -> Tensor:
     return _record(a.data + b.data, (a, b), backward)
 
 
-def multiply(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def multiply(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def backward(g):
@@ -311,13 +306,12 @@ def multiply(a, b) -> Tensor:
     return _record(ad * bd, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy's stacked-matrix broadcasting.
 
     Both operands must have ndim >= 2; leading (batch) dimensions
     broadcast and are sum-reduced in the backward pass.
     """
-    a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ContractError(f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -332,8 +326,7 @@ def matmul(a, b) -> Tensor:
     return _record(ad @ bd, (a, b), backward)
 
 
-def reshape(x, shape) -> Tensor:
-    x = _wrap(x)
+def reshape(x: Tensor, shape) -> Tensor:
     in_shape = x.data.shape
 
     def backward(g):
@@ -342,8 +335,7 @@ def reshape(x, shape) -> Tensor:
     return _record(x.data.reshape(shape), (x,), backward)
 
 
-def transpose(x, axes) -> Tensor:
-    x = _wrap(x)
+def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
 
     def backward(g):
@@ -352,9 +344,8 @@ def transpose(x, axes) -> Tensor:
     return _record(x.data.transpose(axes), (x,), backward)
 
 
-def reduce_sum(x) -> Tensor:
+def reduce_sum(x: Tensor) -> Tensor:
     """Sum of every element, a 0-d tensor."""
-    x = _wrap(x)
     in_shape = x.data.shape
 
     def backward(g):
@@ -363,8 +354,7 @@ def reduce_sum(x) -> Tensor:
     return _record(x.data.sum(), (x,), backward)
 
 
-def reduce_mean(x, axis=None) -> Tensor:
-    x = _wrap(x)
+def reduce_mean(x: Tensor, axis=None) -> Tensor:
     in_shape = x.data.shape
     out = x.data.mean(axis=axis)
     count = x.data.size // out.size
@@ -376,9 +366,8 @@ def reduce_mean(x, axis=None) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def linear_apply(x, weight, bias) -> Tensor:
+def linear_apply(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``x @ weight + bias`` over the trailing axis of ``x``."""
-    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if x.data.shape[-1] != weight.data.shape[-2]:
         raise ContractError(f"linear_apply: input {x.shape} does not match weight {weight.shape}")
     if bias.data.shape != weight.data.shape[-1:]:
@@ -400,13 +389,12 @@ def _softmax_rows_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return gx
 
 
-def softmax_rows(x) -> Tensor:
+def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis, with per-row max subtraction.
 
     The copy of the input is the only fresh array: the max-subtract,
     ``exp`` and divide run in place in it.
     """
-    x = _wrap(x)
     out = x.data.copy(order="K")
     _softmax_rows_inplace(out)
 
@@ -416,9 +404,8 @@ def softmax_rows(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def log_softmax(x) -> Tensor:
+def log_softmax(x: Tensor) -> Tensor:
     """Log of softmax along the last axis; stable for extreme logits."""
-    x = _wrap(x)
     z = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = z - lse
@@ -434,9 +421,8 @@ _GELU_A = 0.044715
 LAYER_NORM_EPS = 1e-5
 
 
-def gelu(x) -> Tensor:
+def gelu(x: Tensor) -> Tensor:
     """Smooth gated nonlinearity, tanh form: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    x = _wrap(x)
     v = x.data
     with np.errstate(over="ignore"):  # an infinite cube is harmless: tanh(+-inf) = +-1
         t = v * v  # one scratch array: c*(a*v*v*v + v), then its tanh
@@ -465,9 +451,8 @@ def gelu(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def layer_norm(x, gain, shift) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    x, gain, shift = _wrap(x), _wrap(gain), _wrap(shift)
     v = x.data
     mu = v.mean(axis=-1, keepdims=True)
     centered = v - mu
@@ -500,20 +485,22 @@ def _keep_mask(rng, shape: tuple, rate: float) -> np.ndarray:
     return rng.random(shape) >= rate
 
 
-def _dropped(x: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
-    """``x * scale`` zeroed where ``keep`` is False, as a fresh array.
+def _dropped(x: np.ndarray, keep: np.ndarray, scale: float,
+             out: Optional[np.ndarray]) -> np.ndarray:
+    """``x * scale`` zeroed where ``keep`` is False, written to ``out``, or
+    to a fresh array when ``out`` is None.
 
     Scaling first, then multiplying by the boolean mask, gives the same
-    bits as one multiply by a float mask of 0 and ``scale``.  The result
-    is C-ordered, as the product with a C-ordered float mask was,
-    whatever the layout of ``x``.
+    bits as one multiply by a float mask of 0 and ``scale``.  A fresh
+    result is C-ordered, as the product with a C-ordered float mask was,
+    whatever the layout of ``x``; an ``out`` must be C-ordered too.
     """
-    out = np.multiply(x, scale, order="C")
+    out = np.multiply(x, scale, out=out, order="C")
     out *= keep
     return out
 
 
-def dropout_apply(x, rate: float, rng=None) -> Tensor:
+def dropout_apply(x: Tensor, rate: float, rng=None) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors.
 
     Dropout is on exactly when a generator is passed, so every active
@@ -522,16 +509,15 @@ def dropout_apply(x, rate: float, rng=None) -> Tensor:
     keeps a boolean mask.
     """
     _check_rate(rate)
-    x = _wrap(x)
     if rng is None or rate == 0.0:
         return x
     scale = 1.0 / (1.0 - rate)
     keep = _keep_mask(rng, x.data.shape, rate)
 
     def backward(g):
-        return (_dropped(g, keep, scale),)
+        return (_dropped(g, keep, scale, None),)
 
-    return _record(_dropped(x.data, keep, scale), (x,), backward)
+    return _record(_dropped(x.data, keep, scale, None), (x,), backward)
 
 
 # Bytes of attention probabilities computed per block; a block holds the
@@ -576,7 +562,7 @@ def _sum_keys(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return acc[0]
 
 
-def attention(q, k, v, heads: int, rate: float = 0.0, rng=None,
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float = 0.0, rng=None,
               keep_weights: bool = False):
     """Multi-head ``dropout(softmax(q kᵀ / sqrt(dh))) @ v`` as one tape node.
 
@@ -594,7 +580,9 @@ def attention(q, k, v, heads: int, rate: float = 0.0, rng=None,
     dropout and matmul chain, so the output and the gradients are bit for
     bit that chain's between head split and merge nodes.  Dropout is on
     exactly when a generator is passed; its mask is drawn block by block in
-    C order, which is the one draw over the whole array.
+    C order, which is the one draw over the whole array, and every block is
+    dropped out by :func:`_dropped` into the scratch array of its spent
+    scores, so the probabilities stay undropped.
 
     Returns ``(out, weights)``, with the pre-dropout (..., heads, n, n)
     probabilities as ``weights`` when ``keep_weights`` is set, else None.
@@ -603,7 +591,6 @@ def attention(q, k, v, heads: int, rate: float = 0.0, rng=None,
     holds one block of scores and one of weights, and keeps no (..., n, n)
     array unless ``keep_weights`` asks for it.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if not q.shape == k.shape == v.shape:
         raise ContractError(f"Q {q.shape}, K {k.shape} and V {v.shape} must match")
     if q.data.ndim < 2:
@@ -661,11 +648,8 @@ def attention(q, k, v, heads: int, rate: float = 0.0, rng=None,
             mask = _keep_mask(rng, w.shape, rate)
             if keep is not None:
                 keep[idx] = mask
-            if probs is None:  # the reused block; kept probabilities stay undropped
-                w *= keep_scale
-                w *= mask
-            else:
-                w = _dropped(w, mask, keep_scale)
+            # the scores are spent, so their scratch takes the dropped-out weights
+            w = _dropped(w, mask, keep_scale, scratch[:w.size].reshape(w.shape))
         np.matmul(w, vh[idx], out=oh[idx])
     weights = probs.reshape(lead + (heads, n, n)) if keep_weights else None
     if not taped:
@@ -677,11 +661,11 @@ def attention(q, k, v, heads: int, rate: float = 0.0, rng=None,
         gkt = np.empty((rows, heads, dh, n), dtype=dtype)
         for idx in blocks:
             p = probs[idx]
-            w = p if keep is None else _dropped(p, keep[idx], keep_scale)
+            w = p if keep is None else _dropped(p, keep[idx], keep_scale, None)
             np.matmul(w.swapaxes(-1, -2), gh[idx], out=gvh[idx])
             gw = gh[idx] @ vh[idx].swapaxes(-1, -2)
             if keep is not None:
-                gw = _dropped(gw, keep[idx], keep_scale)
+                gw = _dropped(gw, keep[idx], keep_scale, None)
             gs = _softmax_rows_grad(gw, p)
             gs *= scale
             np.matmul(gs, kh[idx], out=gqh[idx])

@@ -255,4 +255,4 @@ def save_history(history: list, path) -> None:
         lines.append(
             f"{row['epoch']},{row['lr']:.17g},{row['train_loss']:.17g},{row['val_metric']:.17g}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -495,6 +495,39 @@ def test_eval_non_finite_external_value_is_data_error(tmp_path, capsys, header, 
     assert not out.exists()
 
 
+def test_text_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    # an ASCII locale with no UTF-8 mode, and a locale-encoded open as an error:
+    # every text write names UTF-8, so a non-ASCII branch still fuses
+    env = package_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    env.pop("PYTHONIOENCODING", None)
+    tc, mc = write_tiny_configs(tmp_path)
+    manifest = "raw/manifest.json"
+
+    def run_ascii(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "dyadsync", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, f"{argv[0]}: {proc.stderr}"
+
+    run_ascii("synth", "--out", "raw", "--per-class", "2", "--frames", "40", "--seed", "5")
+    run_ascii("csm", "--data", manifest, "--out", "csm", "--format", "csv")
+    run_ascii("baseline", "--data", manifest, "--test", manifest, "--method", "corr2d",
+              "--out", "base")
+    run_ascii("train", "--data", manifest, "--out", "run", "--config", str(tc),
+              "--model-config", str(mc))
+    run_ascii("eval", "--ckpt", "run/model.bin", "--data", manifest, "--out", "eval")
+    ids = [e.path.stem for e in load_manifest(tmp_path / manifest)]
+    ext = tmp_path / "flöw.csv"
+    ext.write_text("source_id,branch,p0,p1,p2\n" + external_rows(ids, "flöw"), encoding="utf-8")
+    run_ascii("eval", "--external", ext.name, "--data", manifest, "--out", "eval_external")
+    assert run("eval", "--external", str(ext), "--data", str(tmp_path / manifest),
+               "--out", str(tmp_path / "eval_default")) == 0
+    written = (tmp_path / "eval_external" / "predictions.csv").read_bytes()
+    assert "flöw".encode() in written
+    assert written == (tmp_path / "eval_default" / "predictions.csv").read_bytes()
+
+
 def test_eval_without_sources_is_config_error(tmp_path):
     manifest = make_dataset(tmp_path, per_class=1)
     assert run("eval", "--data", str(manifest), "--out", str(tmp_path / "x")) == 2

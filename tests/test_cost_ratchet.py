@@ -78,7 +78,7 @@ def test_untaped_float32_spatial_attention_holds_one_scores_and_one_weights_bloc
     cfg = ModelConfig()
     shape = (8 * cfg.f, 2 * cfg.num_joints, cfg.d_joint)
     rng = np.random.default_rng(6)
-    q, k, v = (rng.normal(size=shape).astype(np.float32) for _ in range(3))
+    q, k, v = (T.Tensor(rng.normal(size=shape).astype(np.float32)) for _ in range(3))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -99,11 +99,11 @@ def test_attention_scaling_invariance():
 
 def test_attention_shape_validation():
     with pytest.raises(ContractError, match=r"Q \(3, 4\), K \(2, 4\) and V \(2, 4\) must match"):
-        T.attention(np.ones((3, 4)), np.ones((2, 4)), np.ones((2, 4)), 1)
+        T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), 1)
     with pytest.raises(ContractError, match=r"Q \(3, 4\), K \(3, 4\) and V \(3, 2\) must match"):
-        T.attention(np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 2)), 1)
+        T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))), 1)
     with pytest.raises(ConfigError, match=r"heads \(3\) must divide model dim \(4\)"):
-        T.attention(np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 4)), 3)
+        T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), 3)
 
 
 # ---------------------------------------------------------------------------

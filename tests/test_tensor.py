@@ -228,7 +228,7 @@ def test_attention_scale_matches_multiply_then_softmax():
         for heads in (12, 2, 1):
             qh, kh = (chain_split(T.Tensor(a), heads) for a in (q, k))
             scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2)))
-            separate = T.multiply(scores, 1.0 / math.sqrt(12 // heads)).data
+            separate = T.multiply(scores, T.Tensor(1.0 / math.sqrt(12 // heads))).data
             _, weights = T.attention(T.Tensor(q), T.Tensor(k), v, heads, keep_weights=True)
             assert weights.tobytes() == unfused_softmax_rows(separate).tobytes()
 
@@ -246,7 +246,7 @@ def test_scaled_softmax_gradients_match_multiply_then_softmax():
         else:
             qh, kh, vh = (chain_split(t, heads) for t in (qt, kt, vt))
             scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2)))
-            probs_t = unfused_softmax_node(T.multiply(scores, scale))
+            probs_t = unfused_softmax_node(T.multiply(scores, T.Tensor(scale)))
             out, probs = chain_merge(T.matmul(probs_t, vh)), probs_t.data
         grads = tape.backward((out * T.Tensor(w)).sum())
         return (out.data, probs, grads[qt.node_id], grads[kt.node_id], grads[vt.node_id],
@@ -565,7 +565,8 @@ def test_attention_matches_the_five_node_chain(case):
 
     with mock.patch.object(T, "ATTENTION_BLOCK_BYTES", per_block * n * n * 8):
         fused = run(lambda *a: T.attention(*a, keep_weights=True))
-        untaped, none = T.attention(q, k, v, heads, rate, stream(seed, "dropout"))
+        untaped, none = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, rate,
+                                    stream(seed, "dropout"))
     chain = run(chain_attention)
     for got, want in zip(fused, chain):
         assert got.tobytes() == want.tobytes()
@@ -575,7 +576,7 @@ def test_attention_matches_the_five_node_chain(case):
 
 @pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 4)])
 def test_attention_refuses_an_empty_token_or_feature_axis(shape):
-    zeros = np.zeros(shape)
+    zeros = T.Tensor(np.zeros(shape))
     with mock.patch.object(T.np, "empty", side_effect=AssertionError("allocated")):
         with pytest.raises(ContractError, match=re.escape(str(shape))):
             T.attention(zeros, zeros, zeros, 2)
@@ -644,8 +645,9 @@ def test_float32_eval_attention_matches_the_stacked_loop(shape):
     rng = np.random.default_rng(50)
     q, k, v = (rng.normal(scale=2.0, size=shape).astype(np.float32) for _ in range(3))
     want_out, want_weights = stacked_attention(q, k, v, 8)
-    out, weights = T.attention(q, k, v, 8, keep_weights=True)
-    plain, none = T.attention(q, k, v, 8)
+    qt, kt, vt = T.Tensor(q), T.Tensor(k), T.Tensor(v)
+    out, weights = T.attention(qt, kt, vt, 8, keep_weights=True)
+    plain, none = T.attention(qt, kt, vt, 8)
     assert out.data.tobytes() == plain.data.tobytes() == want_out.tobytes()
     assert weights.dtype == np.float32 and weights.tobytes() == want_weights.tobytes()
     assert none is None

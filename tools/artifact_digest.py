@@ -15,8 +15,12 @@ both checkpoints, ``eval`` of the CSM checkpoint fused with the DTW
 baseline's predictions through ``--external``, ``export-attn``,
 ``train`` and ``eval`` of a regression-head transformer and of a
 regression-head CSM model (so all four (branch, head) pairs ``train``
-builds are covered), and ``train``, ``eval`` and ``export-attn`` of a
-wider transformer (two layers of four heads, trained for one epoch).  It
+builds are covered), ``train``, ``eval`` and ``export-attn`` of a
+wider transformer (two layers of four heads, trained for one epoch), an
+``eval`` of the DTW baseline's predictions alone through ``--external``
+(no ``--ckpt``, so the fused order is the CSV's first branch's), and a
+one-epoch ``train`` and an ``eval`` of a thin transformer (4 frames and
+one feature per spatial head).  Every config is written as UTF-8.  It
 then prints ``sha256  relative/path`` for every file under OUT_DIR,
 sorted by path.
 
@@ -45,6 +49,12 @@ REGRESS_CONFIG = {**MODEL_CONFIG, "head_kind": "regress"}
 CSM_REGRESS_CONFIG = {"head_kind": "regress"}
 WIDE_CONFIG = {"d_joint": 8, "heads": 4, "layers": 2, "dropout": 0.1}
 WIDE_TRAIN_CONFIG = {**TRAIN_CONFIG, "epochs": 1}
+# one feature per spatial head (fresh()'s strided layout) and 4 temporal
+# tokens (the key sum's one-by-one regime below 8 terms)
+THIN_CONFIG = {"f": 4, "d_joint": 4, "heads": 4, "layers": 1, "dropout": 0.1}
+CONFIGS = {"train": TRAIN_CONFIG, "model": MODEL_CONFIG, "model_regress": REGRESS_CONFIG,
+           "model_csm_regress": CSM_REGRESS_CONFIG, "model_wide": WIDE_CONFIG,
+           "train_wide": WIDE_TRAIN_CONFIG, "model_thin": THIN_CONFIG}
 
 
 def run_pipeline(out: Path) -> None:
@@ -53,12 +63,8 @@ def run_pipeline(out: Path) -> None:
     train_manifest, test_manifest = str(train / "manifest.json"), str(test / "manifest.json")
     configs = out / "configs"
     configs.mkdir(parents=True)
-    (configs / "train.json").write_text(json.dumps(TRAIN_CONFIG))
-    (configs / "model.json").write_text(json.dumps(MODEL_CONFIG))
-    (configs / "model_regress.json").write_text(json.dumps(REGRESS_CONFIG))
-    (configs / "model_csm_regress.json").write_text(json.dumps(CSM_REGRESS_CONFIG))
-    (configs / "model_wide.json").write_text(json.dumps(WIDE_CONFIG))
-    (configs / "train_wide.json").write_text(json.dumps(WIDE_TRAIN_CONFIG))
+    for name, config in CONFIGS.items():
+        (configs / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
 
     steps = [
         ["synth", "--out", str(train), "--per-class", "4", "--seed", "7"],
@@ -111,6 +117,17 @@ def run_pipeline(out: Path) -> None:
          "--out", str(out / "eval_wide")],
         ["export-attn", "--ckpt", str(tfn_wide / "model.bin"), "--data", test_manifest,
          "--out", str(out / "attn_wide")],
+    ]
+    tfn_thin = out / "runs" / "tfn_thin"
+    steps += [
+        # no --ckpt: the fused order is the CSV's first branch's
+        ["eval", "--external", str(out / "baseline" / "dtw" / "predictions.csv"),
+         "--data", test_manifest, "--out", str(out / "eval_external_only")],
+        ["train", "--data", train_manifest, "--out", str(tfn_thin), "--branch", "tfn",
+         "--seed", "3", "--config", str(configs / "train_wide.json"),
+         "--model-config", str(configs / "model_thin.json")],
+        ["eval", "--ckpt", str(tfn_thin / "model.bin"), "--data", test_manifest,
+         "--out", str(out / "eval_thin")],
     ]
     for argv in steps:
         with contextlib.redirect_stdout(sys.stderr):  # keep stdout for the digests
