@@ -48,9 +48,9 @@ class CsmModel:
         self.params = ParamStore(seed, scope="csm")
         d_in = config.side * config.side
         self.params.add_uniform("w1", (d_in, config.hidden))
-        self.params.add_zeros("b1", (config.hidden,))
+        self.params.add("b1", np.zeros(config.hidden))
         self.params.add_uniform("w2", (config.hidden, config.out_dim))
-        self.params.add_zeros("b2", (config.out_dim,))
+        self.params.add("b2", np.zeros(config.out_dim))
 
     def forward(self, images: np.ndarray, tape=None, rng=None):
         """(B, side, side) CSM images -> (B, out_dim) tensor; dropout iff ``rng``.

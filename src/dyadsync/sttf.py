@@ -106,7 +106,7 @@ class SttfModel:
         d, c, tokens = cfg.d_joint, cfg.c_temp, cfg.tokens_spatial
         p = self.params
         p.add_uniform("joint_proj.w", (2, d))
-        p.add_zeros("joint_proj.b", (d,))
+        p.add("joint_proj.b", np.zeros(d))
         p.add_uniform("spatial.pos", (tokens, d))
         for l in range(cfg.layers):
             self._add_layer(f"spatial.{l}", d)
@@ -116,20 +116,20 @@ class SttfModel:
         for l in range(cfg.layers):
             self._add_layer(f"temporal.{l}", c)
         p.add_uniform("head.w", (c, cfg.out_dim))
-        p.add_zeros("head.b", (cfg.out_dim,))
+        p.add("head.b", np.zeros(cfg.out_dim))
 
     def _add_layer(self, prefix: str, d: int) -> None:
         p = self.params
         for name in ("wq", "wk", "wv", "wo"):
             p.add_uniform(f"{prefix}.attn.{name}", (d, d))
-        p.add_ones(f"{prefix}.norm1.g", (d,))
-        p.add_zeros(f"{prefix}.norm1.b", (d,))
-        p.add_ones(f"{prefix}.norm2.g", (d,))
-        p.add_zeros(f"{prefix}.norm2.b", (d,))
+        p.add(f"{prefix}.norm1.g", np.ones(d))
+        p.add(f"{prefix}.norm1.b", np.zeros(d))
+        p.add(f"{prefix}.norm2.g", np.ones(d))
+        p.add(f"{prefix}.norm2.b", np.zeros(d))
         p.add_uniform(f"{prefix}.mlp.w1", (d, 4 * d))
-        p.add_zeros(f"{prefix}.mlp.b1", (4 * d,))
+        p.add(f"{prefix}.mlp.b1", np.zeros(4 * d))
         p.add_uniform(f"{prefix}.mlp.w2", (4 * d, d))
-        p.add_zeros(f"{prefix}.mlp.b2", (d,))
+        p.add(f"{prefix}.mlp.b2", np.zeros(d))
 
     # -- forward pieces ----------------------------------------------------
 
@@ -189,17 +189,16 @@ class SttfModel:
         pooled = y.mean(axis=-2)
         return T.linear_apply(pooled, p["head.w"], p["head.b"])
 
-    def forward(self, frames: np.ndarray, tape=None, rng=None,
-                capture_spatial: Optional[list] = None,
-                capture_temporal: Optional[list] = None):
+    def forward(self, frames: np.ndarray, tape=None, rng=None, capture: Optional[list] = None):
         """Full pass over a (B, f, 2, J, 2) batch -> (B, out_dim) tensor; dropout iff ``rng``.
 
         It computes in the dtype of ``frames``, float32 or else float64.
+        A ``capture`` list gets each layer's pre-dropout attention weights, spatial layers first.
         """
         frames = T.as_array(frames)
         p = self.params.tracked(tape, frames.dtype)
-        z = self._spatial_stack(frames, p, rng, capture_spatial)
-        y = self._temporal_stack(z, p, rng, capture_temporal)
+        z = self._spatial_stack(frames, p, rng, capture)
+        y = self._temporal_stack(z, p, rng, capture)
         return self._head(y, p)
 
     def predict_batch(self, frames: np.ndarray) -> np.ndarray:
@@ -215,16 +214,16 @@ def export_attention(model: SttfModel, seq: SkeletonSequence) -> dict:
     """Eval-mode attention capture for one sequence.
 
     Returns ``{"spatial": (L, h, 2J, 2J), "temporal": (L, h, f, f)}``
-    float64 arrays.  Spatial maps are averaged over the f frames (an
-    average of row-stochastic matrices is row-stochastic), giving one
+    float64 arrays, the forward's one capture list split at L.  Spatial
+    maps are averaged over the f frames (still row-stochastic), one
     2J x 2J map per layer and head; temporal maps are the f x f weights
     as-is.  ``maps["spatial"][l, h, a*J:(a+1)*J, b*J:(b+1)*J]`` is the
     J x J block of person a attending to person b.
     """
     cfg = model.config
-    cap_s: list = []
-    cap_t: list = []
-    model.forward(seq.frames[None], capture_spatial=cap_s, capture_temporal=cap_t)
+    captured: list = []
+    model.forward(seq.frames[None], capture=captured)
+    cap_s, cap_t = captured[:cfg.layers], captured[cfg.layers:]
     t, h = cfg.tokens_spatial, cfg.heads
     # the reshape also gives the (0, h, ...) stacks of a model with no layers
     return {"spatial": np.array([layer.mean(axis=0) for layer in cap_s]).reshape(-1, h, t, t),

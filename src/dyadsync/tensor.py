@@ -32,7 +32,6 @@ are safe to share read-only across threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from typing import Callable, Optional
 
 import numpy as np
@@ -127,10 +126,6 @@ class Tape:
             nid = self._leaves[name] = self.record((), None)
         return Tensor(data, self, nid)
 
-    def leaf_id(self, name: str) -> Optional[int]:
-        """Node id of the leaf named ``name``, or None if never registered."""
-        return self._leaves.get(name)
-
     def backward(self, output: Tensor) -> list:
         """Gradients of ``output`` w.r.t. every node, indexed by node id.
 
@@ -201,26 +196,20 @@ class ParamStore:
         a = math.sqrt(6.0 / (fan_in + fan_out))
         return self.add(name, self._init_rng.uniform(-a, a, size=shape))
 
-    def add_zeros(self, name: str, shape) -> Tensor:
-        return self.add(name, np.zeros(shape))
-
-    def add_ones(self, name: str, shape) -> Tensor:
-        return self.add(name, np.ones(shape))
-
     def replace(self, name: str, data) -> None:
         """Swap in a new value for an existing parameter (functional update)."""
         if name not in self._values:
             raise ContractError(f"unknown parameter {name!r}")
         self._values[name] = Tensor(np.asarray(data, dtype=np.float64))
 
-    def tracked(self, tape: Optional[Tape], dtype=np.float64) -> Mapping:
-        """Read-only map of name -> tensor in ``dtype``; tracked leaves when a tape is given.
+    def tracked(self, tape: Optional[Tape], dtype=np.float64) -> "_Tracked":
+        """Lookup of each parameter by name, in ``dtype``; tracked leaves when a tape is given.
 
         With ``tape=None`` the values are untracked, which gives a
         gradient-free forward pass.  A leaf is registered on the tape under
         its parameter name at first lookup, so :func:`gradient_of` finds
         it.  Use a fresh tape per forward pass.  Float64 values are handed
-        out uncopied; a float32 map casts a parameter at each lookup.
+        out uncopied; a float32 lookup casts a parameter each time.
         """
         return _Tracked(self._values, tape, dtype)
 
@@ -232,8 +221,8 @@ class ParamStore:
             self.replace(name, np.array(data, dtype=np.float64))
 
 
-class _Tracked(Mapping):
-    """The live view :meth:`ParamStore.tracked` returns."""
+class _Tracked:
+    """The live lookup :meth:`ParamStore.tracked` returns: index it by parameter name."""
 
     def __init__(self, values: dict, tape: Optional[Tape], dtype):
         self._values, self._tape, self._dtype = values, tape, dtype
@@ -241,12 +230,6 @@ class _Tracked(Mapping):
     def __getitem__(self, name: str) -> Tensor:
         data = self._values[name].data.astype(self._dtype, copy=False)
         return Tensor(data) if self._tape is None else self._tape.named_leaf(name, data)
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +350,8 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
 
 
 def linear_apply(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weight + bias`` over the trailing axis of ``x``."""
-    if x.data.shape[-1] != weight.data.shape[-2]:
-        raise ContractError(f"linear_apply: input {x.shape} does not match weight {weight.shape}")
+    """Affine map ``x @ weight + bias`` over the trailing axis of ``x``; :func:`matmul`
+    checks the contraction, and a bias that would broadcast is refused here."""
     if bias.data.shape != weight.data.shape[-1:]:
         raise ContractError(f"linear_apply: bias {bias.shape} does not match weight {weight.shape}")
     return add(matmul(x, weight), bias)
@@ -591,6 +573,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float = 0.0, rn
     holds one block of scores and one of weights, and keeps no (..., n, n)
     array unless ``keep_weights`` asks for it.
     """
+    if not all(isinstance(t, Tensor) for t in (q, k, v)):
+        raise ContractError("attention takes Tensors, got "
+                            f"{', '.join(type(t).__name__ for t in (q, k, v))}")
     if not q.shape == k.shape == v.shape:
         raise ContractError(f"Q {q.shape}, K {k.shape} and V {v.shape} must match")
     if q.data.ndim < 2:
@@ -696,7 +681,7 @@ def gradient_of(loss: Tensor, params: ParamStore) -> dict:
     grads = loss.tape.backward(loss)
     out = {}
     for name, value in params.items():
-        nid = loss.tape.leaf_id(name)
+        nid = loss.tape._leaves.get(name)
         g = grads[nid] if nid is not None else None
         out[name] = Tensor(g if g is not None else np.zeros_like(value.data))
     return out

@@ -5,7 +5,6 @@ pass/fail lines.  Criterion 6 trains real models on synthetic data and
 dominates the runtime; everything else finishes in seconds.
 """
 
-import itertools
 import json
 import math
 import time
@@ -114,10 +113,9 @@ def test_criterion_02_attention_invariants():
         rng = np.random.default_rng(1000 + seed)
         model = SttfModel(cfg, seed=seed)
         frames = rng.uniform(0, 1, size=(2, cfg.f, 2, cfg.num_joints, 2))
-        spatial_maps, temporal_maps = [], []
-        model.forward(frames, capture_spatial=spatial_maps,
-                      capture_temporal=temporal_maps)
-        for maps in itertools.chain(spatial_maps, temporal_maps):
+        captured = []
+        model.forward(frames, capture=captured)
+        for maps in captured:
             worst_row = max(worst_row, float(np.abs(maps.sum(axis=-1) - 1.0).max()))
 
         for name in ("spatial.pos", "frame.pos", "temporal.pos"):

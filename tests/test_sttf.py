@@ -104,6 +104,8 @@ def test_attention_shape_validation():
         T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))), 1)
     with pytest.raises(ConfigError, match=r"heads \(3\) must divide model dim \(4\)"):
         T.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), 3)
+    with pytest.raises(ContractError, match=r"attention takes Tensors, got ndarray, Tensor"):
+        T.attention(np.ones((3, 4)), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,8 @@ def test_matmul_rejects_vectors_and_mismatches():
         T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
     with pytest.raises(ContractError, match="cannot contract"):
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
+    with pytest.raises(ContractError, match="cannot contract"):  # linear_apply's check is matmul's
+        T.linear_apply(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))), T.Tensor(np.zeros(2)))
 
 
 def test_softmax_rows_sum_to_one_and_handle_extremes():
@@ -699,7 +701,7 @@ def test_untaped_attention_keeps_no_full_weight_array():
 def test_param_store_iteration_is_name_sorted():
     store = T.ParamStore(seed=0)
     for name in ["w2", "alpha", "w10", "bias"]:
-        store.add_zeros(name, (2,))
+        store.add(name, np.zeros(2))
     assert store.names() == sorted(["w2", "alpha", "w10", "bias"])
     assert [n for n, _ in store.items()] == store.names()
 
@@ -718,15 +720,15 @@ def test_param_store_init_is_reproducible_and_bounded():
 
 def test_param_store_rejects_duplicates():
     store = T.ParamStore(seed=0)
-    store.add_zeros("w", (2,))
+    store.add("w", np.zeros(2))
     with pytest.raises(ContractError):
-        store.add_zeros("w", (2,))
+        store.add("w", np.zeros(2))
 
 
 def test_gradient_of_returns_zeros_for_unused_params():
     store = T.ParamStore(seed=1)
     store.add("used", np.array([[2.0, 3.0]]))
-    store.add_zeros("unused", (4,))
+    store.add("unused", np.zeros(4))
 
     tape = T.Tape()
     p = store.tracked(tape)
@@ -750,7 +752,7 @@ def test_gradient_of_rejects_nonscalar_and_untracked():
 def test_check_gradients_accepts_correct_composite():
     store = T.ParamStore(seed=3, scope="chk")
     store.add_uniform("w1", (4, 5))
-    store.add_zeros("b1", (5,))
+    store.add("b1", np.zeros(5))
     store.add_uniform("w2", (5, 2))
     x = np.random.default_rng(30).normal(size=(3, 4))
 
@@ -803,7 +805,7 @@ def test_param_store_stays_float64_and_casts_a_float32_map():
     assert {value.data.dtype for _, value in store.items()} == {np.dtype(np.float64)}
     for tape in (None, T.Tape()):
         p = store.tracked(tape, np.float32)
-        assert {t.data.dtype for t in p.values()} == {np.dtype(np.float32)}
+        assert {p[name].data.dtype for name in store.names()} == {np.dtype(np.float32)}
         assert p["w"].data.tolist() == np.float32(store["w"].data).tolist()
     assert store.tracked(None)["u"].data is store["u"].data  # float64 is not copied
 
