@@ -127,10 +127,7 @@ def _report(rows, labels, decisions, out_dir: Path, **mse) -> None:
 def cmd_synth(args) -> int:
     cfg = SynthConfig(f=args.frames, lag=args.lag, amp_mismatch=args.amp_mismatch,
                       jitter=args.jitter, seed=_resolve_seed(args.seed))
-    try:
-        manifest = generate_dataset(cfg, args.per_class, args.out)
-    except ALLOCATION_ERRORS:
-        raise ConfigError(f"--frames {args.frames}: clip too large to allocate") from None
+    manifest = generate_dataset(cfg, args.per_class, args.out)
     log.info("wrote %d clips per class under %s", args.per_class, args.out)
     print(manifest)
     return 0
@@ -476,6 +473,10 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+        try:  # a --frames clip is (frames, 2, NUM_JOINTS, 2) float64; refused before any input
+            np.empty((getattr(args, "frames", 1), 2, NUM_JOINTS, 2))
+        except ALLOCATION_ERRORS:
+            raise ConfigError(f"--frames {args.frames}: clip too large to allocate") from None
         return args.func(args)
     except DyadsyncError as exc:
         print(f"error ({exc.label}): {exc}", file=sys.stderr)

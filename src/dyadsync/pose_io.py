@@ -321,6 +321,8 @@ def load_manifest(path) -> list:
         if any(c in entry_path.stem for c in ",\n\r"):
             raise DataError(f"{path}: entry {i} source id {entry_path.stem!r} holds a comma "
                             "or a line break, which a CSV field cannot")
+        if entry_path.stem == "manifest":  # preprocess writes manifest.json beside its clips
+            raise DataError(f"{path}: entry {i} source id 'manifest' is the manifest's own name")
         first = first_of.setdefault(entry_path.stem, i)
         if first != i:
             raise DataError(f"{path}: entries {first} and {i} share the source id "

@@ -24,9 +24,9 @@ up, never all at once.  Training and gradient checks run in float64.
 
 Everything the transformer and the classifier heads need is expressible
 with the primitives below; broadcasting follows numpy semantics with
-gradient reduction handled by :func:`_unbroadcast`.  Tensors are treated
-as immutable values: no operation writes into an input array, so they
-are safe to share read-only across threads.
+gradient reduction handled by :func:`_unbroadcast`.  A Tensor marks its
+array read-only (``x`` itself when ``Tensor(x)`` wraps it uncopied), so
+nothing writes into it and Tensors are shared by reference, across threads too.
 """
 
 from __future__ import annotations
@@ -47,12 +47,13 @@ def as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable dense float64 or float32 array, optionally tracked on a tape."""
+    """Dense float64 or float32 array, marked read-only, optionally tracked on a tape."""
 
     __slots__ = ("data", "tape", "node_id")
 
     def __init__(self, data, tape: Optional["Tape"] = None, node_id: Optional[int] = None):
         self.data = as_array(data)
+        self.data.flags.writeable = False
         self.tape = tape
         self.node_id = node_id
 
@@ -197,7 +198,7 @@ class ParamStore:
         return self.add(name, self._init_rng.uniform(-a, a, size=shape))
 
     def replace(self, name: str, data) -> None:
-        """Swap in a new value for an existing parameter (functional update)."""
+        """Swap in a new value for an existing parameter; a float64 array is wrapped uncopied."""
         if name not in self._values:
             raise ContractError(f"unknown parameter {name!r}")
         self._values[name] = Tensor(np.asarray(data, dtype=np.float64))
@@ -212,13 +213,6 @@ class ParamStore:
         out uncopied; a float32 lookup casts a parameter each time.
         """
         return _Tracked(self._values, tape, dtype)
-
-    def copy_values(self) -> dict:
-        return {name: value.data.copy() for name, value in self._values.items()}
-
-    def load_values(self, mapping) -> None:
-        for name, data in mapping.items():
-            self.replace(name, np.array(data, dtype=np.float64))
 
 
 class _Tracked:
@@ -709,15 +703,13 @@ def check_gradients(f, point: ParamStore) -> float:
         base = value.data
         flat_analytic = analytic[name].data.ravel()
         for idx in range(base.size):
-            orig = base.flat[idx]
-            shifted = base.copy()
-            shifted.flat[idx] = orig + GRADCHECK_STEP
-            point.replace(name, shifted)
-            up = f(point, None).item()
-            shifted = base.copy()
-            shifted.flat[idx] = orig - GRADCHECK_STEP
-            point.replace(name, shifted)
-            down = f(point, None).item()
+            evaluations = []
+            for step in (GRADCHECK_STEP, -GRADCHECK_STEP):  # x + (-h) is x - h bit for bit
+                shifted = base.copy()
+                shifted.flat[idx] += step
+                point.replace(name, shifted)
+                evaluations.append(f(point, None).item())
+            up, down = evaluations
             point.replace(name, base)
             if not (math.isfinite(up) and math.isfinite(down)):
                 raise NumericalError(f"non-finite evaluation while perturbing {name!r}")

@@ -119,8 +119,8 @@ class AdamState:
         )
 
 
-def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> AdamState:
-    """One Adam update in place: moments, bias correction, parameter move."""
+def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> None:
+    """One Adam update: moments and step count in ``state``, each parameter replaced."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -132,7 +132,6 @@ def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> A
         v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         params.replace(name, value.data - step)
-    return state
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -192,9 +191,9 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
     """Train ``model`` on an ``(inputs, targets)`` pair; returns per-epoch history dicts.
 
     The head's loss, and whether its highest or lowest validation metric
-    is kept, come from ``head_loss``.  A seeded 10% validation split drives
-    best-checkpoint retention; the model ends holding its best-validation
-    parameters, the earlier epoch's on a tie.
+    is kept, come from ``head_loss``.  A seeded 10% validation split, sliced
+    once, picks the best epoch, the earlier one on a tie.  Its parameter Tensors
+    are read-only, so they are kept by reference, and the model ends holding them.
     """
     _, loss_fn, sign = head_loss(model.config.head_kind)
     inputs, targets = dataset
@@ -211,12 +210,12 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
     val_idx, train_idx = split[:n_val], split[n_val:]
     if n_val == 0:
         val_idx = train_idx
+    val_inputs, val_targets = inputs[val_idx], targets[val_idx]
     shuffle_rng = stream(cfg.seed, "shuffle")
     dropout_rng = stream(cfg.seed, "dropout")
 
     state = AdamState.for_params(model.params)
     best_metric = None
-    best_values = model.params.copy_values()
     history = []
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
@@ -237,14 +236,15 @@ def fit(model, dataset, cfg: TrainConfig) -> list:
             adam_step(model.params, grads, state, lr)
             total += step_loss * len(idx)
         train_loss = total / len(order)
-        val_metric = eval_metric(model, inputs[val_idx], targets[val_idx], cfg.batch_size)
+        val_metric = eval_metric(model, val_inputs, val_targets, cfg.batch_size)
         if best_metric is None or sign * val_metric > sign * best_metric:
             best_metric = val_metric
-            best_values = model.params.copy_values()
+            best = dict(model.params.items())  # by reference: no one writes a Tensor's array
         history.append(
             {"epoch": epoch, "lr": lr, "train_loss": train_loss, "val_metric": val_metric}
         )
-    model.params.load_values(best_values)
+    for name, value in best.items():
+        model.params.replace(name, value.data)
     return history
 
 

@@ -23,8 +23,8 @@ def test_sttf_roundtrip(tmp_path):
     assert isinstance(loaded, SttfModel)
     assert loaded.config == model.config
     assert loaded.seed == 7
-    before = model.params.copy_values()
-    after = loaded.params.copy_values()
+    before = {n: v.data.copy() for n, v in model.params.items()}
+    after = {n: v.data.copy() for n, v in loaded.params.items()}
     assert sorted(before) == sorted(after)
     for name in before:
         assert np.array_equal(before[name], after[name]), name

@@ -263,6 +263,20 @@ def test_csm_size_too_large_to_allocate_exits_2_naming_it(tmp_path, capsys, size
     assert not (tmp_path / "mats").exists()  # refused before --out is made
 
 
+# clips that fail at allocation at once: about 8 TB, and beyond the address space
+@pytest.mark.parametrize("frames", [str(10**12), str(10**30)], ids=["1e12", "1e30"])
+@pytest.mark.parametrize("command", ["preprocess", "csm", "baseline"])
+def test_frames_too_large_to_allocate_exits_2_naming_it(tmp_path, capsys, command, frames):
+    manifest = make_dataset(tmp_path, per_class=1)
+    method = ["--method", "dtw"] if command == "baseline" else []
+    capsys.readouterr()
+    assert run(command, "--data", str(manifest), "--out", str(tmp_path / "out"), *method,
+               "--frames", frames) == 2
+    err = capsys.readouterr().err
+    assert err == f"error (config): --frames {frames}: clip too large to allocate\n"
+    assert not (tmp_path / "out").exists()  # refused before --out is made
+
+
 @pytest.mark.parametrize("command,flag,value", [
     pytest.param("csm", "--size", "0", id="0"),
     pytest.param("csm", "--size", "-3", id="-3"),
@@ -734,6 +748,24 @@ def test_source_id_a_csv_row_cannot_hold_is_data_error(tmp_path, capsys, stem):
                "--method", "corr2d", "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert str(manifest) in err and "entry 1" in err and repr(stem) in err
+    assert not out.exists()
+
+
+def test_source_id_manifest_is_data_error_not_written_over_the_manifest(tmp_path, capsys):
+    # preprocess writes each clip as <source id>.json and then manifest.json in --out
+    raw = make_dataset(tmp_path, per_class=1, frames=40).parent
+    (raw / "sub").mkdir()
+    (raw / "sub" / "manifest.json").write_bytes((raw / "sync_0000.json").read_bytes())
+    manifest = raw / "named.json"
+    manifest.write_text(json.dumps([
+        {"path": "modsync_0000.json", "label_class": "ModSync"},
+        {"path": "sub/manifest.json", "label_class": "Sync"},
+    ]))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("preprocess", "--data", str(manifest), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "entry 1" in err and "'manifest'" in err
     assert not out.exists()
 
 

@@ -63,6 +63,13 @@ def triple_loop_matmul(a, b):
 # ---------------------------------------------------------------------------
 
 
+def test_tensor_array_is_read_only():
+    x = T.Tensor(np.zeros(3))
+    with pytest.raises(ValueError, match="read-only"):
+        x.data[0] = 1.0
+    assert not np.any(x.data)
+
+
 def test_matmul_matches_triple_loop():
     rng = np.random.default_rng(7)
     for _ in range(20):

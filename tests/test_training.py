@@ -266,7 +266,7 @@ def test_fit_trains_float32_inputs_in_float64():
     for inputs in (images, images.astype(np.float64)):
         model = CsmModel(CsmConfig(side=8, hidden=16, dropout=0.2), seed=4)
         history = fit(model, (inputs, labels), TrainConfig(epochs=3, batch_size=4, seed=2))
-        runs.append((history, model.params.copy_values()))
+        runs.append((history, {n: v.data.copy() for n, v in model.params.items()}))
     (history_32, values_32), (history_64, values_64) = runs
     assert history_32 == history_64
     assert all(values_32[name].tobytes() == values_64[name].tobytes() for name in values_64)
@@ -286,11 +286,22 @@ def test_fit_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_fit_writes_into_no_parameter_array_it_was_given():
+    # fit keeps its best epoch's arrays by reference, so an update must replace, not write
+    images, labels = toy_image_set(np.random.default_rng(53), n=12, side=4)
+    model = CsmModel(CsmConfig(side=4, hidden=5), seed=9)
+    held = dict(model.params.items())
+    before = {name: value.data.tobytes() for name, value in held.items()}
+    fit(model, (images, labels), TrainConfig(epochs=3, batch_size=4, seed=4))
+    assert {name: value.data.tobytes() for name, value in held.items()} == before
+    assert any(model.params[name].data.tobytes() != before[name] for name in before)
+
+
 def test_fit_zero_lr_keeps_parameters():
     rng = np.random.default_rng(47)
     images, labels = toy_image_set(rng)
     model = CsmModel(CsmConfig(side=8, hidden=8, dropout=0.0), seed=6)
-    before = model.params.copy_values()
+    before = {n: v.data.copy() for n, v in model.params.items()}
     fit(model, (images, labels), TrainConfig(epochs=3, batch_size=4, lr0=0.0, seed=1))
     for name, value in before.items():
         assert np.array_equal(model.params[name].data, value)
@@ -321,7 +332,7 @@ def test_fit_keeps_the_earlier_of_two_equally_good_epochs(monkeypatch, head, met
     seen = []
 
     def scripted_metric(model, *args):
-        seen.append(model.params.copy_values())
+        seen.append({n: v.data.copy() for n, v in model.params.items()})
         return metrics[len(seen) - 1]
 
     monkeypatch.setattr(training, "eval_metric", scripted_metric)
@@ -330,7 +341,7 @@ def test_fit_keeps_the_earlier_of_two_equally_good_epochs(monkeypatch, head, met
     model = CsmModel(CsmConfig(side=8, hidden=8, head_kind=head), seed=7)
     history = fit(model, (images, targets), TrainConfig(epochs=4, batch_size=4, seed=3))
     assert [row["val_metric"] for row in history] == metrics
-    kept = model.params.copy_values()
+    kept = {n: v.data.copy() for n, v in model.params.items()}
     assert all(np.array_equal(kept[name], seen[1][name]) for name in kept)
     assert not all(np.array_equal(kept[name], seen[3][name]) for name in kept)
 
