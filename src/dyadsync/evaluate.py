@@ -68,12 +68,9 @@ def fuse_predictions(preds: list) -> list:
     branches: dict = {}
     for p in preds:
         branches.setdefault(p.branch, []).append(p)
-    ids = None
+    ids = [p.source_id for p in next(iter(branches.values()))]
     for name, rows in branches.items():
-        row_ids = [p.source_id for p in rows]
-        if ids is None:
-            ids = row_ids
-        elif row_ids != ids:
+        if [p.source_id for p in rows] != ids:
             raise ContractError(f"branch {name!r} covers a different sample set")
     modes = {p.logits is not None for p in preds}
     if len(modes) != 1:
@@ -102,10 +99,8 @@ def bin_score(score: float) -> int:
 
 def predicted_classes(preds: list) -> np.ndarray:
     """Class decisions for a list of predictions (argmax or binned score)."""
-    out = np.empty(len(preds), dtype=np.int64)
-    for i, p in enumerate(preds):
-        out[i] = int(np.argmax(p.logits)) if p.logits is not None else bin_score(p.score)
-    return out
+    return np.array([np.argmax(p.logits) if p.logits is not None else bin_score(p.score)
+                     for p in preds], dtype=np.int64)
 
 
 def confusion_normalized(labels, predictions) -> ConfusionMatrix:
@@ -121,14 +116,10 @@ def confusion_normalized(labels, predictions) -> ConfusionMatrix:
     for lab, pred in zip(labels, predictions):
         counts[lab, pred] += 1
     row_sums = counts.sum(axis=1)
+    full = row_sums > 0
     normalized = np.zeros((3, 3))
-    empty = []
-    for c in range(3):
-        if row_sums[c]:
-            normalized[c] = counts[c] / row_sums[c] * 100.0
-        else:
-            empty.append(c)
-    return ConfusionMatrix(counts, normalized, tuple(empty))
+    normalized[full] = counts[full] / row_sums[full, None] * 100.0
+    return ConfusionMatrix(counts, normalized, tuple(np.flatnonzero(~full).tolist()))
 
 
 def compute_metrics(cm: ConfusionMatrix, preds=None, targets=None) -> MetricsReport:

@@ -20,6 +20,12 @@ on the two token embeddings, the attention weights, and the MLP outputs.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,6 +78,13 @@ class ModelConfig:
     def out_dim(self) -> int:
         return 3 if self.head_kind == "classify" else 1
 
+    @property
+    def parameter_count(self) -> int:
+        """Parameters in closed form: a layer of width w has 12w² + 9w, times ``layers``."""
+        d, c, o = self.d_joint, self.c_temp, self.out_dim
+        return (3 * d + self.tokens_spatial * d + 2 * self.f * c + c * o + o
+                + self.layers * (12 * d * d + 9 * d + 12 * c * c + 9 * c))
+
 
 def mhsa(x, wq, wk, wv, wo, heads: int, *, attn_dropout=0.0, rng=None,
          capture: Optional[list] = None):
@@ -90,6 +103,22 @@ def mhsa(x, wq, wk, wv, wo, heads: int, *, attn_dropout=0.0, rng=None,
     return T.matmul(out, wo)
 
 
+_BLAS_HOLD = threading.Lock()  # one predict_batch at a time holds OpenBLAS at one thread
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    for path in glob.glob(os.path.dirname(np.__file__) + "/../numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+
+
 class SttfModel:
     """Parameter container plus forward passes for the two-stage network.
 
@@ -99,6 +128,10 @@ class SttfModel:
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        if {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())):
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if 8 * config.parameter_count > memory:
+                raise MemoryError(f"{config.parameter_count} parameters exceed {memory} bytes")
         self.config = config
         self.seed = seed
         self.params = ParamStore(seed, scope="sttf")
@@ -122,10 +155,9 @@ class SttfModel:
         p = self.params
         for name in ("wq", "wk", "wv", "wo"):
             p.add_uniform(f"{prefix}.attn.{name}", (d, d))
-        p.add(f"{prefix}.norm1.g", np.ones(d))
-        p.add(f"{prefix}.norm1.b", np.zeros(d))
-        p.add(f"{prefix}.norm2.g", np.ones(d))
-        p.add(f"{prefix}.norm2.b", np.zeros(d))
+        for norm in ("norm1", "norm2"):
+            p.add(f"{prefix}.{norm}.g", np.ones(d))
+            p.add(f"{prefix}.{norm}.b", np.zeros(d))
         p.add_uniform(f"{prefix}.mlp.w1", (d, 4 * d))
         p.add(f"{prefix}.mlp.b1", np.zeros(4 * d))
         p.add_uniform(f"{prefix}.mlp.w2", (4 * d, d))
@@ -151,6 +183,14 @@ class SttfModel:
         out = T.dropout_apply(out, cfg.dropout, rng)
         return x + out
 
+    def _check_poses(self, frames: np.ndarray) -> None:
+        """Refuse a batch that is not (B, f, 2, J, 2) poses of this model's f and J."""
+        cfg = self.config
+        if frames.ndim != 5 or frames.shape[2:] != (2, cfg.num_joints, 2):
+            raise ContractError(f"expected (B, f, 2, {cfg.num_joints}, 2) poses, got {frames.shape}")
+        if frames.shape[1] != cfg.f:
+            raise ConfigError(f"sequence has {frames.shape[1]} frames, model expects {cfg.f}")
+
     def _spatial_stack(self, frames: np.ndarray, p: dict, rng=None,
                        capture: Optional[list] = None):
         """(B, f, 2, J, 2) pose batch -> (B, f, c_temp) frame vectors.
@@ -158,10 +198,7 @@ class SttfModel:
         ``p`` is the parameter map that :meth:`forward` builds once per call.
         """
         cfg = self.config
-        if frames.ndim != 5 or frames.shape[2:] != (2, cfg.num_joints, 2):
-            raise ContractError(f"expected (B, f, 2, {cfg.num_joints}, 2) poses, got {frames.shape}")
-        if frames.shape[1] != cfg.f:
-            raise ConfigError(f"sequence has {frames.shape[1]} frames, model expects {cfg.f}")
+        self._check_poses(frames)
         batch = frames.shape[0]
         tokens = Tensor(np.ascontiguousarray(frames).reshape(batch * cfg.f, cfg.tokens_spatial, 2))
         x = T.linear_apply(tokens, p["joint_proj.w"], p["joint_proj.b"])
@@ -202,8 +239,33 @@ class SttfModel:
         return self._head(y, p)
 
     def predict_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Gradient-free eval-mode forward in float32; returns float64 (B, out_dim) logits."""
-        return self.forward(np.asarray(frames, dtype=np.float32)).data.astype(np.float64)
+        """Gradient-free eval-mode forward in float32; returns float64 (B, out_dim) logits.
+
+        With OpenBLAS held at one thread, the clips run in one part per CPU, each part on
+        its own thread; every op works clip by clip, so the bytes are one :meth:`forward`'s.
+        """
+        frames = np.asarray(frames, dtype=np.float32)
+        self._check_poses(frames)
+        p = self.params.tracked(None, np.float32)
+        parts = min(len(frames), os.cpu_count() or 1) if _openblas() else 1
+        first, *rest = np.array_split(frames, max(parts, 1))
+
+        def stacks(part):
+            return self._temporal_stack(self._spatial_stack(part, p), p).data
+
+        if not rest:
+            return self._head(Tensor(stacks(first)), p).data.astype(np.float64)
+        get, put = _openblas()
+        with _BLAS_HOLD:
+            saved = get()
+            put(1)
+            try:
+                with ThreadPoolExecutor(len(rest)) as pool:
+                    futures = [pool.submit(stacks, part) for part in rest]
+                    y = np.concatenate([stacks(first)] + [f.result() for f in futures])
+            finally:
+                put(saved)
+        return self._head(Tensor(y), p).data.astype(np.float64)
 
     def prepare_inputs(self, sequences) -> np.ndarray:
         """Stack sequences into the (B, f, 2, J, 2) batch this model eats."""

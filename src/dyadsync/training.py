@@ -155,18 +155,13 @@ def targets_from_sequences(sequences, loss_kind: str) -> np.ndarray:
     """Pull class ids (``"cross_entropy"``) or scores (``"mse"``) out of labeled sequences."""
     if loss_kind not in ("cross_entropy", "mse"):
         raise ContractError(f"loss kind must be 'cross_entropy' or 'mse', got {loss_kind!r}")
-    if loss_kind == "cross_entropy":
-        out = np.empty(len(sequences), dtype=np.int64)
-        for i, seq in enumerate(sequences):
-            if seq.label_class is None:
-                raise DataError(f"sequence {seq.source_id or i} has no class label")
-            out[i] = CLASS_NAMES.index(seq.label_class)
-        return out
-    out = np.empty(len(sequences), dtype=np.float64)
+    classes = loss_kind == "cross_entropy"
+    out = np.empty(len(sequences), dtype=np.int64 if classes else np.float64)
     for i, seq in enumerate(sequences):
-        if seq.label_score is None:
-            raise DataError(f"sequence {seq.source_id or i} has no score label")
-        out[i] = seq.label_score
+        label, kind = (seq.label_class, "class") if classes else (seq.label_score, "score")
+        if label is None:
+            raise DataError(f"sequence {seq.source_id or i} has no {kind} label")
+        out[i] = CLASS_NAMES.index(label) if classes else label
     return out
 
 

@@ -606,10 +606,10 @@ def test_eval_runs_each_model_in_chunks_of_64(tmp_path, monkeypatch):
              save_untrained(tmp_path, "csm", CsmModel(CsmConfig(), seed=1))]
     sizes = []
     for cls in (SttfModel, CsmModel):
-        def spy(self, inputs, *args, _forward=cls.forward, **kwargs):
+        def spy(self, inputs, *args, _predict=cls.predict_batch, **kwargs):
             sizes.append((type(self).__name__, len(inputs)))
-            return _forward(self, inputs, *args, **kwargs)
-        monkeypatch.setattr(cls, "forward", spy)
+            return _predict(self, inputs, *args, **kwargs)
+        monkeypatch.setattr(cls, "predict_batch", spy)
     assert run("eval", "--ckpt", ckpts[0], "--ckpt", ckpts[1], "--data", str(manifest),
                "--out", str(tmp_path / "eval")) == 0
     assert sizes == [("SttfModel", 64), ("SttfModel", 2), ("CsmModel", 64), ("CsmModel", 2)]
@@ -1208,6 +1208,47 @@ def test_transformer_with_other_joint_count_names_its_file(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert str(source) in err and "num_joints is 5" in err
     assert not out.exists()
+
+
+def refuse_any_parameter(monkeypatch):
+    """Fail the test at the first parameter a model would allocate."""
+    from dyadsync.tensor import ParamStore
+
+    def allocating(self, name, *args):
+        pytest.fail(f"parameter {name!r} was allocated")
+
+    monkeypatch.setattr(ParamStore, "add", allocating)
+    monkeypatch.setattr(ParamStore, "add_uniform", allocating)
+
+
+def test_model_config_beyond_physical_memory_is_refused_before_any_parameter(
+        tmp_path, capsys, monkeypatch):
+    # a million layers: about 28 TB of float64 parameters
+    manifest = make_dataset(tmp_path, per_class=1)
+    mc = tmp_path / "mc.json"
+    mc.write_text('{"layers": 1000000}')
+    refuse_any_parameter(monkeypatch)
+    capsys.readouterr()
+    assert run("train", "--data", str(manifest), "--out", str(tmp_path / "x"),
+               "--model-config", str(mc)) == 2
+    assert "mc.json" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_checkpoint_header_beyond_physical_memory_is_refused_before_any_parameter(
+        tmp_path, capsys, monkeypatch):
+    import struct
+
+    manifest = make_dataset(tmp_path, per_class=1)
+    header = json.dumps({"kind": "sttf", "seed": 0, "config": {"layers": 1000000},
+                         "manifest": []}).encode()
+    ckpt = tmp_path / "huge.bin"
+    ckpt.write_bytes(struct.pack("<Q", len(header)) + header)
+    refuse_any_parameter(monkeypatch)
+    capsys.readouterr()
+    assert run("eval", "--ckpt", str(ckpt), "--data", str(manifest),
+               "--out", str(tmp_path / "x")) == 3
+    assert "huge.bin" in capsys.readouterr().err
 
 
 def test_bad_checkpoint_config_is_data_error(tmp_path, capsys):

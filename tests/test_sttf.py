@@ -1,10 +1,15 @@
 """Attention model: oracles for the attention math, shape laws, equivariances."""
 
 import math
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from dyadsync import sttf
 from dyadsync import tensor as T
 from dyadsync.errors import ConfigError, ContractError
 from dyadsync.pose_io import SkeletonSequence
@@ -411,6 +416,131 @@ def test_forward_computes_in_the_dtype_of_its_input(monkeypatch, dtype, taped):
     # at least one tensor per op of each of the 2 x layers layers' 13 (five of them mhsa's)
     assert len(seen) >= 2 * cfg.layers * 13 and set(seen) == {np.dtype(dtype)}
     assert {value.data.dtype for _, value in model.params.items()} == {np.dtype(np.float64)}
+
+
+def test_parameter_count_is_the_closed_form_of_the_built_model():
+    for cfg in [
+        small_config(),
+        small_config(layers=0),
+        small_config(head_kind="regress"),
+        ModelConfig(f=4, num_joints=2, d_joint=8, layers=1, heads=2, dropout=0.0),
+    ]:
+        built = sum(value.size for _, value in SttfModel(cfg, seed=1).params.items())
+        assert cfg.parameter_count == built == expected_param_count(cfg)
+    # one spatial layer of 3,216 parameters and one temporal layer of 3,556,128, times L
+    assert ModelConfig().parameter_count == 14_327_731
+    assert ModelConfig(layers=10**6).parameter_count == 14_327_731 + (10**6 - 4) * 3_559_344
+
+
+# ---------------------------------------------------------------------------
+# predict_batch in clip parts, one thread each, with OpenBLAS at one thread
+# ---------------------------------------------------------------------------
+
+
+def blas_threads():
+    blas = sttf._openblas()
+    return None if blas is None else blas[0]()
+
+
+def one_forward_bytes(model, frames):
+    return model.forward(frames.astype(np.float32)).data.astype(np.float64).tobytes()
+
+
+def spy_parts(monkeypatch):
+    """Record (clips, OpenBLAS threads) per spatial stack call."""
+    parts = []
+    spatial = SttfModel._spatial_stack
+
+    def spy(self, frames, *args, **kwargs):
+        parts.append((len(frames), blas_threads()))
+        return spatial(self, frames, *args, **kwargs)
+
+    monkeypatch.setattr(SttfModel, "_spatial_stack", spy)
+    return parts
+
+
+CRITERION6 = dict(d_joint=4, layers=1, heads=2, dropout=0.1)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("cfg", [small_config(), small_config(head_kind="regress"),
+                                 ModelConfig(**CRITERION6),
+                                 ModelConfig(**CRITERION6, head_kind="regress")],
+                         ids=["small", "small-regress", "criterion-6", "criterion-6-regress"])
+def test_predict_batch_in_parts_has_the_bytes_of_one_forward(cfg, batch):
+    model = SttfModel(cfg, seed=batch)
+    frames = np.random.default_rng(60 + batch).uniform(0, 1, size=(batch, cfg.f, 2,
+                                                                    cfg.num_joints, 2))
+    got = model.predict_batch(frames)
+    assert got.shape == (batch, cfg.out_dim)
+    assert got.tobytes() == one_forward_bytes(model, frames)
+
+
+def test_predict_batch_runs_one_part_per_cpu_with_blas_at_one_thread(monkeypatch):
+    if sttf._openblas() is None:
+        pytest.skip("numpy's OpenBLAS thread setter was not found")
+    cfg = small_config()
+    model = SttfModel(cfg, seed=2)
+    frames = np.random.default_rng(61).uniform(0, 1, size=(5, cfg.f, 2, cfg.num_joints, 2))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parts = spy_parts(monkeypatch)
+    got = model.predict_batch(frames)
+    assert sorted(parts) == [(2, 1), (3, 1)]
+    assert got.tobytes() == one_forward_bytes(model, frames)
+
+
+def test_predict_batch_without_openblas_runs_in_one_part(monkeypatch):
+    cfg = small_config()
+    model = SttfModel(cfg, seed=3)
+    frames = np.random.default_rng(62).uniform(0, 1, size=(5, cfg.f, 2, cfg.num_joints, 2))
+    monkeypatch.setattr(sttf, "_openblas", lambda: None)
+    parts = spy_parts(monkeypatch)
+    got = model.predict_batch(frames)
+    assert [clips for clips, _ in parts] == [5]
+    assert got.tobytes() == one_forward_bytes(model, frames)
+
+
+def test_predict_batch_puts_the_blas_thread_count_back():
+    start = blas_threads()
+    if start is None:
+        pytest.skip("numpy's OpenBLAS thread setter was not found")
+    cfg = small_config()
+    model = SttfModel(cfg, seed=4)
+    frames = np.random.default_rng(63).uniform(0, 1, size=(4, cfg.f, 2, cfg.num_joints, 2))
+    model.predict_batch(frames)
+    assert blas_threads() == start
+    with pytest.raises(ConfigError, match=f"sequence has {cfg.f + 1} frames, model expects"):
+        model.predict_batch(np.zeros((4, cfg.f + 1, 2, cfg.num_joints, 2)))
+    assert blas_threads() == start
+
+
+def test_concurrent_predict_batch_callers_get_the_serial_bytes():
+    # four callers on one model, switching threads as often as the interpreter allows;
+    # none may save another's held count of 1 as the count to put back
+    cfg = small_config()
+    model = SttfModel(cfg, seed=5)
+    rng = np.random.default_rng(64)
+    batches = [rng.uniform(0, 1, size=(b, cfg.f, 2, cfg.num_joints, 2)) for b in (2, 3, 4, 5)]
+    want = [model.predict_batch(frames).tobytes() for frames in batches]
+    start = blas_threads()
+    deadline = time.monotonic() + 2.0
+
+    def caller(k):
+        results = []
+        while not results or (time.monotonic() < deadline and len(results) < 50):
+            results.append(model.predict_batch(batches[k]).tobytes())
+        return results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(caller, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, runs in enumerate(results):
+        assert runs and all(run == want[k] for run in runs), f"caller {k}"
+    assert blas_threads() == start
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ alternates from seed to seed, so drift on a shared machine falls on both
 sides alike.  It then writes, per workload, the inclusive quartiles of
 each end-to-end metric of ``BENCHMARK.json`` on both sides and of its
 per-pair change/parent ratio, the number of pairs in which the change was
-strictly better, and every run's value.  Both runs of a pair share the
-machine's state, so the ratio's spread is often tighter than either side's.
+strictly better, every run's value, and a verdict per metric (see
+``verdict``).  Both runs of a pair share the machine's state, so the
+ratio's spread is often tighter than either side's.
 
 The output has the layout of ``BENCH_10.json``: ``machine`` (from the run
 record of the first run), ``method`` and ``workloads``.  An existing
@@ -71,6 +72,35 @@ def quartiles(values: list) -> dict:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """One metric's paired runs judged against its ``BENCHMARK.json`` bound.
+
+    ``parent`` and ``change`` hold one value per pair, in pair order;
+    ``better`` is ``"higher"`` or ``"lower"``.  In the order tested:
+
+    - ``unresolved``: the parent's IQR exceeds ``bound`` times its median,
+      and not every change run beats every parent run;
+    - ``gain``: the change wins at least 9 of 10 pairs, and its median beats
+      the parent's by more than the parent's IQR;
+    - ``worse``: the change's median is worse than the parent's by more than
+      ``bound`` of the parent's median;
+    - ``within_bound``: anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    p, c = quartiles(parent), quartiles(change)
+    iqr, scale = p["q3"] - p["q1"], abs(p["median"])
+    separated = min(sign * v for v in change) > max(sign * v for v in parent)
+    if iqr > bound * scale and not separated:
+        return "unresolved"
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    ahead = sign * (c["median"] - p["median"])
+    if 10 * wins >= 9 * len(parent) and ahead > iqr:
+        return "gain"
+    if -ahead > bound * scale:
+        return "worse"
+    return "within_bound"
+
+
 def machine_of(record: dict) -> dict:
     keys = ("machine", "nproc", "blas", "blas_threads", "python", "numpy", "dyadsync")
     machine = {key: record.get(key) for key in keys}
@@ -85,7 +115,7 @@ def machine_of(record: dict) -> dict:
 
 
 def bench_workload(parent: Path, change: Path, workload: str, seeds: list, seconds: float,
-                   better: dict) -> tuple:
+                   better: dict, bounds: dict) -> tuple:
     """Alternating pairs of one workload; returns (summary, first run record)."""
     values = {"parent": {}, "change": {}}
     record = None
@@ -115,6 +145,8 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list, secon
         "change": {name: quartiles(values["change"][name]) for name in names},
         "change_over_parent": ratios,
         "change_better_in_pairs": wins,
+        "verdicts": {name: verdict(values["parent"][name], values["change"][name],
+                                   better[name], bounds[name]) for name in names},
         "values": {side: {name: values[side][name] for name in names} for side in values},
     }
     return summary, record
@@ -133,6 +165,7 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -141,7 +174,7 @@ def main(argv=None) -> int:
     doc["method"] = METHOD.format(seconds=seconds, seeds=args.seeds)
     for workload in args.workload:
         summary, record = bench_workload(args.parent.resolve(), args.change.resolve(),
-                                         workload, seeds, seconds, better)
+                                         workload, seeds, seconds, better, bounds)
         doc.setdefault("machine", machine_of(record))
         doc.setdefault("workloads", {})[workload] = summary
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
